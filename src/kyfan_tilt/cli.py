@@ -23,6 +23,7 @@ from .instances import random_incone_direction, random_membership_instance
 from .io import SchemaError, canonical_dumps, matrix_from_json, matrix_to_json
 from .oracle import (
     ProbeConfig,
+    ProbeResult,
     QuotientConfig,
     SolverError,
     d2_quotient_oracle,
@@ -111,20 +112,26 @@ def _theta_from_dict(d, n, m):
     raise SchemaError(f"theta.type: unknown type {kind!r} (quadratic | least_squares)")
 
 
-def _tolerances_from_dict(d):
-    if not isinstance(d, dict):
-        raise SchemaError("tolerances: expected an object")
-    fields = {f.name for f in dataclasses.fields(Tolerances)}
+def _with_tolerances(tols, values, where):
+    """The one tolerance parser: the problem's `tolerances` object (where
+    "tolerances.") and the --tol.<name> overrides (where "--tol.") both come
+    through here.  Each value must be a finite positive number."""
+    if not isinstance(values, dict):
+        raise SchemaError(f"{where.rstrip('.')}: expected an object")
+    names = {f.name for f in dataclasses.fields(Tolerances)}
     updates = {}
-    for k, v in d.items():
-        if k not in fields:
-            raise SchemaError(f"tolerances.{k}: unknown tolerance name")
-        updates[k] = _as_real(v, f"tolerances.{k}", positive=True)
-    return dataclasses.replace(DEFAULT_TOLS, **updates)
+    for k, v in values.items():
+        if k not in names:
+            raise SchemaError(f"{where}{k}: unknown tolerance name")
+        updates[k] = _as_real(v, f"{where}{k}", positive=True)
+    return dataclasses.replace(tols, **updates)
 
 
-def problem_from_dict(d):
-    """Validate the problem JSON and build (ProblemSpec, Tolerances, options)."""
+def problem_from_dict(d, tol_overrides=None):
+    """Validate the problem JSON and build (ProblemSpec, Tolerances, options).
+
+    tol_overrides ({name: number}, from --tol.<name>) win over the
+    problem's own `tolerances` object."""
     if not isinstance(d, dict):
         raise SchemaError("problem: expected a JSON object at the top level")
     n = _as_int(_require(d, "n", "problem"), "n", lo=1)
@@ -137,7 +144,8 @@ def problem_from_dict(d):
     if X.shape != (n, m):
         raise SchemaError(f"X: expected shape {(n, m)}, got {X.shape}")
     theta = _theta_from_dict(_require(d, "theta", "problem"), n, m)
-    tols = _tolerances_from_dict(d.get("tolerances", {}))
+    tols = _with_tolerances(DEFAULT_TOLS, d.get("tolerances", {}), "tolerances.")
+    tols = _with_tolerances(tols, tol_overrides or {}, "--tol.")
     opts_in = d.get("options", {})
     if not isinstance(opts_in, dict):
         raise SchemaError("options: expected an object")
@@ -160,26 +168,10 @@ def load_problem_file(path):
         raise SchemaError(f"problem file: invalid JSON ({e})") from e
 
 
-def _apply_tol_overrides(tols, overrides):
-    if not overrides:
-        return tols
-    fields = {f.name for f in dataclasses.fields(Tolerances)}
-    updates = {}
-    for name, val in overrides.items():
-        if name not in fields:
-            raise SchemaError(f"--tol.{name}: unknown tolerance name")
-        try:
-            updates[name] = float(val)
-        except ValueError:
-            raise SchemaError(f"--tol.{name}: expected a number, got {val!r}")
-        if updates[name] <= 0:
-            raise SchemaError(f"--tol.{name}: must be positive")
-    return dataclasses.replace(tols, **updates)
-
-
 def _parse_extra_tols(args):
-    """Pick --tol.<name>[=value] pairs out of unparsed arguments; anything
-    else is an error (exit 3, never click's usage exit)."""
+    """Pick --tol.<name>[=value] pairs out of unparsed arguments as
+    {name: float}; anything else is an error (exit 3, never click's usage
+    exit).  Names and ranges are checked by _with_tolerances."""
     overrides = {}
     i = 0
     while i < len(args):
@@ -194,7 +186,10 @@ def _parse_extra_tols(args):
                     raise SchemaError(f"--tol.{name}: missing value")
                 i += 1
                 val = args[i]
-            overrides[name] = val
+            try:
+                overrides[name] = float(val)
+            except ValueError:
+                raise SchemaError(f"--tol.{name}: expected a number, got {val!r}") from None
         else:
             raise SchemaError(f"unknown argument {a!r}")
         i += 1
@@ -232,10 +227,6 @@ def _cert_summary(cert):
     }
 
 
-def _tolerances_dict(tols):
-    return {f.name: getattr(tols, f.name) for f in dataclasses.fields(Tolerances)}
-
-
 def _problem_echo(spec):
     return {
         "n": spec.n,
@@ -268,6 +259,24 @@ def _error_report(kind, message, **extra):
     return {"error": {"kind": kind, "message": message, **extra}}
 
 
+def _quotient_check(X, Gamma, W, kappa, seed, closed):
+    """Sampled quotient oracle for d2 Psi_kappa(X | Gamma)(W) and its
+    relative gap to the closed-form value `closed` (None unless both are
+    finite).  Glue only: the oracle shares no code with the closed forms."""
+    q = d2_quotient_oracle(
+        lambda Y: psi_value(Y, kappa),
+        X,
+        Gamma,
+        W,
+        QuotientConfig(seed=seed),
+        prox_fn=lambda Y, t: kyfan_matrix_prox(Y, t, kappa),
+    )
+    gap = None
+    if closed.is_finite and math.isfinite(q.value):
+        gap = abs(q.value - closed.value) / (1 + abs(closed.value))
+    return q, gap
+
+
 # ---------------------------------------------------------------------------
 # pipeline entry points (importable; the click layer is a thin shell)
 # ---------------------------------------------------------------------------
@@ -285,8 +294,7 @@ def run_analyze(
 ):
     """Full pipeline on a problem dict; returns (report, exit_code)."""
     t_start = time.perf_counter()
-    spec, tols, options = problem_from_dict(problem)
-    tols = _apply_tol_overrides(tols, tol_overrides)
+    spec, tols, options = problem_from_dict(problem, tol_overrides)
     seed = options["seed"] if seed is None else int(seed)
     rot = options["rotation_samples"] if rotation_samples is None else int(rotation_samples)
     stamps = {}
@@ -310,7 +318,7 @@ def run_analyze(
 
     report = {
         "problem": _problem_echo(spec),
-        "tolerances": _tolerances_dict(tols),
+        "tolerances": dataclasses.asdict(tols),
         "certificate": _cert_summary(cert),
         "index_sets": _index_sets(cert),
         "upsilon": {
@@ -352,21 +360,13 @@ def run_analyze(
             t0 = time.perf_counter()
             rng = np.random.default_rng(seed + 2000)
             W = random_incone_direction(rng, cert)
+            norm = np.linalg.norm(W)
+            if norm > 0:
+                W = W / norm  # the oracle's ball and tau grid assume a unit direction
+            Gamma = spec.gamma_bar()
             closed = d2_psi_explicit(cert, W, tols=tols)
-            general = d2_psi_general(spec.Xbar, spec.gamma_bar(), W, spec.kappa, tols=tols, cert=cert)
-            q = d2_quotient_oracle(
-                lambda Y: psi_value(Y, spec.kappa),
-                spec.Xbar,
-                spec.gamma_bar(),
-                W,
-                QuotientConfig(seed=seed),
-                prox_fn=lambda Y, t: kyfan_matrix_prox(Y, t, spec.kappa),
-            )
-            rel = (
-                abs(q.value - closed.value) / (1 + abs(closed.value))
-                if closed.is_finite and math.isfinite(q.value)
-                else None
-            )
+            general = d2_psi_general(spec.Xbar, Gamma, W, spec.kappa, tols=tols, cert=cert)
+            q, rel = _quotient_check(spec.Xbar, Gamma, W, spec.kappa, seed, closed)
             oracle_section["quotient"] = {
                 "direction_norm": float(np.linalg.norm(W)),
                 "closed_form": closed.value,
@@ -404,8 +404,7 @@ def run_analyze(
 
 def run_d2(problem: dict, G, gamma=None, cross_check=False, tol_overrides=None):
     """Second subderivative at (Xbar, Gamma) in direction G; (report, code)."""
-    spec, tols, options = problem_from_dict(problem)
-    tols = _apply_tol_overrides(tols, tol_overrides)
+    spec, tols, options = problem_from_dict(problem, tol_overrides)
     G = np.asarray(G, dtype=float)
     if G.shape != (spec.n, spec.m):
         raise SchemaError(f"G: expected shape {(spec.n, spec.m)}, got {G.shape}")
@@ -424,26 +423,17 @@ def run_d2(problem: dict, G, gamma=None, cross_check=False, tol_overrides=None):
         general = d2_psi_general(spec.Xbar, Gamma, G, spec.kappa, tols=tols, cert=cert)
         cc = {"general_form": general.value}
         if v.is_finite:
-            q = d2_quotient_oracle(
-                lambda Y: psi_value(Y, spec.kappa),
-                spec.Xbar,
-                Gamma,
-                G,
-                QuotientConfig(seed=options["seed"]),
-                prox_fn=lambda Y, t: kyfan_matrix_prox(Y, t, spec.kappa),
+            q, cc["oracle_rel_gap"] = _quotient_check(
+                spec.Xbar, Gamma, G, spec.kappa, options["seed"], v
             )
             cc["oracle"] = q.value
-            cc["oracle_rel_gap"] = (
-                abs(q.value - v.value) / (1 + abs(v.value)) if math.isfinite(q.value) else None
-            )
             cc["oracle_divergent"] = q.divergent
         report["cross_check"] = cc
     return report, 0
 
 
 def run_subgrad_check(problem: dict, gamma=None, tol_overrides=None):
-    spec, tols, options = problem_from_dict(problem)
-    tols = _apply_tol_overrides(tols, tol_overrides)
+    spec, tols, options = problem_from_dict(problem, tol_overrides)
     Gamma = spec.gamma_bar() if gamma is None else np.asarray(gamma, dtype=float)
     if Gamma.shape != (spec.n, spec.m):
         raise SchemaError(f"gamma: expected shape {(spec.n, spec.m)}, got {Gamma.shape}")
@@ -458,24 +448,11 @@ def run_subgrad_check(problem: dict, gamma=None, tol_overrides=None):
 
 
 def run_tilt(problem: dict, seed=None, rotation_samples=None, tol_overrides=None):
-    spec, tols, options = problem_from_dict(problem)
-    tols = _apply_tol_overrides(tols, tol_overrides)
-    seed = options["seed"] if seed is None else int(seed)
-    rot = options["rotation_samples"] if rotation_samples is None else int(rotation_samples)
-    try:
-        cert = spec.validate(tols=tols)
-    except StationarityError as e:
-        return (
-            _error_report("stationarity", str(e), subdiff_distance=e.distance),
-            EXIT_ERROR,
-        )
-    except ValueError as e:
-        return _error_report("precondition", str(e)), EXIT_ERROR
-    ups = build_upsilon(spec, tols=tols, cert=cert)
-    verdict = tilt_check(
-        spec, ups=ups, options=TiltOptions(seed=seed, rotation_samples=rot), tols=tols
+    """The verdict section of run_analyze, or its error report; (report, code)."""
+    report, code = run_analyze(
+        problem, seed=seed, rotation_samples=rotation_samples, tol_overrides=tol_overrides
     )
-    return _verdict_dict(verdict), _VERDICT_EXIT[verdict.status]
+    return (report if "error" in report else report["verdict"]), code
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +504,7 @@ def _suite_prox(seed, count):
         Xr = rng.standard_normal((n, m)) * 2
         kap = int(rng.integers(1, n + 1))
         P = kyfan_matrix_prox(Xr, t, kap)
-        ok, _ = subdiff_membership(P, (Xr - P) / t, kap, tol=1e-7)
+        ok, _ = subdiff_membership(P, (Xr - P) / t, kap, tols=Tolerances(subdiff=1e-7))
         if not ok:
             return False, {"reason": "matrix prox optimality violated"}
     if worst_nonexp > 1e-10:
@@ -550,18 +527,9 @@ def _suite_quotient(seed, count):
             continue  # cone is trivial for this instance; nothing to compare
         done += 1
         W /= np.linalg.norm(W)
-        closed = d2_psi_explicit(cert, W)
-        q = d2_quotient_oracle(
-            lambda Y: psi_value(Y, kappa),
-            X,
-            Gamma,
-            W,
-            QuotientConfig(seed=seed),
-            prox_fn=lambda Y, t, k=kappa: kyfan_matrix_prox(Y, t, k),
-        )
-        if not math.isfinite(q.value):
-            return False, {"reason": "oracle diverged on an in-cone direction"}
-        rel = abs(q.value - closed.value) / (1 + abs(closed.value))
+        _, rel = _quotient_check(X, Gamma, W, kappa, seed, d2_psi_explicit(cert, W))
+        if rel is None:
+            return False, {"reason": "infinite value on an in-cone direction"}
         worst = max(worst, rel)
         if worst > 1e-2:
             return False, {"max_rel_gap": worst}
@@ -639,17 +607,11 @@ def analyze(ctx, problem_file, out, seed, rotation_samples, cross_check, probe, 
             tol_overrides=overrides,
         )
         _emit(report, out)
-        if probe and out and "error" not in report and report.get("oracle", {}).get("probe"):
-            rows = report["oracle"]["probe"].get("rows")
-            if rows:
-                csv_lines = ["tilt_id,V_norm,solution_displacement,residual"]
-                for row in rows:
-                    csv_lines.append(
-                        f"{row['tilt_id']},{row['V_norm']:.17g},"
-                        f"{row['solution_displacement']:.17g},{row['residual']:.17g}"
-                    )
+        if probe and out and "error" not in report:
+            section = report["oracle"]["probe"]
+            if section.get("rows"):
                 with open(out + ".probe.csv", "w") as fh:
-                    fh.write("\n".join(csv_lines) + "\n")
+                    fh.write(probe_csv(ProbeResult(section["consistent_with"], section)))
         return code
 
     return _guarded(body)

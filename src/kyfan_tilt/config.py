@@ -3,7 +3,7 @@
 Every tolerance used anywhere in the library lives in this single table so
 the CLI can override any of them by name (``--tol.<name> <value>``).  Names
 ending in ``_rel`` are multiplied by a problem-dependent scale at the point
-of use; the others are absolute.
+of use; the others are absolute unless their comment names a scale.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import dataclasses
 
 @dataclasses.dataclass
 class Tolerances:
-    # grouping of singular/eigen values: group_tol = group_rel * max(1, sigma_1)
+    # grouping of singular/eigen values: group_rel * max(1, sigma_1)
     group_rel: float = 1e-8
     # pseudo-inverse cutoff: pinv_rel * max(1, |mu| + ||Z||_2)
     pinv_rel: float = 1e-10
@@ -23,37 +23,21 @@ class Tolerances:
     sigma_class: float = 1e-7
     # trace/sum conditions: sum_rel * kappa
     sum_rel: float = 1e-7
-    # subdifferential membership residuals, scaled by (1 + ||Gamma||_F)
+    # subdifferential membership residuals, scaled by max(1, ||Gamma||_F)
     subdiff: float = 1e-8
     # critical-cone residuals, scaled by (1 + ||G||_F)
     cone: float = 1e-7
-    # "value == 0" threshold for the second subderivative zero set
-    zero_value: float = 1e-9
     # hessian kernel cutoff: kernel_rel * lambda_max, floored at kernel_floor
     kernel_rel: float = 1e-9
     kernel_floor: float = 1e-12
     # hessian positive-semidefiniteness check (relative to lambda_max)
     psd_rel: float = 1e-8
-    # orthogonality / reconstruction checks on frames and SVDs
+    # hessian symmetry check: orth * nm * max(1, ||H||_F)
     orth: float = 1e-10
     # principal-angle cutoff for subspace intersection: cos >= 1 - angle
     angle: float = 1e-9
     # witness feasibility margin for instability certificates
     margin: float = 1e-8
-
-    def replace(self, **kw) -> "Tolerances":
-        return dataclasses.replace(self, **kw)
-
-    @classmethod
-    def names(cls):
-        return [f.name for f in dataclasses.fields(cls)]
-
-    @classmethod
-    def from_overrides(cls, overrides: dict) -> "Tolerances":
-        bad = set(overrides) - set(cls.names())
-        if bad:
-            raise KeyError(f"unknown tolerance name(s): {sorted(bad)}")
-        return cls(**{k: float(v) for k, v in overrides.items()})
 
 
 DEFAULT_TOLS = Tolerances()

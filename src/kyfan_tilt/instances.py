@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .secder import ZERO_GROUP_STRICT, ZERO_GROUP_TIGHT
 from .spectral import sym
 from .subgrad import INTERIOR_GROUP
 

@@ -1,9 +1,9 @@
 """Brute-force validators, independent of the closed-form routes.
 
-Four tools: an epi-quotient sampler for second subderivatives, a convexity
-gap sampler for subgradient membership, an exact Ky-Fan proximal map (vector
-dual bisection + spectral transfer), and a proximal-gradient tilt probe that
-solves perturbed problems and estimates the solution-map modulus.
+Three tools: an epi-quotient sampler for second subderivatives, an exact
+Ky-Fan proximal map (vector dual bisection + spectral transfer), and a
+proximal-gradient tilt probe that solves perturbed problems and estimates
+the solution-map modulus.
 
 Everything here is sampling- or solver-based on purpose: the library's
 closed forms are validated against these, never the other way round.
@@ -15,14 +15,12 @@ import math
 
 import numpy as np
 
-from .io import vec
 from .spectral import svd_ordered
 
 __all__ = [
     "QuotientConfig",
     "QuotientResult",
     "d2_quotient_oracle",
-    "convexity_gap",
     "kyfan_vector_prox",
     "kyfan_matrix_prox",
     "SolverConfig",
@@ -180,25 +178,6 @@ def d2_quotient_oracle(
         divergent=bool(divergent),
         diagnostics=diagnostics,
     )
-
-
-def convexity_gap(value_fn, x, v, samples: int = 500, radius: float = 2.0, seed: int = 0) -> float:
-    """min over sampled Y of value_fn(Y) - value_fn(x) - <v, Y - x>.
-
-    Nonnegative (up to sampling noise) iff v is a subgradient candidate; a
-    clearly negative gap certifies non-membership."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    h0 = float(value_fn(x))
-    rng = np.random.default_rng(seed)
-    worst = math.inf
-    for _ in range(samples):
-        D = rng.standard_normal(x.shape)
-        D *= radius * rng.uniform(0.0, 1.0) / max(np.linalg.norm(D), 1e-300)
-        Y = x + D
-        gap = float(value_fn(Y)) - h0 - float(np.sum(v * D))
-        worst = min(worst, gap)
-    return worst
 
 
 # ---------------------------------------------------------------------------

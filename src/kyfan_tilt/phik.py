@@ -17,7 +17,6 @@ from .config import DEFAULT_TOLS, Tolerances
 from .spectral import EigenGrouping, eigen_grouped, sym
 
 __all__ = [
-    "OmegaSimplex",
     "PhiSubgradCert",
     "SecondSubderivValue",
     "phi_value",
@@ -28,30 +27,6 @@ __all__ = [
 
 IN_CONE = "InCone"
 OUTSIDE = "OutsideCriticalCone"
-
-
-@dataclasses.dataclass
-class OmegaSimplex:
-    """Capped simplex {xi : 0 <= xi <= 1, sum(xi) = mass} in dimension dim."""
-
-    dim: int
-    mass: float
-
-    def __post_init__(self):
-        if not (-1e-12 <= self.mass <= self.dim + 1e-12):
-            raise ValueError(
-                f"mass {self.mass} outside [0, {self.dim}] — empty constraint set"
-            )
-
-    def contains(self, xi: np.ndarray, tol: float = 1e-9) -> bool:
-        xi = np.asarray(xi, dtype=float)
-        if xi.shape != (self.dim,):
-            return False
-        return (
-            float(np.min(xi, initial=np.inf)) >= -tol
-            and float(np.max(xi, initial=-np.inf)) <= 1 + tol
-            and abs(float(np.sum(xi)) - self.mass) <= max(tol, tol * max(1.0, self.mass))
-        )
 
 
 @dataclasses.dataclass
@@ -118,15 +93,16 @@ def phi_subdiff_membership(
     Z: np.ndarray,
     S: np.ndarray,
     kappa: int,
-    tol: float = 1e-8,
     tols: Tolerances = DEFAULT_TOLS,
 ):
     """Decide S in subdiff phi_k(Z) and produce a certificate.
 
     S belongs to the subdifferential iff, in the grouped eigenbasis of Z,
     S = sum_{l<r} Q_l Q_l^T + Q_r W Q_r^T with W symmetric, 0 <= W <= I and
-    tr W = l_k(Z).  Returns (bool, PhiSubgradCert | None).
+    tr W = l_k(Z).  Residuals are compared with tols.subdiff.  Returns
+    (bool, PhiSubgradCert | None).
     """
+    tol = tols.subdiff
     Z = np.asarray(Z, dtype=float)
     S = np.asarray(S, dtype=float)
     if np.linalg.norm(S - S.T) > tol * max(1.0, np.linalg.norm(S)):

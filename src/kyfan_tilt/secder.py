@@ -25,7 +25,6 @@ from .spectral import bmap, build_frame, skew, sym
 from .subgrad import (
     INTERIOR_GROUP,
     SubgradCertificate,
-    ZERO_GROUP,
     subdiff_membership,
 )
 
@@ -38,6 +37,7 @@ __all__ = [
     "d2_nuclear",
     "d2_spectral",
     "d2_zero_set_membership",
+    "fine_case",
     "ZERO_GROUP_STRICT",
     "ZERO_GROUP_TIGHT",
 ]
@@ -62,7 +62,8 @@ class CriticalConeCert:
     residuals: dict
 
 
-def _cert_case(cert: SubgradCertificate) -> str:
+def fine_case(cert: SubgradCertificate) -> str:
+    """InteriorGroup, or the ZeroGroup case split by the certificate's tight flag."""
     if cert.case == INTERIOR_GROUP:
         return INTERIOR_GROUP
     return ZERO_GROUP_TIGHT if cert.tight else ZERO_GROUP_STRICT
@@ -94,10 +95,7 @@ def _h_blocks(cert: SubgradCertificate, G: np.ndarray):
 
 
 def critical_cone_membership(
-    cert: SubgradCertificate,
-    G: np.ndarray,
-    tol: float | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
+    cert: SubgradCertificate, G: np.ndarray, tols: Tolerances = DEFAULT_TOLS
 ) -> CriticalConeCert:
     """Membership of G in the critical cone of Psi_kappa at (X, Gamma).
 
@@ -106,13 +104,13 @@ def critical_cone_membership(
     beta_plus, sandwiched between the extreme eigenvalues of the outer
     blocks; in the zero-group cases whole rows of the critical block are
     pinned instead.  G is a member iff the directional derivative of
-    Psi_kappa at X along G equals <Gamma, G>.
+    Psi_kappa at X along G equals <Gamma, G>.  Residuals are compared with
+    tols.cone * (1 + ||G||_F).
     """
     G = np.asarray(G, dtype=float)
-    if tol is None:
-        tol = tols.cone * (1.0 + float(np.linalg.norm(G)))
+    tol = tols.cone * (1.0 + float(np.linalg.norm(G)))
     H1, Hc = _h_blocks(cert, G)
-    case = _cert_case(cert)
+    case = fine_case(cert)
     res: dict = {}
     beta = cert.beta
     b1 = cert.beta1
@@ -213,8 +211,8 @@ def critical_cone_membership(
 # ---------------------------------------------------------------------------
 
 
-def _require_cert(X, Gamma, kappa, tol, tols):
-    ok, cert = subdiff_membership(X, Gamma, kappa, tol=max(tol, 1e-8), tols=tols)
+def _require_cert(X, Gamma, kappa, tols):
+    ok, cert = subdiff_membership(X, Gamma, kappa, tols=tols)
     if not ok:
         raise ValueError("Gamma is not a subgradient of Psi_kappa at X")
     return cert
@@ -229,7 +227,6 @@ def d2_psi_general(
     Gamma: np.ndarray,
     G: np.ndarray,
     kappa: int,
-    tol: float = 1e-8,
     tols: Tolerances = DEFAULT_TOLS,
     cert: SubgradCertificate | None = None,
 ) -> SecondSubderivValue:
@@ -247,7 +244,7 @@ def d2_psi_general(
     Gamma = np.asarray(Gamma, dtype=float)
     G = np.asarray(G, dtype=float)
     if cert is None:
-        cert = _require_cert(X, Gamma, kappa, tol, tols)
+        cert = _require_cert(X, Gamma, kappa, tols)
     cone = critical_cone_membership(cert, G, tols=tols)
     if not cone.member:
         return _outside(cone)
@@ -343,10 +340,7 @@ def _sq(M):
 
 
 def d2_psi_explicit(
-    cert: SubgradCertificate,
-    G: np.ndarray,
-    tol: float = 1e-8,
-    tols: Tolerances = DEFAULT_TOLS,
+    cert: SubgradCertificate, G: np.ndarray, tols: Tolerances = DEFAULT_TOLS
 ) -> SecondSubderivValue:
     """d^2 Psi_kappa(X | Gamma)(G) from the itemized closed form.
 
@@ -441,17 +435,13 @@ def d2_psi_explicit(
 
 
 def d2_nuclear(
-    X: np.ndarray,
-    Gamma: np.ndarray,
-    G: np.ndarray,
-    tol: float = 1e-8,
-    tols: Tolerances = DEFAULT_TOLS,
+    X: np.ndarray, Gamma: np.ndarray, G: np.ndarray, tols: Tolerances = DEFAULT_TOLS
 ) -> SecondSubderivValue:
     """Second subderivative of the nuclear norm (kappa = n), written out
     directly from its two-branch closed form."""
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
-    cert = _require_cert(X, Gamma, n, tol, tols)
+    cert = _require_cert(X, Gamma, n, tols)
     G = np.asarray(G, dtype=float)
     cone = critical_cone_membership(cert, G, tols=tols)
     if not cone.member:
@@ -479,16 +469,12 @@ def d2_nuclear(
 
 
 def d2_spectral(
-    X: np.ndarray,
-    Gamma: np.ndarray,
-    G: np.ndarray,
-    tol: float = 1e-8,
-    tols: Tolerances = DEFAULT_TOLS,
+    X: np.ndarray, Gamma: np.ndarray, G: np.ndarray, tols: Tolerances = DEFAULT_TOLS
 ) -> SecondSubderivValue:
     """Second subderivative of the spectral norm (kappa = 1), written out
     directly; zero matrix -> 0 on the critical cone."""
     X = np.asarray(X, dtype=float)
-    cert = _require_cert(X, Gamma, 1, tol, tols)
+    cert = _require_cert(X, Gamma, 1, tols)
     G = np.asarray(G, dtype=float)
     cone = critical_cone_membership(cert, G, tols=tols)
     if not cone.member:
@@ -529,10 +515,7 @@ def d2_spectral(
 
 
 def d2_zero_set_membership(
-    cert: SubgradCertificate,
-    G: np.ndarray,
-    tol: float | None = None,
-    tols: Tolerances = DEFAULT_TOLS,
+    cert: SubgradCertificate, G: np.ndarray, tols: Tolerances = DEFAULT_TOLS
 ) -> bool:
     """Whether G lies in the zero set {d^2 Psi(X|Gamma)(.) = 0}.
 
@@ -541,11 +524,11 @@ def d2_zero_set_membership(
     A-rows/columns must be a symmetric pattern with no coupling to
     beta0/gamma/c and no symmetric part on alpha x beta_plus; in the
     zero-group cases only the alpha rows are constrained beyond the cone.
+    Residuals are compared with the cone tolerance.
     """
     G = np.asarray(G, dtype=float)
-    if tol is None:
-        tol = tols.cone * (1.0 + float(np.linalg.norm(G)))
-    cone = critical_cone_membership(cert, G, tol=tol, tols=tols)
+    tol = tols.cone * (1.0 + float(np.linalg.norm(G)))
+    cone = critical_cone_membership(cert, G, tols=tols)
     if not cone.member:
         return False
     H1, Hc = _h_blocks(cert, G)

@@ -142,7 +142,6 @@ class SingularGrouping:
     s: int
     r: int
     kappa: int
-    group_tol: float
 
     @property
     def a(self) -> np.ndarray:
@@ -159,13 +158,13 @@ class SingularGrouping:
         return self.s + 1
 
 
-def _chain_groups(values: np.ndarray, tol: float) -> list:
+def _chain_groups(values: np.ndarray, gap: float) -> list:
     """Split a nonincreasing vector into maximal transitively-chained runs:
-    consecutive entries closer than tol stay in one group."""
+    consecutive entries at most gap apart stay in one group."""
     groups = []
     start = 0
     for i in range(1, len(values)):
-        if abs(values[i - 1] - values[i]) > tol:
+        if abs(values[i - 1] - values[i]) > gap:
             groups.append(np.arange(start, i))
             start = i
     if len(values):
@@ -173,19 +172,18 @@ def _chain_groups(values: np.ndarray, tol: float) -> list:
     return groups
 
 
-def group_singular(pair: SvdPair, kappa: int, group_tol: float | None = None,
+def group_singular(pair: SvdPair, kappa: int,
                    tols: Tolerances = DEFAULT_TOLS) -> SingularGrouping:
     """Group the singular values of an ordered SVD and locate kappa.
 
-    group_tol defaults to tols.group_rel * max(1, sigma_1).  Grouping is
+    The tolerance is tols.group_rel * max(1, sigma_1).  Grouping is
     transitive: a chain of gaps each below the tolerance forms one group.
     """
     sigma = pair.sigma
     n, m = pair.n, pair.m
     if not (1 <= kappa <= n):
         raise ValueError(f"kappa must be in [1, {n}], got {kappa}")
-    if group_tol is None:
-        group_tol = tols.group_rel * max(1.0, sigma[0] if len(sigma) else 0.0)
+    group_tol = tols.group_rel * max(1.0, sigma[0] if len(sigma) else 0.0)
     runs = _chain_groups(sigma, group_tol)
     # the trailing run is the zero block iff everything in it is ~0
     if runs and sigma[runs[-1][0]] <= group_tol:
@@ -207,8 +205,7 @@ def group_singular(pair: SvdPair, kappa: int, group_tol: float | None = None,
     if r == s + 1 and kappa > count + len(b):
         raise AssertionError("kappa not covered by the partition")
     return SingularGrouping(
-        nu=nu, groups=pos_runs, b=b, c=np.arange(n, m), s=s, r=r,
-        kappa=kappa, group_tol=float(group_tol),
+        nu=nu, groups=pos_runs, b=b, c=np.arange(n, m), s=s, r=r, kappa=kappa
     )
 
 
@@ -326,7 +323,6 @@ class EigenGrouping:
     lam: np.ndarray
     mu: np.ndarray  # group representatives, descending
     theta: list  # list of index arrays
-    group_tol: float
 
     def l_of(self, i: int) -> int:
         """Number of eigenvalues equal (by grouping) to lam[i] with
@@ -344,8 +340,7 @@ class EigenGrouping:
         raise IndexError(k)
 
 
-def eigen_grouped(Z: np.ndarray, group_tol: float | None = None,
-                  tols: Tolerances = DEFAULT_TOLS) -> EigenGrouping:
+def eigen_grouped(Z: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> EigenGrouping:
     """Eigendecompose symmetric Z with descending eigenvalues and group them.
 
     Raises ValueError if Z is not symmetric (within orth tolerance scaled
@@ -364,8 +359,7 @@ def eigen_grouped(Z: np.ndarray, group_tol: float | None = None,
         i = int(np.argmax(np.abs(Q[:, j])))
         if Q[i, j] < 0:
             Q[:, j] = -Q[:, j]
-    if group_tol is None:
-        group_tol = tols.group_rel * max(1.0, float(np.max(np.abs(lam))) if len(lam) else 0.0)
+    group_tol = tols.group_rel * max(1.0, float(np.max(np.abs(lam))) if len(lam) else 0.0)
     theta = _chain_groups(lam, group_tol)
     mu = np.array([float(np.mean(lam[g])) for g in theta])
-    return EigenGrouping(Q=Q, lam=lam, mu=mu, theta=theta, group_tol=float(group_tol))
+    return EigenGrouping(Q=Q, lam=lam, mu=mu, theta=theta)

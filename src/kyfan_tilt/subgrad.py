@@ -70,7 +70,8 @@ class SubgradCertificate:
     descending order with beta_j their index groups.  pair is a simultaneous
     ordered SVD of (X, Gamma); sigma_gamma_vals its Gamma diagonal.
     kappa0 = |alpha|; kappa1 = kappa - kappa0 is the mass left for the
-    critical block.
+    critical block.  tight: whether the beta mass is exhausted within
+    sum_rel (always True for InteriorGroup; it splits the ZeroGroup case).
     """
 
     case: str
@@ -89,24 +90,10 @@ class SubgradCertificate:
     grouping: SingularGrouping
     sigma_gamma_vals: np.ndarray
     warnings: list
-
-    @property
-    def tight(self) -> bool:
-        """Whether the beta mass is exhausted (only meaningful for ZeroGroup)."""
-        if self.case == INTERIOR_GROUP:
-            return True
-        return bool(
-            abs(float(np.sum(self.sigma_gamma_vals[self.beta])) - self.kappa1)
-            <= DEFAULT_TOLS.sum_rel * max(1, self.kappa)
-        )
+    tight: bool
 
 
-def simultaneous_svd(
-    X: np.ndarray,
-    Gamma: np.ndarray,
-    tol: float = 1e-8,
-    tols: Tolerances = DEFAULT_TOLS,
-):
+def simultaneous_svd(X: np.ndarray, Gamma: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     """Search for an ordered SVD pair shared by X and Gamma.
 
     Returns an SvdPair whose (U, V) diagonalize both matrices with
@@ -127,8 +114,7 @@ def simultaneous_svd(
         raise ValueError("X and Gamma must have equal shapes")
     pair = svd_ordered(X)
     n, m = pair.n, pair.m
-    scale = max(1.0, float(np.linalg.norm(Gamma)))
-    gtol = tol * scale
+    gtol = tols.subdiff * max(1.0, float(np.linalg.norm(Gamma)))
     grouping = group_singular(pair, kappa=1, tols=tols)
     U = pair.U.copy()
     V = pair.V.copy()
@@ -166,7 +152,7 @@ def simultaneous_svd(
     if np.any(np.diff(d) > gtol):
         return None
     out = SvdPair(U=U, V=V, sigma=pair.sigma)
-    if np.linalg.norm(out.reconstruct() - X) > tol * max(1.0, np.linalg.norm(X)) * 10:
+    if np.linalg.norm(out.reconstruct() - X) > tols.subdiff * max(1.0, np.linalg.norm(X)) * 10:
         return None
     return out
 
@@ -222,7 +208,6 @@ def subdiff_membership(
     X: np.ndarray,
     Gamma: np.ndarray,
     kappa: int,
-    tol: float = 1e-8,
     tols: Tolerances = DEFAULT_TOLS,
     with_diagnostics: bool = False,
 ):
@@ -239,14 +224,14 @@ def subdiff_membership(
             return ok, cert, why
         return ok, cert
 
-    pair = simultaneous_svd(X, Gamma, tol=tol, tols=tols)
+    pair = simultaneous_svd(X, Gamma, tols=tols)
     if pair is None:
         return out(False, None, "no simultaneous ordered SVD pair exists")
     grouping = group_singular(pair, kappa, tols=tols)
     n = pair.n
     vals = np.array([float(pair.U[:, i] @ Gamma @ pair.V[:, i]) for i in range(n)])
     r, s = grouping.r, grouping.s
-    gtol = tol * max(1.0, float(np.linalg.norm(Gamma)))
+    gtol = tols.subdiff * max(1.0, float(np.linalg.norm(Gamma)))
     sum_tol = tols.sum_rel * kappa
     if r <= s:
         alpha = (
@@ -288,6 +273,9 @@ def subdiff_membership(
     vals[beta1] = 1.0
     vals[beta0] = 0.0
     zeta, beta_js = _zeta_groups(vals, beta1, beta_plus, tols.sigma_class)
+    tight = case == INTERIOR_GROUP or (
+        abs(float(np.sum(vals[beta])) - (kappa - kappa0)) <= tols.sum_rel * max(1, kappa)
+    )
     cert = SubgradCertificate(
         case=case,
         kappa=kappa,
@@ -305,6 +293,7 @@ def subdiff_membership(
         grouping=grouping,
         sigma_gamma_vals=vals,
         warnings=warn,
+        tight=bool(tight),
     )
     return out(True, cert, "")
 
@@ -337,7 +326,7 @@ def multiplier_from_xi(
     cert: SubgradCertificate,
     frame: EmbeddingFrame,
     xi: np.ndarray,
-    tol: float = 1e-8,
+    tols: Tolerances = DEFAULT_TOLS,
 ) -> MultiplierElement:
     """Assemble the multiplier with critical-block weights xi.
 
@@ -346,6 +335,7 @@ def multiplier_from_xi(
     zero-space frame columns with xi1 - xi3 = sigma_b(Gamma), entries in
     [0, 1], total mass kappa - kappa0.  Raises ValueError on infeasible xi.
     """
+    tol = tols.subdiff
     xi = np.asarray(xi, dtype=float)
     n = cert.pair.n
     mass = float(cert.kappa1)
@@ -353,7 +343,7 @@ def multiplier_from_xi(
         target = cert.sigma_gamma_vals[cert.beta]
         if xi.shape != target.shape:
             raise ValueError(f"xi must have length {len(target)}")
-        if np.max(np.abs(xi - target), initial=0.0) > max(tol, 1e-7):
+        if np.max(np.abs(xi - target), initial=0.0) > max(tol, tols.sigma_class):
             raise ValueError("xi must equal the critical-block subgradient singular values")
         if not _mass_check(xi, mass, tol):
             raise ValueError("xi violates the capped-simplex constraints")
@@ -370,7 +360,7 @@ def multiplier_from_xi(
             raise ValueError(f"xi must have length {2 * nb + nc}")
         xi1, xi2, xi3 = xi[:nb], xi[nb : nb + nc], xi[nb + nc :]
         sig_b = cert.sigma_gamma_vals[cert.beta]
-        if np.max(np.abs((xi1 - xi3) - sig_b), initial=0.0) > max(tol, 1e-7):
+        if np.max(np.abs((xi1 - xi3) - sig_b), initial=0.0) > max(tol, tols.sigma_class):
             raise ValueError("xi1 - xi3 must reproduce the zero-block subgradient values")
         if not _mass_check(xi, mass, tol):
             raise ValueError("xi violates the capped-simplex constraints")
@@ -390,15 +380,16 @@ def multiplier_membership(
     Gamma: np.ndarray,
     M: np.ndarray,
     kappa: int,
-    tol: float = 1e-8,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> bool:
     """Decide whether M is a multiplier for (X, Gamma).
 
     Recovers xi by projecting M minus the weight-one frame blocks onto the
     critical frame columns and checks the capped-simplex and linkage
-    conditions; the residual off the expected span must vanish.
+    conditions; the residual off the expected span must vanish.  The
+    recovered xi is checked at the classification tolerance sigma_class.
     """
+    tol = tols.subdiff
     X = np.asarray(X, dtype=float)
     M = np.asarray(M, dtype=float)
     n, m = X.shape
@@ -408,7 +399,7 @@ def multiplier_membership(
         return False
     if np.linalg.norm(bmap_adjoint(M, n) - Gamma) > tol * max(1.0, np.linalg.norm(Gamma)):
         return False
-    ok, cert = subdiff_membership(X, Gamma, kappa, tol=tol, tols=tols)
+    ok, cert = subdiff_membership(X, Gamma, kappa, tols=tols)
     if not ok:
         return False
     frame = build_frame(cert.pair, cert.grouping)
@@ -429,7 +420,8 @@ def multiplier_membership(
     if np.linalg.norm(W - np.diag(xi)) > 10 * tol * max(1.0, np.linalg.norm(M)):
         return False
     try:
-        multiplier_from_xi(cert, frame, xi, tol=max(tol, 1e-7))
+        xi_tols = dataclasses.replace(tols, subdiff=max(tol, tols.sigma_class))
+        multiplier_from_xi(cert, frame, xi, tols=xi_tols)
     except ValueError:
         return False
     return True

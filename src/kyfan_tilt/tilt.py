@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .io import unvec, vec
-from .secder import ZERO_GROUP_STRICT, ZERO_GROUP_TIGHT
+from .secder import ZERO_GROUP_STRICT, ZERO_GROUP_TIGHT, fine_case
 from .spectral import SvdPair, sym
 from .subgrad import INTERIOR_GROUP, SubgradCertificate, subdiff_membership
 
@@ -158,16 +158,13 @@ def stationarity_gap(X, Gamma, kappa, tols: Tolerances = DEFAULT_TOLS) -> float:
 class ProblemSpec:
     """min_X nu * theta(X) + Psi_kappa(X), analyzed at the candidate Xbar.
 
-    theta is QuadraticTheta or LeastSquaresTheta; hessian_psd_radius is an
-    optional user declaration of the neighborhood on which the Hessian is
-    PSD (trusted, not verified — only the Hessian at Xbar is checked).
+    theta is QuadraticTheta or LeastSquaresTheta.
     """
 
     Xbar: np.ndarray
     nu: float
     kappa: int
     theta: object
-    hessian_psd_radius: float | None = None
 
     @property
     def n(self) -> int:
@@ -186,7 +183,7 @@ class ProblemSpec:
     def gamma_bar(self) -> np.ndarray:
         return -self.nu * self.grad_theta(self.Xbar)
 
-    def validate(self, tol: float = 1e-8, tols: Tolerances = DEFAULT_TOLS) -> SubgradCertificate:
+    def validate(self, tols: Tolerances = DEFAULT_TOLS) -> SubgradCertificate:
         """Check shapes, PSD Hessian, and stationarity; return the
         subgradient certificate for (Xbar, Gamma_bar)."""
         X = np.asarray(self.Xbar, dtype=float)
@@ -209,7 +206,7 @@ class ProblemSpec:
                 f"Hessian of theta must be PSD at Xbar (lambda_min = {w[0]:.3e})"
             )
         Gamma = self.gamma_bar()
-        ok, cert = subdiff_membership(X, Gamma, self.kappa, tol=tol, tols=tols)
+        ok, cert = subdiff_membership(X, Gamma, self.kappa, tols=tols)
         if not ok:
             gap = stationarity_gap(X, Gamma, self.kappa, tols=tols)
             raise StationarityError(
@@ -243,12 +240,6 @@ class UpsilonSpec:
     cone_constraint: str
     exact: bool
     cert: SubgradCertificate
-
-
-def _upsilon_case(cert: SubgradCertificate) -> str:
-    if cert.case == INTERIOR_GROUP:
-        return INTERIOR_GROUP
-    return ZERO_GROUP_TIGHT if cert.tight else ZERO_GROUP_STRICT
 
 
 def _hull_elements(cert: SubgradCertificate, case: str, n: int, m: int):
@@ -299,7 +290,6 @@ def _interior_vacuous(cert) -> bool:
 
 def build_upsilon(
     spec: ProblemSpec,
-    tol: float = 1e-8,
     tols: Tolerances = DEFAULT_TOLS,
     cert: SubgradCertificate | None = None,
     pair: SvdPair | None = None,
@@ -311,11 +301,11 @@ def build_upsilon(
     sampling of degenerate blocks).
     """
     if cert is None:
-        cert = spec.validate(tol=tol, tols=tols)
+        cert = spec.validate(tols=tols)
     if pair is None:
         pair = cert.pair
     n, m = pair.n, pair.m
-    case = _upsilon_case(cert)
+    case = fine_case(cert)
     elems = _hull_elements(cert, case, n, m)
     if elems:
         cols = [vec(pair.U @ H @ pair.V.T) for H in elems]
@@ -438,10 +428,13 @@ class TiltVerdict:
 class TiltOptions:
     seed: int = 0
     rotation_samples: int = 0
-    starts: int = 64
-    steps: int = 500
-    margin_tol: float = 1e-8
-    fd_step: float = 1e-6
+
+
+# witness search: starts on the unit sphere of the intersection, ascent
+# steps per start, and the finite-difference step of the supergradients
+_SEARCH_STARTS = 64
+_SEARCH_STEPS = 500
+_FD_STEP = 1e-6
 
 
 def _orth(B: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -453,15 +446,16 @@ def _orth(B: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return U[:, keep]
 
 
-def _intersect(K: np.ndarray, L: np.ndarray, angle_tol: float):
-    """Intersection basis of two orthonormal-column subspaces plus the
-    largest principal cosine and sigma_min of the stacked system."""
+def _intersect(K: np.ndarray, L: np.ndarray, tols: Tolerances):
+    """Intersection basis of two orthonormal-column subspaces (principal
+    cosines >= 1 - tols.angle) plus the largest principal cosine and
+    sigma_min of the stacked system."""
     if K.shape[1] == 0 or L.shape[1] == 0:
         return np.zeros((K.shape[0], 0)), 0.0, 1.0
     M = K.T @ L
     Um, sv, _ = np.linalg.svd(M)
     maxcos = float(sv[0]) if len(sv) else 0.0
-    take = sv >= 1.0 - angle_tol
+    take = sv >= 1.0 - tols.angle
     N = _orth(K @ Um[:, take]) if np.any(take) else np.zeros((K.shape[0], 0))
     smin_stacked = math.sqrt(max(0.0, 1.0 - maxcos))
     return N, maxcos, smin_stacked
@@ -511,14 +505,15 @@ def _rotate_pair(cert: SubgradCertificate, rng, tols: Tolerances) -> SvdPair:
     return SvdPair(U=U, V=V, sigma=pair.sigma.copy())
 
 
-def _search_witness(ups, N, rng, options: TiltOptions):
+def _search_witness(ups, N, rng, tols: Tolerances):
     """Maximize the sandwich margin over the unit sphere of span(N).
 
     The margin is a minimum of concave 1-homogeneous spectral functions of
     the direction, so projected supergradient ascent from multiple starts
     finds the global max on the sphere; finite-difference supergradients
     suffice at this scale.  Results merge deterministically by
-    (margin, start index)."""
+    (margin, start index); the search stops at the first margin above
+    tols.margin and accepts a best margin >= -tols.margin."""
     q = N.shape[1]
     nm = N.shape[0]
     n, m = ups.pair.n, ups.pair.m
@@ -528,25 +523,27 @@ def _search_witness(ups, N, rng, options: TiltOptions):
         return _sandwich(ups, W)[0]
 
     starts = []
-    for i in range(min(q, options.starts)):
+    for i in range(min(q, _SEARCH_STARTS)):
         e = np.zeros(q)
         e[i] = 1.0
         starts.append(e)
-    while len(starts) < options.starts:
+    while len(starts) < _SEARCH_STARTS:
         v = rng.standard_normal(q)
         starts.append(v / np.linalg.norm(v))
     best = (-math.inf, -1, None)
     evals = 0
+    ran = 0
     for idx, c0 in enumerate(starts):
+        ran = idx + 1
         c = c0.copy()
         val = margin_of(c)
         evals += 1
         if val > best[0]:
             best = (val, idx, c.copy())
-        if best[0] > options.margin_tol:
+        if best[0] > tols.margin:
             break
-        h = options.fd_step
-        for t in range(options.steps):
+        h = _FD_STEP
+        for t in range(_SEARCH_STEPS):
             if not math.isfinite(val):
                 break
             g = np.zeros(q)
@@ -567,13 +564,13 @@ def _search_witness(ups, N, rng, options: TiltOptions):
             evals += 1
             if val > best[0]:
                 best = (val, idx, c.copy())
-            if best[0] > options.margin_tol:
+            if best[0] > tols.margin:
                 break
-        if best[0] > options.margin_tol:
+        if best[0] > tols.margin:
             break
-    margin, idx, c = best
-    diagnostics = {"starts_used": idx + 1, "margin_evals": evals, "best_margin": margin}
-    if c is not None and margin >= -options.margin_tol:
+    margin, _, c = best
+    diagnostics = {"starts_used": ran, "margin_evals": evals, "best_margin": margin}
+    if c is not None and margin >= -tols.margin:
         W = unvec(N @ c, n, m)
         W /= np.linalg.norm(W)
         return W, diagnostics
@@ -605,7 +602,7 @@ def tilt_check(
             pair2 = _rotate_pair(cert, rng_rot, tols)
             variants.append(build_upsilon(spec, tols=tols, cert=cert, pair=pair2))
     union = _orth(np.hstack([v.hull_basis for v in variants]))
-    N_union, maxcos, smin = _intersect(K, union, tols.angle)
+    N_union, maxcos, smin = _intersect(K, union, tols)
     base_cert = {
         "kernel_dim": int(K.shape[1]),
         "hull_dim": int(ups.hull_basis.shape[1]),
@@ -622,7 +619,7 @@ def tilt_check(
     rng = np.random.default_rng(options.seed + 1)
     best_diag = None
     for v_idx, v in enumerate(variants):
-        N, _, _ = _intersect(K, v.hull_basis, tols.angle)
+        N, _, _ = _intersect(K, v.hull_basis, tols)
         if N.shape[1] == 0:
             continue
         if v.exact:
@@ -641,7 +638,7 @@ def tilt_check(
                 },
                 witness=W,
             )
-        W, diag = _search_witness(v, N, rng, options)
+        W, diag = _search_witness(v, N, rng, tols)
         if best_diag is None or diag["best_margin"] > best_diag["best_margin"]:
             best_diag = {**diag, "variant": v_idx}
         if W is not None:
@@ -684,7 +681,7 @@ def generic_kernel_test(
     tilt_check with predicate sampling instead of margin ascent."""
     K, ktol = _kernel_basis(np.asarray(hessian, dtype=float), tols)
     L = _orth(np.asarray(hull, dtype=float))
-    N, maxcos, smin = _intersect(K, L, tols.angle)
+    N, maxcos, smin = _intersect(K, L, tols)
     base = {
         "kernel_dim": int(K.shape[1]),
         "hull_dim": int(L.shape[1]),

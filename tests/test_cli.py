@@ -8,6 +8,7 @@ import pytest
 
 from conftest import projector_complement
 from kyfan_tilt.cli import main
+from kyfan_tilt.instances import random_membership_instance
 from kyfan_tilt.io import matrix_to_json, unvec, vec
 
 X3 = np.diag([3.0, 2.0, 1.0])
@@ -124,6 +125,20 @@ def test_analyze_cross_check_attaches_quotient(tmp_path, capsys):
     assert len(report["d2_samples"]) == 2
     qc = report["oracle"]["quotient"]
     assert qc["oracle_rel_gap"] <= 1e-2 or qc["divergent"]
+
+
+@pytest.mark.parametrize("seed", [20, 33])
+def test_analyze_cross_check_uses_unit_direction(tmp_path, capsys, seed):
+    # on these instances the raw in-cone direction (norm 4-5) put the quotient
+    # oracle off by 0.12; the oracle's ball and tau grid assume a unit direction
+    X, Gamma, kappa, _ = random_membership_instance(np.random.default_rng(seed), well_separated=True)
+    pf = write_json(tmp_path, "p.json", problem_dict(X, Gamma, kappa))
+    code, cap = run(capsys, "analyze", pf, "--cross-check")
+    assert code == 0
+    qc = json.loads(cap.out)["oracle"]["quotient"]
+    assert qc["direction_norm"] == pytest.approx(1.0, abs=1e-12)
+    assert not qc["divergent"]
+    assert qc["oracle_rel_gap"] <= 1e-2
 
 
 def test_analyze_stationarity_failure_exit_three(tmp_path, capsys):

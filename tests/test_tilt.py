@@ -221,6 +221,17 @@ def test_verdict_inconclusive_engineered():
     assert v.certificate["search"]["best_margin"] < -1e-3
 
 
+def test_witness_search_reports_starts_that_ran():
+    # an Inconclusive search exhausts every start; starts_used counts them
+    # all, not the index of the best one
+    W = np.zeros((6, 6))
+    W[2, 2] = 1.0
+    W[3, 3] = W[4, 4] = 0.5
+    search = tilt_check(spec_with_kernel(X6, G6, K6, W)).certificate["search"]
+    assert search["starts_used"] == 64
+    assert search["margin_evals"] >= 64
+
+
 @settings(max_examples=15, deadline=None)
 @given(seeds, st.sampled_from(CASES))
 def test_rotation_sampling_keeps_verdict(seed, case):
