@@ -367,6 +367,8 @@ def run_analyze(
             closed = d2_psi_explicit(cert, W, tols=tols)
             general = d2_psi_general(spec.Xbar, Gamma, W, spec.kappa, tols=tols, cert=cert)
             q, rel = _quotient_check(spec.Xbar, Gamma, W, spec.kappa, seed, closed)
+            if norm == 0:
+                rel = None  # the zero direction checks nothing
             oracle_section["quotient"] = {
                 "direction_norm": float(np.linalg.norm(W)),
                 "closed_form": closed.value,

@@ -66,11 +66,18 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
             f"{len(data) if isinstance(data, list) else type(data).__name__}"
         )
     try:
-        flat = np.array([float(v) for v in data], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}.data: non-numeric entry ({exc})") from None
-    if not np.all(np.isfinite(flat)):
-        raise SchemaError(f"{where}.data: entries must be finite")
+        flat = np.fromiter(data, dtype=float, count=len(data))
+    except (TypeError, ValueError, OverflowError):
+        flat = None
+    if flat is None or not np.all(np.isfinite(flat)):
+        # Entry by entry, for the message: fromiter turns None into nan and
+        # reports nested lists and strings in its own words.
+        try:
+            flat = np.array([float(v) for v in data], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{where}.data: non-numeric entry ({exc})") from None
+        if not np.all(np.isfinite(flat)):
+            raise SchemaError(f"{where}.data: entries must be finite")
     return flat.reshape((rows, cols))
 
 

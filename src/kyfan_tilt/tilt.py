@@ -6,7 +6,9 @@ a block-sparsity template whose linear hull and residual inequality (an
 eigenvalue / singular-value sandwich on the critical blocks) are recorded
 separately.  The verdict procedure:
 
-  1. K := kernel of the vectorized Hessian of theta at Xbar,
+  1. K := kernel of the vectorized Hessian of theta at Xbar, from the one
+     eigendecomposition of the analysis (ProblemSpec.hessian_factor, which
+     the PSD check of validate reads as well),
   2. N := K  intersect  hull, via principal angles,
   3. N = {0}                 -> Stable (sufficient certificate),
   4. N != {0} and exact      -> Unstable with any unit element of N,
@@ -35,6 +37,7 @@ __all__ = [
     "QuadraticTheta",
     "LeastSquaresTheta",
     "ProblemSpec",
+    "HessianFactor",
     "UpsilonSpec",
     "TiltVerdict",
     "TiltOptions",
@@ -84,10 +87,15 @@ class QuadraticTheta:
 
 @dataclasses.dataclass
 class LeastSquaresTheta:
-    """theta(X) = 0.5 * || A vec(X) - b ||^2."""
+    """theta(X) = 0.5 * || A vec(X) - b ||^2.
+
+    The Hessian A^T A is formed on the first hessian() call and kept."""
 
     A: np.ndarray
     b: np.ndarray
+    _gram: np.ndarray | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def grad(self, X):
         n, m = X.shape
@@ -95,7 +103,27 @@ class LeastSquaresTheta:
         return unvec(self.A.T @ r, n, m)
 
     def hessian(self):
-        return self.A.T @ self.A
+        if self._gram is None:
+            self._gram = self.A.T @ self.A
+        return self._gram
+
+
+@dataclasses.dataclass
+class HessianFactor:
+    """One eigendecomposition of sym(H): every eigenvalue (ascending) and
+    the eigenvectors with eigenvalue <= kernel_tol, an orthonormal basis of
+    the kernel.  The other eigenvectors are not kept."""
+
+    eigenvalues: np.ndarray
+    kernel: np.ndarray
+    kernel_tol: float
+
+
+def _factor_hessian(H: np.ndarray, tols: Tolerances) -> HessianFactor:
+    lam, Q = np.linalg.eigh(sym(H))
+    lmax = float(lam[-1]) if len(lam) else 0.0
+    ktol = max(tols.kernel_rel * max(lmax, 0.0), tols.kernel_floor)
+    return HessianFactor(eigenvalues=lam, kernel=Q[:, lam <= ktol], kernel_tol=ktol)
 
 
 def _capped_simplex_proj(h, mass):
@@ -158,13 +186,18 @@ def stationarity_gap(X, Gamma, kappa, tols: Tolerances = DEFAULT_TOLS) -> float:
 class ProblemSpec:
     """min_X nu * theta(X) + Psi_kappa(X), analyzed at the candidate Xbar.
 
-    theta is QuadraticTheta or LeastSquaresTheta.
+    theta is QuadraticTheta or LeastSquaresTheta.  The Hessian's
+    eigendecomposition is computed once and kept (hessian_factor), so the
+    fields are not to be changed after it is first asked for.
     """
 
     Xbar: np.ndarray
     nu: float
     kappa: int
     theta: object
+    _factor: tuple | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def n(self) -> int:
@@ -176,6 +209,14 @@ class ProblemSpec:
 
     def hessian(self) -> np.ndarray:
         return self.theta.hessian()
+
+    def hessian_factor(self, tols: Tolerances = DEFAULT_TOLS) -> HessianFactor:
+        """The eigendecomposition of sym(Hessian) behind both the PSD check
+        and the kernel; computed once per kernel cutoff."""
+        key = (tols.kernel_rel, tols.kernel_floor)
+        if self._factor is None or self._factor[0] != key:
+            self._factor = (key, _factor_hessian(self.hessian(), tols))
+        return self._factor[1]
 
     def grad_theta(self, X) -> np.ndarray:
         return self.theta.grad(np.asarray(X, dtype=float))
@@ -200,7 +241,7 @@ class ProblemSpec:
         hscale = max(1.0, float(np.linalg.norm(H)))
         if np.linalg.norm(H - H.T) > tols.orth * hscale * n * m:
             raise ValueError("Hessian of theta must be symmetric")
-        w = np.linalg.eigvalsh(sym(H))
+        w = self.hessian_factor(tols).eigenvalues
         if len(w) and w[0] < -tols.psd_rel * hscale:
             raise ValueError(
                 f"Hessian of theta must be PSD at Xbar (lambda_min = {w[0]:.3e})"
@@ -449,23 +490,20 @@ def _orth(B: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 def _intersect(K: np.ndarray, L: np.ndarray, tols: Tolerances):
     """Intersection basis of two orthonormal-column subspaces (principal
     cosines >= 1 - tols.angle) plus the largest principal cosine and
-    sigma_min of the stacked system."""
+    sigma_min of the stacked system.
+
+    sigma_min = sqrt(1 - maxcos) is taken as ||K u1 - L v1|| / sqrt(2) from
+    the top singular pair (u1, v1) of K^T L: the same number, without the
+    cancellation in 1 - maxcos when the subspaces meet."""
     if K.shape[1] == 0 or L.shape[1] == 0:
         return np.zeros((K.shape[0], 0)), 0.0, 1.0
     M = K.T @ L
-    Um, sv, _ = np.linalg.svd(M)
-    maxcos = float(sv[0]) if len(sv) else 0.0
+    Um, sv, Vt = np.linalg.svd(M)
+    maxcos = float(sv[0])
     take = sv >= 1.0 - tols.angle
     N = _orth(K @ Um[:, take]) if np.any(take) else np.zeros((K.shape[0], 0))
-    smin_stacked = math.sqrt(max(0.0, 1.0 - maxcos))
+    smin_stacked = float(np.linalg.norm(K @ Um[:, 0] - L @ Vt[0])) / math.sqrt(2.0)
     return N, maxcos, smin_stacked
-
-
-def _kernel_basis(H: np.ndarray, tols: Tolerances):
-    lam, Q = np.linalg.eigh(sym(H))
-    lmax = float(lam[-1]) if len(lam) else 0.0
-    ktol = max(tols.kernel_rel * max(lmax, 0.0), tols.kernel_floor)
-    return Q[:, lam <= ktol], ktol
 
 
 def _rotate_pair(cert: SubgradCertificate, rng, tols: Tolerances) -> SvdPair:
@@ -513,9 +551,10 @@ def _search_witness(ups, N, rng, tols: Tolerances):
     finds the global max on the sphere; finite-difference supergradients
     suffice at this scale.  Results merge deterministically by
     (margin, start index); the search stops at the first margin above
-    tols.margin and accepts a best margin >= -tols.margin."""
+    tols.margin and accepts a best margin >= -tols.margin.  On a
+    one-dimensional span the sphere is {+e, -e}: those two are the only
+    starts and there is nothing to ascend."""
     q = N.shape[1]
-    nm = N.shape[0]
     n, m = ups.pair.n, ups.pair.m
 
     def margin_of(c):
@@ -530,6 +569,11 @@ def _search_witness(ups, N, rng, tols: Tolerances):
     while len(starts) < _SEARCH_STARTS:
         v = rng.standard_normal(q)
         starts.append(v / np.linalg.norm(v))
+    # the random starts are drawn even when q == 1, so that the variants
+    # searched after this one see the same random stream
+    steps = _SEARCH_STEPS
+    if q == 1:
+        starts, steps = [starts[0], -starts[0]], 0
     best = (-math.inf, -1, None)
     evals = 0
     ran = 0
@@ -543,7 +587,7 @@ def _search_witness(ups, N, rng, tols: Tolerances):
         if best[0] > tols.margin:
             break
         h = _FD_STEP
-        for t in range(_SEARCH_STEPS):
+        for t in range(steps):
             if not math.isfinite(val):
                 break
             g = np.zeros(q)
@@ -594,19 +638,22 @@ def tilt_check(
     if ups is None:
         ups = build_upsilon(spec, tols=tols)
     cert = ups.cert
-    K, ktol = _kernel_basis(spec.hessian(), tols)
+    factor = spec.hessian_factor(tols)
+    K = factor.kernel
     variants = [ups]
     if options.rotation_samples > 0:
         rng_rot = np.random.default_rng(options.seed)
         for _ in range(options.rotation_samples):
             pair2 = _rotate_pair(cert, rng_rot, tols)
             variants.append(build_upsilon(spec, tols=tols, cert=cert, pair=pair2))
-    union = _orth(np.hstack([v.hull_basis for v in variants]))
+        union = _orth(np.hstack([v.hull_basis for v in variants]))
+    else:
+        union = ups.hull_basis  # orthonormal by construction
     N_union, maxcos, smin = _intersect(K, union, tols)
     base_cert = {
         "kernel_dim": int(K.shape[1]),
         "hull_dim": int(ups.hull_basis.shape[1]),
-        "kernel_tol": ktol,
+        "kernel_tol": factor.kernel_tol,
         "max_principal_cosine": maxcos,
         "sigma_min_stacked": smin,
         "case": ups.case,
@@ -615,46 +662,38 @@ def tilt_check(
     }
     if N_union.shape[1] == 0:
         return TiltVerdict(STABLE, base_cert)
+
+    def unstable(v, v_idx, N, W):
+        res = upsilon_residuals(v, W)
+        kres = float(np.linalg.norm(spec.hessian() @ vec(W)))
+        return TiltVerdict(
+            UNSTABLE,
+            {
+                **base_cert,
+                "intersection_dim": int(N.shape[1]),
+                "witness_residuals": res,
+                "kernel_residual": kres,
+                "variant": v_idx,
+            },
+            witness=W,
+        )
+
     # per-variant intersections (a witness must live in a single pattern)
     rng = np.random.default_rng(options.seed + 1)
     best_diag = None
     for v_idx, v in enumerate(variants):
-        N, _, _ = _intersect(K, v.hull_basis, tols)
+        N = N_union if len(variants) == 1 else _intersect(K, v.hull_basis, tols)[0]
         if N.shape[1] == 0:
             continue
         if v.exact:
             W = unvec(N[:, 0], spec.n, spec.m)
             W /= np.linalg.norm(W)
-            res = upsilon_residuals(v, W)
-            kres = float(np.linalg.norm(spec.hessian() @ vec(W)))
-            return TiltVerdict(
-                UNSTABLE,
-                {
-                    **base_cert,
-                    "intersection_dim": int(N.shape[1]),
-                    "witness_residuals": res,
-                    "kernel_residual": kres,
-                    "variant": v_idx,
-                },
-                witness=W,
-            )
+            return unstable(v, v_idx, N, W)
         W, diag = _search_witness(v, N, rng, tols)
         if best_diag is None or diag["best_margin"] > best_diag["best_margin"]:
             best_diag = {**diag, "variant": v_idx}
         if W is not None:
-            res = upsilon_residuals(v, W)
-            kres = float(np.linalg.norm(spec.hessian() @ vec(W)))
-            return TiltVerdict(
-                UNSTABLE,
-                {
-                    **base_cert,
-                    "intersection_dim": int(N.shape[1]),
-                    "witness_residuals": res,
-                    "kernel_residual": kres,
-                    "variant": v_idx,
-                },
-                witness=W,
-            )
+            return unstable(v, v_idx, N, W)
     return TiltVerdict(
         INCONCLUSIVE,
         {
@@ -679,13 +718,14 @@ def generic_kernel_test(
     hull: basis (columns) of the linear hull of the set; wset_membership:
     predicate on vectors of the ambient space.  Same three phases as
     tilt_check with predicate sampling instead of margin ascent."""
-    K, ktol = _kernel_basis(np.asarray(hessian, dtype=float), tols)
+    factor = _factor_hessian(np.asarray(hessian, dtype=float), tols)
+    K = factor.kernel
     L = _orth(np.asarray(hull, dtype=float))
     N, maxcos, smin = _intersect(K, L, tols)
     base = {
         "kernel_dim": int(K.shape[1]),
         "hull_dim": int(L.shape[1]),
-        "kernel_tol": ktol,
+        "kernel_tol": factor.kernel_tol,
         "max_principal_cosine": maxcos,
         "sigma_min_stacked": smin,
     }

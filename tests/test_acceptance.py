@@ -8,6 +8,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import pytest
 
 from conftest import make_quadratic_spec, oracle_vector_prox_qp, projector_complement
 from kyfan_tilt.cli import run_analyze
@@ -208,6 +209,7 @@ def test_acceptance_05_zero_set(capsys):
 # ---------------------------------------------------------------- 6
 
 
+@pytest.mark.slow
 def test_acceptance_06_quotient_oracle(capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(606)
@@ -385,6 +387,7 @@ def _tilt_family():
     return fam
 
 
+@pytest.mark.slow
 def test_acceptance_09_verdict_vs_probe(capsys):
     t0 = time.perf_counter()
     fam = _tilt_family()

@@ -141,6 +141,18 @@ def test_analyze_cross_check_uses_unit_direction(tmp_path, capsys, seed):
     assert qc["oracle_rel_gap"] <= 1e-2
 
 
+def test_analyze_cross_check_zero_direction_reports_no_gap(tmp_path, capsys):
+    # on this instance the in-cone draw is the zero matrix: closed form and
+    # oracle are both 0, which compares nothing, so no gap is reported
+    X, Gamma, kappa, _ = random_membership_instance(np.random.default_rng(0), well_separated=True)
+    pf = write_json(tmp_path, "p.json", problem_dict(X, Gamma, kappa))
+    code, cap = run(capsys, "analyze", pf, "--cross-check")
+    assert code == 0
+    qc = json.loads(cap.out)["oracle"]["quotient"]
+    assert qc["direction_norm"] == 0.0
+    assert qc["oracle_rel_gap"] is None
+
+
 def test_analyze_stationarity_failure_exit_three(tmp_path, capsys):
     bad = problem_dict(X3, G3, 2)
     bad["theta"]["L"] = matrix_to_json(np.zeros((3, 3)))  # grad no longer matches

@@ -55,6 +55,34 @@ def test_matrix_from_json_error_pointers():
         matrix_from_json({"rows": 1, "cols": 1, "data": [float("inf")]})
 
 
+def _entry_loop_message(data, where):
+    """The message of the entry-by-entry parse (float() on each entry),
+    which matrix_from_json falls back to; None when it accepts the data."""
+    try:
+        flat = np.array([float(v) for v in data], dtype=float)
+    except (TypeError, ValueError) as exc:
+        return f"{where}.data: non-numeric entry ({exc})"
+    if not np.all(np.isfinite(flat)):
+        return f"{where}.data: entries must be finite"
+    return None
+
+
+@pytest.mark.parametrize("bad", [None, "x", [2.0], float("nan"), float("inf")])
+def test_matrix_from_json_messages_match_entry_loop(bad):
+    data = [1.0, bad, 3.0, 4.0]
+    want = _entry_loop_message(data, "theta.Q")
+    assert want is not None
+    with pytest.raises(SchemaError) as exc:
+        matrix_from_json({"rows": 2, "cols": 2, "data": data}, where="theta.Q")
+    assert str(exc.value) == want
+
+
+def test_matrix_from_json_values_match_entry_loop():
+    data = [0, 1, -2.5, True, 2**64, "1.5", 1e-300]
+    got = matrix_from_json({"rows": 1, "cols": 7, "data": data})
+    assert np.array_equal(got, np.array([[float(v) for v in data]]))
+
+
 def test_canonical_dumps_is_deterministic_and_sorted():
     a = canonical_dumps({"b": 1, "a": {"z": [1, 2], "y": np.float64(0.5)}})
     b = canonical_dumps({"a": {"y": 0.5, "z": (1, 2)}, "b": np.int64(1)})

@@ -1,6 +1,9 @@
 """Tilt-stability verdicts: hull construction, sandwich test, kernel intersection."""
 from __future__ import annotations
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,12 +16,15 @@ from kyfan_tilt.instances import (
     ZERO_TIGHT,
     random_membership_instance,
 )
-from kyfan_tilt.io import vec
+from kyfan_tilt import cli
+from kyfan_tilt.instances import random_orthogonal
+from kyfan_tilt.io import matrix_to_json, vec
 from kyfan_tilt.subgrad import subdiff_membership
 from kyfan_tilt.tilt import (
     INCONCLUSIVE,
     STABLE,
     UNSTABLE,
+    LeastSquaresTheta,
     ProblemSpec,
     QuadraticTheta,
     StationarityError,
@@ -199,6 +205,23 @@ def test_verdict_unstable_exact_case():
     assert v.certificate["kernel_residual"] < 1e-9
 
 
+def test_sigma_min_stacked_vanishes_when_the_kernel_meets_the_hull():
+    # the exact slide case in rotated coordinates: the kernel lies in the
+    # hull, so the stacked system is singular; sqrt(1 - maxcos) read 1e-8
+    # here whenever maxcos rounded just below 1
+    E = np.zeros((3, 3))
+    E[1, 1] = 1.0
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        U, V = random_orthogonal(rng, 3), random_orthogonal(rng, 3)
+        X = U @ np.diag([3.0, 2.0, 1.0]) @ V.T
+        Gamma = U @ np.diag([1.0, 1.0, 0.0]) @ V.T
+        v = tilt_check(spec_with_kernel(X, Gamma, 2, U @ E @ V.T))
+        assert v.status == UNSTABLE and v.certificate["exact"], seed
+        assert v.certificate["max_principal_cosine"] == pytest.approx(1.0, abs=1e-12)
+        assert v.certificate["sigma_min_stacked"] < 1e-10, seed
+
+
 def test_verdict_unstable_inexact_case_needs_search():
     W = np.zeros((6, 6))
     W[1, 1] = 1.0
@@ -223,13 +246,105 @@ def test_verdict_inconclusive_engineered():
 
 def test_witness_search_reports_starts_that_ran():
     # an Inconclusive search exhausts every start; starts_used counts them
-    # all, not the index of the best one
+    # all, not the index of the best one.  The intersection is span{W}, so
+    # the starts are +W and -W, one margin evaluation each; both margins
+    # are equal and the best stays the first.
     W = np.zeros((6, 6))
     W[2, 2] = 1.0
     W[3, 3] = W[4, 4] = 0.5
-    search = tilt_check(spec_with_kernel(X6, G6, K6, W)).certificate["search"]
-    assert search["starts_used"] == 64
-    assert search["margin_evals"] >= 64
+    cert = tilt_check(spec_with_kernel(X6, G6, K6, W)).certificate
+    assert cert["intersection_dim"] == 1
+    assert cert["search"]["starts_used"] == 2
+    assert cert["search"]["margin_evals"] == 2
+
+
+# ---------------------------------------------------------------- one factorization per analysis
+
+DEMO = pathlib.Path(__file__).resolve().parent.parent / "demo"
+
+
+def _problem(X, Gamma, kappa, theta):
+    n, m = X.shape
+    return {"n": n, "m": m, "kappa": kappa, "nu": 1.0, "X": matrix_to_json(X), "theta": theta}
+
+
+def _quadratic_kernel_in_hull():
+    """X6/G6 with the Hessian kernel span{E_11}, a hull element (nm = 36)."""
+    W = np.zeros((6, 6))
+    W[1, 1] = 1.0
+    Q = projector_complement(W)
+    L = -(Q @ vec(X6)).reshape(6, 6) - G6
+    return _problem(X6, G6, K6, {"type": "quadratic", "Q": matrix_to_json(Q), "L": matrix_to_json(L)})
+
+
+def _least_squares_generic_kernel():
+    """X6/G6 with theta = 0.5||P vec X - b||^2, P the projector off a random
+    unit w orthogonal to vec G6 (so that b exists); kernel span{w}."""
+    w = np.random.default_rng(4).standard_normal(36)
+    g = vec(G6) / np.linalg.norm(vec(G6))
+    w -= (w @ g) * g
+    w /= np.linalg.norm(w)
+    P = np.eye(36) - np.outer(w, w)
+    b = P @ vec(X6) + vec(G6)
+    return _problem(X6, G6, K6, {"type": "least_squares", "A": matrix_to_json(P), "b": b.tolist()})
+
+
+class _GramCounting(np.ndarray):
+    """An A that counts the square products A^T A formed from it."""
+
+    grams = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        args = [x.view(np.ndarray) if isinstance(x, _GramCounting) else x for x in inputs]
+        out = getattr(ufunc, method)(*args, **kwargs)
+        if ufunc is np.matmul and all(isinstance(x, _GramCounting) for x in inputs):
+            _GramCounting.grams += 1
+        return out
+
+
+def _demo(name):
+    return lambda: json.loads((DEMO / f"{name}.json").read_text())
+
+
+FACTOR_CASES = {
+    "stable_quadratic": _demo("stable_quadratic"),
+    "stable_least_squares": _demo("stable_least_squares"),
+    "unstable_slide": _demo("unstable_slide"),
+    "inconclusive_split": _demo("inconclusive_split"),
+    "quadratic_kernel_in_hull": _quadratic_kernel_in_hull,
+    "least_squares_generic_kernel": _least_squares_generic_kernel,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_CASES))
+def test_one_hessian_factorization_per_analysis(monkeypatch, name):
+    problem = FACTOR_CASES[name]()
+    nm = problem["n"] * problem["m"]
+    shapes = {"eigh": [], "eigvalsh": [], "svd": []}
+    for fn in shapes:
+        def counted(a, *args, _fn=fn, _orig=getattr(np.linalg, fn), **kwargs):
+            shapes[_fn].append(np.shape(a))
+            return _orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, fn, counted)
+    parse = cli.problem_from_dict
+
+    def parse_counting_gram(*args, **kwargs):
+        spec, tols, options = parse(*args, **kwargs)
+        if isinstance(spec.theta, LeastSquaresTheta):
+            spec.theta.A = spec.theta.A.view(_GramCounting)
+        return spec, tols, options
+
+    monkeypatch.setattr(cli, "problem_from_dict", parse_counting_gram)
+    _GramCounting.grams = 0
+    report, code = cli.run_analyze(problem)
+    assert code in (0, 1, 2)
+    hull_dim = report["upsilon"]["hull_dim"]
+    assert shapes["eigh"].count((nm, nm)) == 1
+    assert shapes["eigvalsh"].count((nm, nm)) == 0
+    assert shapes["svd"].count((nm, hull_dim)) == 0
+    if problem["theta"]["type"] == "least_squares":
+        assert _GramCounting.grams == 1
 
 
 @settings(max_examples=15, deadline=None)
