@@ -295,8 +295,13 @@ def run_analyze(
     """Full pipeline on a problem dict; returns (report, exit_code)."""
     t_start = time.perf_counter()
     spec, tols, options = problem_from_dict(problem, tol_overrides)
-    seed = options["seed"] if seed is None else int(seed)
-    rot = options["rotation_samples"] if rotation_samples is None else int(rotation_samples)
+    seed = options["seed"] if seed is None else _as_int(seed, "--seed", lo=0)
+    rot = (
+        options["rotation_samples"]
+        if rotation_samples is None
+        else _as_int(rotation_samples, "--rotation-samples", lo=0)
+    )
+    d2_samples = _as_int(d2_samples, "--d2-samples", lo=0)
     stamps = {}
     try:
         t0 = time.perf_counter()
@@ -336,7 +341,7 @@ def run_analyze(
     if d2_samples:
         rng = np.random.default_rng(seed + 1000)
         samples = []
-        for i in range(int(d2_samples)):
+        for i in range(d2_samples):
             kind = "in_cone" if i % 2 == 0 else "random"
             if kind == "in_cone":
                 W = random_incone_direction(rng, cert)

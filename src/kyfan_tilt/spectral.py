@@ -35,8 +35,9 @@ __all__ = [
 
 
 def sym(A):
-    """Symmetric part (A + A^T)/2 for square A."""
-    return 0.5 * (A + A.T)
+    """Symmetric part (A + A^T)/2 for square A, or for each matrix of a
+    stack of them (transposing the last two axes)."""
+    return 0.5 * (A + np.swapaxes(A, -1, -2))
 
 
 def skew(A):

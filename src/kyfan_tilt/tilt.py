@@ -389,47 +389,43 @@ def build_upsilon(
     )
 
 
-def _sandwich(ups: UpsilonSpec, W: np.ndarray):
-    """(margin, lower, upper, varpi) of the recorded inequality at W.
+def _sandwich(ups: UpsilonSpec, H: np.ndarray):
+    """(margin, lower, upper, varpi) of the recorded inequality on a stack H
+    of U^T W V matrices, shape (k, n, m): each a length-k array (varpi is
+    None without beta_plus).
 
     margin >= 0 means W satisfies the constraint; +inf when vacuous.  With
     an empty beta_plus the scalar is existential and the margin is the
     interval length upper - lower."""
     cert = ups.cert
-    pair = ups.pair
-    n = pair.n
-    H = pair.U.T @ np.asarray(W, dtype=float) @ pair.V
-    H1, Hc = H[:, :n], H[:, n:]
+    n = ups.pair.n
+    H1, Hc = H[:, :, :n], H[:, :, n:]
     b1, bp, b0 = cert.beta1, cert.beta_plus, cert.beta0
-    upper = (
-        float(np.linalg.eigvalsh(sym(H1[np.ix_(b1, b1)]))[0]) if len(b1) else math.inf
-    )
+    inf = np.full(len(H), math.inf)
+
+    def block(idx):
+        return H1[:, idx[:, None], idx]
+
+    upper = np.linalg.eigvalsh(sym(block(b1)))[:, 0] if len(b1) else inf
     if ups.case == ZERO_GROUP_TIGHT:
         if len(b0):
-            DE = np.hstack([H1[np.ix_(b0, b0)], Hc[b0, :]])
-            lower = max(float(np.linalg.svd(DE, compute_uv=False)[0]), 0.0)
+            DE = np.concatenate([block(b0), Hc[:, b0, :]], axis=2)
+            lower = np.maximum(np.linalg.svd(DE, compute_uv=False)[:, 0], 0.0)
         else:
-            lower = 0.0
+            lower = np.zeros(len(H))
     elif ups.case == INTERIOR_GROUP:
-        lower = (
-            float(np.linalg.eigvalsh(sym(H1[np.ix_(b0, b0)]))[-1])
-            if len(b0)
-            else -math.inf
-        )
+        lower = np.linalg.eigvalsh(sym(block(b0)))[:, -1] if len(b0) else -inf
     else:  # strict zero case: no inequality
-        return math.inf, -math.inf, math.inf, None
+        return inf, -inf, inf, None
+    up_ok, lo_ok = np.isfinite(upper), np.isfinite(lower)
     if len(bp):
-        varpi = float(np.trace(H1[np.ix_(bp, bp)])) / len(bp)
-        parts = []
-        if math.isfinite(upper):
-            parts.append(upper - varpi)
-        if math.isfinite(lower):
-            parts.append(varpi - lower)
-        margin = min(parts) if parts else math.inf
+        varpi = np.trace(block(bp), axis1=1, axis2=2) / len(bp)
+        margin = np.minimum(
+            np.where(up_ok, upper - varpi, math.inf),
+            np.where(lo_ok, varpi - lower, math.inf),
+        )
         return margin, lower, upper, varpi
-    if math.isfinite(upper) and math.isfinite(lower):
-        return upper - lower, lower, upper, None
-    return math.inf, lower, upper, None
+    return np.where(up_ok & lo_ok, upper - lower, math.inf), lower, upper, None
 
 
 def upsilon_residuals(ups: UpsilonSpec, W: np.ndarray) -> dict:
@@ -438,7 +434,10 @@ def upsilon_residuals(ups: UpsilonSpec, W: np.ndarray) -> dict:
     w = vec(W)
     coeff = ups.hull_basis.T @ w
     off_hull = float(np.linalg.norm(w - ups.hull_basis @ coeff))
-    margin, lower, upper, varpi = _sandwich(ups, W)
+    H = ups.pair.U.T @ np.asarray(W, dtype=float) @ ups.pair.V
+    margin, lower, upper, varpi = (
+        None if a is None else float(a[0]) for a in _sandwich(ups, H[None])
+    )
     return {
         "off_hull": off_hull,
         "margin": margin,
@@ -476,6 +475,10 @@ class TiltOptions:
 _SEARCH_STARTS = 64
 _SEARCH_STEPS = 500
 _FD_STEP = 1e-6
+# floats held by one stacked margin evaluation of the witness search (its
+# coefficient rows and their W, U^T W and U^T W V); larger batches of
+# directions are evaluated in chunks of this size
+_STACK_FLOATS = 1 << 20
 
 
 def _orth(B: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -497,8 +500,7 @@ def _intersect(K: np.ndarray, L: np.ndarray, tols: Tolerances):
     cancellation in 1 - maxcos when the subspaces meet."""
     if K.shape[1] == 0 or L.shape[1] == 0:
         return np.zeros((K.shape[0], 0)), 0.0, 1.0
-    M = K.T @ L
-    Um, sv, Vt = np.linalg.svd(M)
+    Um, sv, Vt = np.linalg.svd(K.T @ L, full_matrices=False)
     maxcos = float(sv[0])
     take = sv >= 1.0 - tols.angle
     N = _orth(K @ Um[:, take]) if np.any(take) else np.zeros((K.shape[0], 0))
@@ -543,23 +545,62 @@ def _rotate_pair(cert: SubgradCertificate, rng, tols: Tolerances) -> SvdPair:
     return SvdPair(U=U, V=V, sigma=pair.sigma.copy())
 
 
+def _rowdot(A, B):
+    """Row-wise dot products, each rounded as the 1-D `a @ b` (BLAS dot)."""
+    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
+
+
 def _search_witness(ups, N, rng, tols: Tolerances):
     """Maximize the sandwich margin over the unit sphere of span(N).
 
     The margin is a minimum of concave 1-homogeneous spectral functions of
     the direction, so projected supergradient ascent from multiple starts
     finds the global max on the sphere; finite-difference supergradients
-    suffice at this scale.  Results merge deterministically by
-    (margin, start index); the search stops at the first margin above
-    tols.margin and accepts a best margin >= -tols.margin.  On a
-    one-dimensional span the sphere is {+e, -e}: those two are the only
-    starts and there is nothing to ascend."""
+    suffice at this scale.  On a one-dimensional span the sphere is
+    {+e, -e}: those two are the only starts and there is nothing to ascend.
+
+    The result is that of running the starts one after another, stopping at
+    the first margin above tols.margin and accepting a best margin >=
+    -tols.margin; only the schedule differs.  All starts advance in
+    lockstep: each step evaluates the 2q central-difference probes of every
+    active start in one stacked evaluation (chunked to _STACK_FLOATS) and
+    the new points in another.  A start leaves the lockstep when it hits,
+    goes non-finite, flattens (projected gradient below 1e-12), or when a
+    lower-indexed start has hit, since the sequential search would never
+    reach it.  Afterwards the first start that hit ends the search: the best
+    margin is taken over the starts up to it (ties to the earlier start,
+    and within a start to the earlier step), and starts_used and
+    margin_evals count what the sequential search would have run."""
     q = N.shape[1]
     n, m = ups.pair.n, ups.pair.m
+    U, V = ups.pair.U, ups.pair.V
+    rows = max(1, _STACK_FLOATS // (q + 3 * n * m))
 
-    def margin_of(c):
-        W = unvec(N @ c, n, m)
-        return _sandwich(ups, W)[0]
+    def pair_coords(C):
+        # U^T W V for each row c of C, W = unvec(N @ c); the stacked
+        # products round exactly as N @ c and U.T @ W @ V do one at a time
+        return U.T @ (N @ C[:, :, None]).reshape(len(C), n, m) @ V
+
+    def stacked(k, rows_of):
+        # margins at k coefficient rows, built and evaluated a chunk at a time
+        out = np.empty(k)
+        for lo in range(0, k, rows):
+            r = np.arange(lo, min(lo + rows, k))
+            out[r] = _sandwich(ups, pair_coords(rows_of(r)))[0]
+        return out
+
+    def margins(C):
+        return stacked(len(C), lambda r: C[r])
+
+    def probe_margins(points):
+        # row r: point r // 2q, coordinate r % q, +h in the first q rows of
+        # each point and -h in the next q, scaled back to the unit sphere
+        def probes(r):
+            P = points[r // (2 * q)]
+            P[np.arange(len(r)), r % q] += np.where((r // q) % 2 == 0, _FD_STEP, -_FD_STEP)
+            return P / np.sqrt(_rowdot(P, P))[:, None]
+
+        return stacked(2 * q * len(points), probes).reshape(len(points), 2, q)
 
     starts = []
     for i in range(min(q, _SEARCH_STARTS)):
@@ -574,48 +615,45 @@ def _search_witness(ups, N, rng, tols: Tolerances):
     steps = _SEARCH_STEPS
     if q == 1:
         starts, steps = [starts[0], -starts[0]], 0
-    best = (-math.inf, -1, None)
-    evals = 0
-    ran = 0
-    for idx, c0 in enumerate(starts):
-        ran = idx + 1
-        c = c0.copy()
-        val = margin_of(c)
-        evals += 1
-        if val > best[0]:
-            best = (val, idx, c.copy())
-        if best[0] > tols.margin:
+    C = np.array(starts)
+    S = len(C)
+    vals = margins(C)
+    evals = np.ones(S, dtype=int)
+    best = np.where(vals > -math.inf, vals, -math.inf)
+    best_c = C.copy()
+    hit = vals > tols.margin
+    first = int(np.argmax(hit)) if hit.any() else S
+    active = np.flatnonzero(~hit & np.isfinite(vals) & (np.arange(S) < first))
+    for t in range(steps):
+        active = active[active < first]
+        if not len(active):
             break
-        h = _FD_STEP
-        for t in range(steps):
-            if not math.isfinite(val):
-                break
-            g = np.zeros(q)
-            for j in range(q):
-                cp = c.copy()
-                cp[j] += h
-                cm = c.copy()
-                cm[j] -= h
-                g[j] = (margin_of(cp / np.linalg.norm(cp)) - margin_of(cm / np.linalg.norm(cm))) / (2 * h)
-                evals += 2
-            g -= (g @ c) * c
-            gn = float(np.linalg.norm(g))
-            if gn < 1e-12:
-                break
-            c = c + (0.5 / (1.0 + 0.05 * t)) * g / gn
-            c /= np.linalg.norm(c)
-            val = margin_of(c)
-            evals += 1
-            if val > best[0]:
-                best = (val, idx, c.copy())
-            if best[0] > tols.margin:
-                break
-        if best[0] > tols.margin:
-            break
-    margin, _, c = best
-    diagnostics = {"starts_used": ran, "margin_evals": evals, "best_margin": margin}
-    if c is not None and margin >= -tols.margin:
-        W = unvec(N @ c, n, m)
+        c = C[active]
+        M = probe_margins(c)
+        evals[active] += 2 * q
+        g = (M[:, 0] - M[:, 1]) / (2 * _FD_STEP)
+        g -= _rowdot(g, c)[:, None] * c
+        gn = np.sqrt(_rowdot(g, g))
+        moving = ~(gn < 1e-12)
+        active, c, g, gn = active[moving], c[moving], g[moving], gn[moving]
+        c = c + (0.5 / (1.0 + 0.05 * t)) * g / gn[:, None]
+        c /= np.sqrt(_rowdot(c, c))[:, None]
+        C[active] = c
+        val = margins(c)
+        evals[active] += 1
+        up = val > best[active]
+        best[active[up]] = val[up]
+        best_c[active[up]] = c[up]
+        now = val > tols.margin
+        if now.any():
+            first = min(first, int(active[now][0]))
+        active = active[~now & np.isfinite(val)]
+    ran = min(first + 1, S)
+    i = int(np.argmax(best[:ran]))
+    margin = float(best[i])
+    diagnostics = {"starts_used": ran, "margin_evals": int(evals[:ran].sum()), "best_margin": margin}
+    if margin >= -tols.margin:
+        W = unvec(N @ best_c[i], n, m)
         W /= np.linalg.norm(W)
         return W, diagnostics
     return None, diagnostics

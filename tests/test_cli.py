@@ -255,6 +255,28 @@ def test_schema_errors_exit_three(tmp_path, capsys):
     assert "invalid JSON" in json.loads(cap.out)["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("analyze", "--seed"),
+        ("analyze", "--rotation-samples"),
+        ("analyze", "--d2-samples"),
+        ("tilt", "--seed"),
+        ("tilt", "--rotation-samples"),
+    ],
+)
+def test_negative_resource_knobs_exit_three(tmp_path, capsys, command, flag):
+    # the problem file's options reject negative values; the flags must too
+    # (a negative --rotation-samples used to run none and echo it, a
+    # negative --seed to exit 0 or fail inside numpy)
+    pf = write_json(tmp_path, "p.json", problem_dict(X3, G3, 2))
+    code, cap = run(capsys, command, pf, flag, "-3")
+    assert code == 3
+    error = json.loads(cap.out)["error"]
+    assert error["kind"] == "schema"
+    assert error["message"].startswith(f"{flag}: must be >= 0")
+
+
 def test_tolerance_overrides_parse(tmp_path, capsys):
     pf = write_json(tmp_path, "p.json", problem_dict(X3, G3, 2))
     code, cap = run(capsys, "analyze", pf, "--tol.subdiff=1e-6", "--tol.cone", "1e-6")

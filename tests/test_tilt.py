@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import json
+import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +18,10 @@ from kyfan_tilt.instances import (
     ZERO_TIGHT,
     random_membership_instance,
 )
-from kyfan_tilt import cli
+from kyfan_tilt import cli, tilt
+from kyfan_tilt.config import DEFAULT_TOLS
 from kyfan_tilt.instances import random_orthogonal
-from kyfan_tilt.io import matrix_to_json, vec
+from kyfan_tilt.io import matrix_to_json, unvec, vec
 from kyfan_tilt.subgrad import subdiff_membership
 from kyfan_tilt.tilt import (
     INCONCLUSIVE,
@@ -256,6 +259,174 @@ def test_witness_search_reports_starts_that_ran():
     assert cert["intersection_dim"] == 1
     assert cert["search"]["starts_used"] == 2
     assert cert["search"]["margin_evals"] == 2
+
+
+# ---------------------------------------------------------------- witness search
+
+
+def _sequential_search(ups, N, rng, margin_tol, steps):
+    """Reference witness search: the starts run one after another, each
+    margin from upsilon_residuals.  Returns (W, diagnostics, hit_step), where
+    hit_step is the ascent step at which a margin first exceeded margin_tol
+    (-1 at the start point, None when no start hit)."""
+    q = N.shape[1]
+    n, m = ups.pair.n, ups.pair.m
+
+    def margin_of(c):
+        return upsilon_residuals(ups, unvec(N @ c, n, m))["margin"]
+
+    starts = []
+    for i in range(min(q, tilt._SEARCH_STARTS)):
+        e = np.zeros(q)
+        e[i] = 1.0
+        starts.append(e)
+    while len(starts) < tilt._SEARCH_STARTS:
+        v = rng.standard_normal(q)
+        starts.append(v / np.linalg.norm(v))
+    if q == 1:
+        starts, steps = [starts[0], -starts[0]], 0
+    best, evals, ran, hit_step = (-math.inf, None), 0, 0, None
+    for idx, c in enumerate(starts):
+        ran = idx + 1
+        val = margin_of(c)
+        evals += 1
+        if val > best[0]:
+            best = (val, c.copy())
+        if best[0] > margin_tol:
+            hit_step = -1
+            break
+        h = tilt._FD_STEP
+        for t in range(steps):
+            if not math.isfinite(val):
+                break
+            g = np.zeros(q)
+            for j in range(q):
+                cp, cm = c.copy(), c.copy()
+                cp[j] += h
+                cm[j] -= h
+                g[j] = (margin_of(cp / np.linalg.norm(cp)) - margin_of(cm / np.linalg.norm(cm))) / (2 * h)
+                evals += 2
+            g -= (g @ c) * c
+            gn = float(np.linalg.norm(g))
+            if gn < 1e-12:
+                break
+            c = c + (0.5 / (1.0 + 0.05 * t)) * g / gn
+            c /= np.linalg.norm(c)
+            val = margin_of(c)
+            evals += 1
+            if val > best[0]:
+                best = (val, c.copy())
+            if best[0] > margin_tol:
+                hit_step = t
+                break
+        if hit_step is not None:
+            break
+    margin, c = best
+    diagnostics = {"starts_used": ran, "margin_evals": evals, "best_margin": margin}
+    if c is None or margin < -margin_tol:
+        return None, diagnostics, hit_step
+    W = unvec(N @ c, n, m)
+    return W / np.linalg.norm(W), diagnostics, hit_step
+
+
+def test_witness_search_matches_sequential_reference(monkeypatch):
+    # random q = 2, 3 subspaces of the X6/G6 hull, half of them in rotated
+    # coordinates; a third lean toward the admissible beta1 slide so that
+    # some searches hit after ascent steps
+    steps = 8
+    monkeypatch.setattr(tilt, "_SEARCH_STEPS", steps)
+    slide = np.zeros((6, 6))
+    slide[1, 1] = 1.0
+    seen = {"exhausted": 0, "hit_after_ascent": 0, "several_starts": 0}
+    for seed in range(48):
+        rng = np.random.default_rng(seed)
+        U, V = np.eye(6), np.eye(6)
+        if seed % 4 >= 2:
+            U, V = random_orthogonal(rng, 6), random_orthogonal(rng, 6)
+        ups = build_upsilon(make_quadratic_spec(U @ X6 @ V.T, U @ G6 @ V.T, K6, np.eye(36)))
+        B = ups.hull_basis
+        q = 2 + seed % 2
+        N = B @ rng.standard_normal((B.shape[1], q))
+        if seed % 3 == 0:
+            N[:, 0] = 0.3 * N[:, 0] + vec(U @ slide @ V.T)
+        N = np.linalg.qr(N)[0]
+        W, diag = tilt._search_witness(ups, N, np.random.default_rng(seed + 7), DEFAULT_TOLS)
+        W_ref, ref, hit_step = _sequential_search(
+            ups, N, np.random.default_rng(seed + 7), DEFAULT_TOLS.margin, steps
+        )
+        assert diag["starts_used"] == ref["starts_used"], seed
+        assert diag["margin_evals"] == ref["margin_evals"], seed
+        if ref["best_margin"] == -math.inf:
+            assert diag["best_margin"] == -math.inf, seed
+        else:
+            assert abs(diag["best_margin"] - ref["best_margin"]) <= 1e-12, seed
+        assert (W is None) == (W_ref is None), seed
+        if W is not None:
+            assert np.max(np.abs(W - W_ref)) <= 1e-12, seed
+        seen["exhausted"] += hit_step is None
+        seen["hit_after_ascent"] += hit_step is not None and hit_step >= 0
+        seen["several_starts"] += ref["starts_used"] > 1
+    assert all(seen.values()), seen
+
+
+def test_split_plane_search_runs_every_start():
+    # the kernel is spanned by two hull elements, an off-diagonal of the
+    # beta1 block and one of the beta0 block: every unit kernel direction
+    # has margin -(|c1| + |c2|) <= -1/sqrt(2), so all 64 starts run their
+    # ascent out (some flatten early); the counts are those of the
+    # sequential search
+    s2 = 1 / np.sqrt(2)
+    W1, W2 = np.zeros((6, 6)), np.zeros((6, 6))
+    W1[1, 2] = W1[2, 1] = s2
+    W2[3, 4] = W2[4, 3] = s2
+    Q = np.eye(36) - np.outer(vec(W1), vec(W1)) - np.outer(vec(W2), vec(W2))
+    v = tilt_check(make_quadratic_spec(X6, G6, K6, Q), options=TiltOptions(seed=1))
+    assert v.status == INCONCLUSIVE
+    assert v.certificate["intersection_dim"] == 2
+    search = v.certificate["search"]
+    assert search["starts_used"] == 64
+    assert search["margin_evals"] == 155_072
+    assert search["best_margin"] == pytest.approx(-s2, abs=1e-12)
+
+
+def test_witness_search_memory_stays_within_the_stack_cap(monkeypatch):
+    # q = 32 directions on an nm = 1024 hull: symmetric off-diagonals of the
+    # beta1 and beta0 blocks, where every unit direction has margin
+    # lambda_min(beta1 part) - lambda_max(beta0 part) < 0, so no start hits
+    # and each of the two steps probes all 64 starts
+    monkeypatch.setattr(tilt, "_SEARCH_STEPS", 2)
+    n = 32
+    X = np.diag([3.0] + [2.0] * 16 + [1.0] * 15)
+    Gamma = np.diag([1.0] * 9 + [0.0] * 23)
+    spec = make_quadratic_spec(X, Gamma, 9, np.eye(n * n))
+    ok, cert = subdiff_membership(X, Gamma, 9)
+    assert ok
+    ups = build_upsilon(spec, cert=cert)
+    assert not ups.exact
+    U, V = ups.pair.U, ups.pair.V
+    elems = []
+    for block in (cert.beta1, cert.beta0):
+        for a, i in enumerate(block):
+            for j in block[a + 1 :]:
+                H = np.zeros((n, n))
+                H[i, j] = H[j, i] = 1 / np.sqrt(2)
+                elems.append(vec(U @ H @ V.T))
+    rng = np.random.default_rng(0)
+    q = 32
+    N = np.linalg.qr(np.column_stack(elems) @ rng.standard_normal((len(elems), q)))[0]
+    assert np.max(np.abs(ups.hull_basis @ (ups.hull_basis.T @ N) - N)) < 1e-12
+    tracemalloc.start()
+    try:
+        W, diag = tilt._search_witness(ups, N, np.random.default_rng(1), DEFAULT_TOLS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert W is None and diag["starts_used"] == 64
+    assert diag["margin_evals"] == 64 * (1 + 2 * (2 * q + 1))
+    cap = 8 * tilt._STACK_FLOATS + N.nbytes
+    unchunked = 64 * 2 * q * N.shape[0] * 8
+    assert cap < unchunked / 3
+    assert peak < cap, (peak, cap)
 
 
 # ---------------------------------------------------------------- one factorization per analysis
