@@ -52,7 +52,6 @@ from .tilt import (
     TiltVerdict,
     UpsilonSpec,
     build_upsilon,
-    generic_kernel_test,
     tilt_check,
 )
 

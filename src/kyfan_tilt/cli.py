@@ -547,6 +547,7 @@ _SUITES = {"formulas": _suite_formulas, "prox": _suite_prox, "quotient": _suite_
 
 
 def run_oracle_validate(suite="all", seed=0, count=50):
+    count = _as_int(count, "--count", lo=1)
     names = list(_SUITES) if suite == "all" else [suite]
     if any(nm not in _SUITES for nm in names):
         raise SchemaError(f"--suite: unknown suite {suite!r} (all | formulas | prox | quotient)")

@@ -27,15 +27,16 @@ class Tolerances:
     subdiff: float = 1e-8
     # critical-cone residuals, scaled by (1 + ||G||_F)
     cone: float = 1e-7
-    # hessian kernel cutoff: kernel_rel * lambda_max, floored at kernel_floor
+    # kernel cutoff of the Hessian restricted to the hull: kernel_rel * s,
+    # floored at kernel_floor; s >= lambda_max is ||Q||_F (quadratic theta)
+    # or ||A||_F^2 (least squares)
     kernel_rel: float = 1e-9
     kernel_floor: float = 1e-12
-    # hessian positive-semidefiniteness check (relative to lambda_max)
+    # hessian positive-semidefiniteness check: lambda_min >= -psd_rel *
+    # max(1, ||H||_F) (quadratic theta; A^T A is PSD by construction)
     psd_rel: float = 1e-8
     # hessian symmetry check: orth * nm * max(1, ||H||_F)
     orth: float = 1e-10
-    # principal-angle cutoff for subspace intersection: cos >= 1 - angle
-    angle: float = 1e-9
     # witness feasibility margin for instability certificates
     margin: float = 1e-8
 

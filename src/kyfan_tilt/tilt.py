@@ -4,12 +4,13 @@ The decision object is a structured set of matrix directions built from the
 simultaneous SVD certificate of (Xbar, Gamma_bar := -nu * grad theta(Xbar)):
 a block-sparsity template whose linear hull and residual inequality (an
 eigenvalue / singular-value sandwich on the critical blocks) are recorded
-separately.  The verdict procedure:
+separately.  The verdict procedure, with H the (PSD) Hessian of theta at
+Xbar and B an orthonormal basis of the hull:
 
-  1. K := kernel of the vectorized Hessian of theta at Xbar, from the one
-     eigendecomposition of the analysis (ProblemSpec.hessian_factor, which
-     the PSD check of validate reads as well),
-  2. N := K  intersect  hull, via principal angles,
+  1. R := B^T H B, the Hessian restricted to the hull; since H is PSD,
+     ker H  intersect  span B = B ker R (the reduced-Hessian test), so H
+     itself is never factored,
+  2. N := B * (eigenvectors of R with eigenvalue <= the kernel cutoff),
   3. N = {0}                 -> Stable (sufficient certificate),
   4. N != {0} and exact      -> Unstable with any unit element of N,
   5. otherwise               -> maximize the (concave, 1-homogeneous)
@@ -37,14 +38,12 @@ __all__ = [
     "QuadraticTheta",
     "LeastSquaresTheta",
     "ProblemSpec",
-    "HessianFactor",
     "UpsilonSpec",
     "TiltVerdict",
     "TiltOptions",
     "StationarityError",
     "build_upsilon",
     "tilt_check",
-    "generic_kernel_test",
     "upsilon_residuals",
     "STABLE",
     "UNSTABLE",
@@ -84,18 +83,47 @@ class QuadraticTheta:
     def hessian(self):
         return np.asarray(self.Q, dtype=float)
 
+    def check_hessian(self, nm: int, tols: Tolerances):
+        """Q must be symmetric PSD nm x nm.  PSD is one Cholesky factorization
+        of sym(Q) + psd_rel * max(1, ||Q||_F) * I; the eigenvalues are
+        computed only on failure, for the lambda_min of the message."""
+        Q = self.hessian()
+        if Q.shape != (nm, nm):
+            raise ValueError(f"Hessian must be {nm} x {nm}, got {Q.shape}")
+        hscale = max(1.0, self.hessian_bound())
+        if np.linalg.norm(Q - Q.T) > tols.orth * hscale * nm:
+            raise ValueError("Hessian of theta must be symmetric")
+        S = sym(Q)
+        S[np.diag_indices(nm)] += tols.psd_rel * hscale
+        try:
+            np.linalg.cholesky(S)
+        except np.linalg.LinAlgError:
+            lmin = np.linalg.eigvalsh(sym(Q))[0]
+            raise ValueError(
+                f"Hessian of theta must be PSD at Xbar (lambda_min = {lmin:.3e})"
+            ) from None
+
+    def hessian_bound(self) -> float:
+        """||Q||_F, an upper bound on lambda_max(Q)."""
+        return float(np.linalg.norm(self.Q))
+
+    def restricted_hessian(self, B):
+        """B^T Q B."""
+        return sym(B.T @ (self.Q @ B))
+
+    def hessian_times(self, w):
+        return self.Q @ w
+
 
 @dataclasses.dataclass
 class LeastSquaresTheta:
     """theta(X) = 0.5 * || A vec(X) - b ||^2.
 
-    The Hessian A^T A is formed on the first hessian() call and kept."""
+    The verdict never forms the Hessian A^T A: it works with A B and
+    A^T (A w).  hessian() forms it for the oracles."""
 
     A: np.ndarray
     b: np.ndarray
-    _gram: np.ndarray | None = dataclasses.field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def grad(self, X):
         n, m = X.shape
@@ -103,27 +131,25 @@ class LeastSquaresTheta:
         return unvec(self.A.T @ r, n, m)
 
     def hessian(self):
-        if self._gram is None:
-            self._gram = self.A.T @ self.A
-        return self._gram
+        return self.A.T @ self.A
 
+    def check_hessian(self, nm: int, tols: Tolerances):
+        """A^T A is symmetric PSD by construction; only the shape of A is
+        checked."""
+        if self.A.ndim != 2 or self.A.shape[1] != nm:
+            raise ValueError(f"A must have {nm} columns, got shape {self.A.shape}")
 
-@dataclasses.dataclass
-class HessianFactor:
-    """One eigendecomposition of sym(H): every eigenvalue (ascending) and
-    the eigenvectors with eigenvalue <= kernel_tol, an orthonormal basis of
-    the kernel.  The other eigenvectors are not kept."""
+    def hessian_bound(self) -> float:
+        """||A||_F^2, an upper bound on lambda_max(A^T A) = ||A||_2^2."""
+        return float(np.linalg.norm(self.A)) ** 2
 
-    eigenvalues: np.ndarray
-    kernel: np.ndarray
-    kernel_tol: float
+    def restricted_hessian(self, B):
+        """B^T A^T A B, as (A B)^T (A B)."""
+        AB = self.A @ B
+        return AB.T @ AB
 
-
-def _factor_hessian(H: np.ndarray, tols: Tolerances) -> HessianFactor:
-    lam, Q = np.linalg.eigh(sym(H))
-    lmax = float(lam[-1]) if len(lam) else 0.0
-    ktol = max(tols.kernel_rel * max(lmax, 0.0), tols.kernel_floor)
-    return HessianFactor(eigenvalues=lam, kernel=Q[:, lam <= ktol], kernel_tol=ktol)
+    def hessian_times(self, w):
+        return self.A.T @ (self.A @ w)
 
 
 def _capped_simplex_proj(h, mass):
@@ -186,18 +212,13 @@ def stationarity_gap(X, Gamma, kappa, tols: Tolerances = DEFAULT_TOLS) -> float:
 class ProblemSpec:
     """min_X nu * theta(X) + Psi_kappa(X), analyzed at the candidate Xbar.
 
-    theta is QuadraticTheta or LeastSquaresTheta.  The Hessian's
-    eigendecomposition is computed once and kept (hessian_factor), so the
-    fields are not to be changed after it is first asked for.
+    theta is QuadraticTheta or LeastSquaresTheta.
     """
 
     Xbar: np.ndarray
     nu: float
     kappa: int
     theta: object
-    _factor: tuple | None = dataclasses.field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def n(self) -> int:
@@ -209,14 +230,6 @@ class ProblemSpec:
 
     def hessian(self) -> np.ndarray:
         return self.theta.hessian()
-
-    def hessian_factor(self, tols: Tolerances = DEFAULT_TOLS) -> HessianFactor:
-        """The eigendecomposition of sym(Hessian) behind both the PSD check
-        and the kernel; computed once per kernel cutoff."""
-        key = (tols.kernel_rel, tols.kernel_floor)
-        if self._factor is None or self._factor[0] != key:
-            self._factor = (key, _factor_hessian(self.hessian(), tols))
-        return self._factor[1]
 
     def grad_theta(self, X) -> np.ndarray:
         return self.theta.grad(np.asarray(X, dtype=float))
@@ -235,17 +248,7 @@ class ProblemSpec:
             raise ValueError(f"nu must be positive, got {self.nu}")
         if not (1 <= self.kappa <= n):
             raise ValueError(f"kappa must be in [1, {n}], got {self.kappa}")
-        H = self.hessian()
-        if H.shape != (n * m, n * m):
-            raise ValueError(f"Hessian must be {n * m} x {n * m}, got {H.shape}")
-        hscale = max(1.0, float(np.linalg.norm(H)))
-        if np.linalg.norm(H - H.T) > tols.orth * hscale * n * m:
-            raise ValueError("Hessian of theta must be symmetric")
-        w = self.hessian_factor(tols).eigenvalues
-        if len(w) and w[0] < -tols.psd_rel * hscale:
-            raise ValueError(
-                f"Hessian of theta must be PSD at Xbar (lambda_min = {w[0]:.3e})"
-            )
+        self.theta.check_hessian(n * m, tols)
         Gamma = self.gamma_bar()
         ok, cert = subdiff_membership(X, Gamma, self.kappa, tols=tols)
         if not ok:
@@ -455,9 +458,10 @@ def upsilon_residuals(ups: UpsilonSpec, W: np.ndarray) -> dict:
 @dataclasses.dataclass
 class TiltVerdict:
     """status in {Stable, Unstable, Inconclusive}; certificate holds the
-    proof data (intersection dimensions and the stacked-system smallest
-    singular value for Stable; witness residuals for Unstable; search
-    diagnostics for Inconclusive).  witness is a unit-Frobenius matrix."""
+    proof data (restricted_lambda_min, the smallest eigenvalue of the
+    Hessian restricted to the hull, against restricted_cutoff for Stable;
+    witness residuals for Unstable; search diagnostics for Inconclusive).
+    witness is a unit-Frobenius matrix."""
 
     status: str
     certificate: dict
@@ -490,22 +494,16 @@ def _orth(B: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return U[:, keep]
 
 
-def _intersect(K: np.ndarray, L: np.ndarray, tols: Tolerances):
-    """Intersection basis of two orthonormal-column subspaces (principal
-    cosines >= 1 - tols.angle) plus the largest principal cosine and
-    sigma_min of the stacked system.
+def _kernel_in_hull(theta, B: np.ndarray, cutoff: float):
+    """Orthonormal basis of ker H  intersect  span B, and lambda_min(B^T H B)
+    (+inf on an empty hull).
 
-    sigma_min = sqrt(1 - maxcos) is taken as ||K u1 - L v1|| / sqrt(2) from
-    the top singular pair (u1, v1) of K^T L: the same number, without the
-    cancellation in 1 - maxcos when the subspaces meet."""
-    if K.shape[1] == 0 or L.shape[1] == 0:
-        return np.zeros((K.shape[0], 0)), 0.0, 1.0
-    Um, sv, Vt = np.linalg.svd(K.T @ L, full_matrices=False)
-    maxcos = float(sv[0])
-    take = sv >= 1.0 - tols.angle
-    N = _orth(K @ Um[:, take]) if np.any(take) else np.zeros((K.shape[0], 0))
-    smin_stacked = float(np.linalg.norm(K @ Um[:, 0] - L @ Vt[0])) / math.sqrt(2.0)
-    return N, maxcos, smin_stacked
+    For PSD H and orthonormal B the intersection is B ker(B^T H B): the basis
+    is B times the eigenvectors of B^T H B with eigenvalue <= cutoff."""
+    if B.shape[1] == 0:
+        return B, math.inf
+    lam, Y = np.linalg.eigh(theta.restricted_hessian(B))
+    return B @ Y[:, lam <= cutoff], float(lam[0])
 
 
 def _rotate_pair(cert: SubgradCertificate, rng, tols: Tolerances) -> SvdPair:
@@ -676,8 +674,8 @@ def tilt_check(
     if ups is None:
         ups = build_upsilon(spec, tols=tols)
     cert = ups.cert
-    factor = spec.hessian_factor(tols)
-    K = factor.kernel
+    theta = spec.theta
+    cutoff = max(tols.kernel_rel * theta.hessian_bound(), tols.kernel_floor)
     variants = [ups]
     if options.rotation_samples > 0:
         rng_rot = np.random.default_rng(options.seed)
@@ -687,13 +685,11 @@ def tilt_check(
         union = _orth(np.hstack([v.hull_basis for v in variants]))
     else:
         union = ups.hull_basis  # orthonormal by construction
-    N_union, maxcos, smin = _intersect(K, union, tols)
+    N_union, lam_min = _kernel_in_hull(theta, union, cutoff)
     base_cert = {
-        "kernel_dim": int(K.shape[1]),
         "hull_dim": int(ups.hull_basis.shape[1]),
-        "kernel_tol": factor.kernel_tol,
-        "max_principal_cosine": maxcos,
-        "sigma_min_stacked": smin,
+        "restricted_lambda_min": lam_min,
+        "restricted_cutoff": cutoff,
         "case": ups.case,
         "exact": ups.exact,
         "rotation_samples": options.rotation_samples,
@@ -703,7 +699,7 @@ def tilt_check(
 
     def unstable(v, v_idx, N, W):
         res = upsilon_residuals(v, W)
-        kres = float(np.linalg.norm(spec.hessian() @ vec(W)))
+        kres = float(np.linalg.norm(theta.hessian_times(vec(W))))
         return TiltVerdict(
             UNSTABLE,
             {
@@ -720,7 +716,9 @@ def tilt_check(
     rng = np.random.default_rng(options.seed + 1)
     best_diag = None
     for v_idx, v in enumerate(variants):
-        N = N_union if len(variants) == 1 else _intersect(K, v.hull_basis, tols)[0]
+        N = N_union
+        if len(variants) > 1:
+            N = _kernel_in_hull(theta, v.hull_basis, cutoff)[0]
         if N.shape[1] == 0:
             continue
         if v.exact:
@@ -740,54 +738,4 @@ def tilt_check(
             "search": best_diag or {"best_margin": None},
             "note": "kernel meets the hull but no certified set member was found",
         },
-    )
-
-
-def generic_kernel_test(
-    hessian: np.ndarray,
-    wset_membership,
-    hull: np.ndarray,
-    seed: int = 0,
-    starts: int = 64,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> TiltVerdict:
-    """Kernel-intersection test for a caller-supplied direction set.
-
-    hull: basis (columns) of the linear hull of the set; wset_membership:
-    predicate on vectors of the ambient space.  Same three phases as
-    tilt_check with predicate sampling instead of margin ascent."""
-    factor = _factor_hessian(np.asarray(hessian, dtype=float), tols)
-    K = factor.kernel
-    L = _orth(np.asarray(hull, dtype=float))
-    N, maxcos, smin = _intersect(K, L, tols)
-    base = {
-        "kernel_dim": int(K.shape[1]),
-        "hull_dim": int(L.shape[1]),
-        "kernel_tol": factor.kernel_tol,
-        "max_principal_cosine": maxcos,
-        "sigma_min_stacked": smin,
-    }
-    if N.shape[1] == 0:
-        return TiltVerdict(STABLE, base)
-    rng = np.random.default_rng(seed)
-    q = N.shape[1]
-    cands = []
-    for i in range(q):
-        e = np.zeros(q)
-        e[i] = 1.0
-        cands.extend([e, -e])
-    while len(cands) < max(starts, 2 * q):
-        v = rng.standard_normal(q)
-        cands.append(v / np.linalg.norm(v))
-    for idx, c in enumerate(cands):
-        w = N @ c
-        if wset_membership(w):
-            return TiltVerdict(
-                UNSTABLE,
-                {**base, "intersection_dim": q, "sample_index": idx},
-                witness=w / np.linalg.norm(w),
-            )
-    return TiltVerdict(
-        INCONCLUSIVE,
-        {**base, "intersection_dim": q, "samples_tried": len(cands)},
     )

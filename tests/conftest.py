@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's certificate machinery:
 subgradient membership goes through the support-function / dual-ball
 characterization (plain SVD only), directional derivatives through
-one-sided finite differences, the vector prox through a small convex
-program, and Fantope projections are rebuilt from scratch for the
+one-sided finite differences, the vector prox through exhaustive
+enumeration of its KKT active sets (and a small convex program when cvxpy
+is installed), and Fantope projections are rebuilt from scratch for the
 symmetric-function cross-checks.
 """
 from __future__ import annotations
@@ -86,9 +87,49 @@ def fantope_project(Z, kappa, t=1.0):
     return (Q * w) @ Q.T
 
 
+def oracle_vector_prox_enum(x, t, kappa):
+    """Prox of t * (sum of kappa largest |.|) by exhaustive enumeration of
+    the KKT active sets, for 1 <= kappa <= len(x) <= 8.
+
+    The prox keeps signs and the order of |x|, so with a = |x| sorted
+    descending the solution q, with theta its kappa-th largest entry, splits
+    a into a top block [0, i1) (q = a - t), a tie block [i1, i2) (q = theta)
+    and a tail [i2, k) (q = a), i1 < kappa <= i2.  For theta > 0 the tie
+    block's multipliers (a - theta) / t sum to kappa - i1, which fixes
+    theta; for theta = 0 the tie block runs to the end.  Every (i1, i2)
+    gives one candidate point, and the true prox is among them, so the
+    candidate of least objective value is the prox."""
+    x = np.asarray(x, dtype=float)
+    k = len(x)
+    assert 1 <= kappa <= k <= 8
+    order = np.argsort(-np.abs(x), kind="stable")
+    a = np.abs(x)[order]
+
+    def objective(q):
+        top = np.sort(np.abs(q))[::-1][:kappa]
+        return 0.5 * float(np.sum((q - a) ** 2)) + t * float(np.sum(top))
+
+    cands = []
+    for i1 in range(kappa):
+        for i2 in range(kappa, k + 1):
+            theta = (float(np.sum(a[i1:i2])) - (kappa - i1) * t) / (i2 - i1)
+            cands.append(np.concatenate([a[:i1] - t, np.full(i2 - i1, theta), a[i2:]]))
+        cands.append(np.concatenate([a[:i1] - t, np.zeros(k - i1)]))
+    q = min(cands, key=objective)
+    p = np.empty(k)
+    p[order] = q
+    return np.sign(x) * p
+
+
 def oracle_vector_prox_qp(x, t, kappa):
-    """Reference prox of t * (sum of kappa largest |.|) via cvxpy."""
-    cp = pytest.importorskip("cvxpy")
+    """Reference prox of t * (sum of kappa largest |.|): the active-set
+    enumeration, checked against cvxpy's QP solution when cvxpy is
+    installed."""
+    ref = oracle_vector_prox_enum(x, t, kappa)
+    try:
+        import cvxpy as cp
+    except ImportError:
+        return ref
     x = np.asarray(x, dtype=float)
     p = cp.Variable(len(x))
     obj = 0.5 * cp.sum_squares(p - x) + t * cp.sum_largest(cp.abs(p), kappa)
@@ -102,7 +143,9 @@ def oracle_vector_prox_qp(x, t, kappa):
     )
     if prob.status not in ("optimal", "optimal_inaccurate"):
         prob.solve(solver=cp.SCS, eps=1e-10)
-    return np.asarray(p.value, dtype=float)
+    qp = np.asarray(p.value, dtype=float)
+    assert np.max(np.abs(qp - ref)) < 1e-6, (x, t, kappa, qp, ref)
+    return ref
 
 
 # ---------------------------------------------------------------------------

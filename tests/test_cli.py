@@ -310,3 +310,13 @@ def test_oracle_validate_smoke(capsys):
 
 def test_oracle_validate_unknown_suite(capsys):
     assert run(capsys, "oracle-validate", "--suite", "bogus")[0] == 3
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_oracle_validate_rejects_vacuous_count(capsys, count):
+    # no instance checked is no pass
+    code, cap = run(capsys, "oracle-validate", "--count", count)
+    assert code == 3
+    assert "PASS" not in cap.out
+    error = json.loads(cap.out)["error"]
+    assert error["message"] == f"--count: must be >= 1, got {count}"

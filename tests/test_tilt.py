@@ -33,7 +33,6 @@ from kyfan_tilt.tilt import (
     StationarityError,
     TiltOptions,
     build_upsilon,
-    generic_kernel_test,
     stationarity_gap,
     tilt_check,
     upsilon_residuals,
@@ -177,10 +176,15 @@ def test_sandwich_margin_on_engineered_directions():
 def test_verdict_stable_definite_hessian():
     rng = np.random.default_rng(0)
     X, Gamma, kappa, _ = random_membership_instance(rng)
-    spec = make_quadratic_spec(X, Gamma, kappa, np.eye(X.size))
-    v = tilt_check(spec)
-    assert v.status == STABLE
-    assert v.certificate["kernel_dim"] == 0
+    X3, G3 = np.diag([3.0, 2.0, 1.0]), np.diag([1.0, 1.0, 0.0])
+    # Q = I: the restricted Hessian is the identity, or empty (+inf) when
+    # the hull is
+    for X, Gamma, kappa, want in ((X, Gamma, kappa, math.inf), (X3, G3, 2, 1.0)):
+        v = tilt_check(make_quadratic_spec(X, Gamma, kappa, np.eye(X.size)))
+        assert v.status == STABLE
+        assert (v.certificate["hull_dim"] > 0) == (want == 1.0)
+        assert v.certificate["restricted_lambda_min"] == pytest.approx(want, abs=1e-12)
+        assert v.certificate["restricted_cutoff"] < 1e-6
 
 
 def test_verdict_stable_kernel_transverse():
@@ -190,8 +194,9 @@ def test_verdict_stable_kernel_transverse():
     Wsk[0, 1], Wsk[1, 0] = 1.0, -1.0  # skew inside the leading block: off-hull
     v = tilt_check(spec_with_kernel(X, Gamma, 2, Wsk / np.sqrt(2)))
     assert v.status == STABLE
-    assert v.certificate["kernel_dim"] == 1
-    assert v.certificate["sigma_min_stacked"] > 0.5
+    # the kernel direction is orthogonal to the hull: B^T Q B = I
+    assert v.certificate["restricted_lambda_min"] == pytest.approx(1.0, abs=1e-12)
+    assert v.certificate["restricted_cutoff"] < 1e-6
 
 
 def test_verdict_unstable_exact_case():
@@ -208,10 +213,9 @@ def test_verdict_unstable_exact_case():
     assert v.certificate["kernel_residual"] < 1e-9
 
 
-def test_sigma_min_stacked_vanishes_when_the_kernel_meets_the_hull():
+def test_restricted_lambda_min_vanishes_when_the_kernel_meets_the_hull():
     # the exact slide case in rotated coordinates: the kernel lies in the
-    # hull, so the stacked system is singular; sqrt(1 - maxcos) read 1e-8
-    # here whenever maxcos rounded just below 1
+    # hull, so the Hessian restricted to the hull is singular
     E = np.zeros((3, 3))
     E[1, 1] = 1.0
     for seed in range(8):
@@ -221,8 +225,9 @@ def test_sigma_min_stacked_vanishes_when_the_kernel_meets_the_hull():
         Gamma = U @ np.diag([1.0, 1.0, 0.0]) @ V.T
         v = tilt_check(spec_with_kernel(X, Gamma, 2, U @ E @ V.T))
         assert v.status == UNSTABLE and v.certificate["exact"], seed
-        assert v.certificate["max_principal_cosine"] == pytest.approx(1.0, abs=1e-12)
-        assert v.certificate["sigma_min_stacked"] < 1e-10, seed
+        cert = v.certificate
+        assert cert["restricted_lambda_min"] <= cert["restricted_cutoff"], seed
+        assert cert["intersection_dim"] == 1, seed
 
 
 def test_verdict_unstable_inexact_case_needs_search():
@@ -489,9 +494,12 @@ FACTOR_CASES = {
 
 @pytest.mark.parametrize("name", sorted(FACTOR_CASES))
 def test_one_hessian_factorization_per_analysis(monkeypatch, name):
+    # the verdict works on the Hessian restricted to the hull: no nm x nm
+    # (or nm x hull_dim) eigendecomposition or SVD; the PSD check of a
+    # quadratic theta is the one Cholesky, and A^T A is never formed
     problem = FACTOR_CASES[name]()
     nm = problem["n"] * problem["m"]
-    shapes = {"eigh": [], "eigvalsh": [], "svd": []}
+    shapes = {"eigh": [], "eigvalsh": [], "svd": [], "cholesky": []}
     for fn in shapes:
         def counted(a, *args, _fn=fn, _orig=getattr(np.linalg, fn), **kwargs):
             shapes[_fn].append(np.shape(a))
@@ -511,11 +519,13 @@ def test_one_hessian_factorization_per_analysis(monkeypatch, name):
     report, code = cli.run_analyze(problem)
     assert code in (0, 1, 2)
     hull_dim = report["upsilon"]["hull_dim"]
-    assert shapes["eigh"].count((nm, nm)) == 1
-    assert shapes["eigvalsh"].count((nm, nm)) == 0
-    assert shapes["svd"].count((nm, hull_dim)) == 0
-    if problem["theta"]["type"] == "least_squares":
-        assert _GramCounting.grams == 1
+    assert hull_dim < nm
+    for fn in ("eigh", "eigvalsh", "svd"):
+        assert shapes[fn].count((nm, nm)) == 0, fn
+        assert shapes[fn].count((nm, hull_dim)) == 0, fn
+    quadratic = problem["theta"]["type"] == "quadratic"
+    assert shapes["cholesky"] == ([(nm, nm)] if quadratic else [])
+    assert _GramCounting.grams == 0
 
 
 @settings(max_examples=15, deadline=None)
@@ -559,22 +569,3 @@ def test_nu_scaling_invariance():
         spec = make_quadratic_spec(X, Gamma, 2, Q / nu, nu=nu)
         assert np.max(np.abs(spec.gamma_bar() - Gamma)) < 1e-12
         assert tilt_check(spec).status == UNSTABLE
-
-
-# ---------------------------------------------------------------- generic predicate variant
-
-
-def test_generic_kernel_test_three_phases():
-    w = np.array([1.0, 0.0, 0.0])
-    hull = np.eye(3)[:, :2]
-    # kernel {0}: stable regardless of the predicate
-    v = generic_kernel_test(np.eye(3), lambda x: True, hull)
-    assert v.status == STABLE
-    # kernel = span{e1} inside the hull, predicate accepts it
-    H = np.eye(3) - np.outer(w, w)
-    v = generic_kernel_test(H, lambda x: abs(x[0]) > 0.9, hull)
-    assert v.status == UNSTABLE
-    assert v.witness is not None
-    # same kernel, predicate never satisfied
-    v = generic_kernel_test(H, lambda x: False, hull)
-    assert v.status == INCONCLUSIVE

@@ -21,10 +21,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SPLIT = str(ROOT / "demo" / "inconclusive_split.json")
 
 
-def problem_dict(X, Gamma, kappa, nu=1.0):
-    """Quadratic problem with Q = I whose Gamma_bar is Gamma at X."""
+def problem_dict(X, Gamma, kappa, nu=1.0, Q=None):
+    """Quadratic problem (Q = I by default) whose Gamma_bar is Gamma at X."""
     n, m = X.shape
-    Q = np.eye(n * m)
+    Q = np.eye(n * m) if Q is None else Q
     L = -unvec(Q @ vec(X), n, m) - Gamma / nu
     return {
         "n": n,
@@ -79,6 +79,43 @@ def test_margin_knob_accepts_witness(capsys):
     code, report = run(capsys, "tilt", SPLIT, "--tol.margin=0.5")
     assert code == 1 and report["status"] == "Unstable"
     assert report["certificate"]["witness_residuals"]["margin"] >= -0.5
+
+
+def slide_problem(curvature):
+    """The exact slide case (n = 3) with Q = I - (1 - curvature) w w^T, w the
+    hull element E_11: the curvature along w is `curvature`."""
+    w = vec(np.diag([0.0, 1.0, 0.0]))
+    Q = np.eye(9) - (1.0 - curvature) * np.outer(w, w)
+    return problem_dict(np.diag([3.0, 2.0, 1.0]), np.diag([1.0, 1.0, 0.0]), 2, Q=Q)
+
+
+def test_kernel_rel_knob_moves_the_restricted_kernel(tmp_path, capsys):
+    # curvature 1e-7 along w: above the cutoff 1e-9 * ||Q||_F by default
+    pf = write_json(tmp_path, slide_problem(1e-7))
+    code, report = run(capsys, "tilt", pf)
+    assert code == 0 and report["status"] == "Stable"
+    cert = report["certificate"]
+    assert cert["restricted_lambda_min"] == pytest.approx(1e-7, rel=1e-6)
+    code, report = run(capsys, "tilt", pf, "--tol.kernel_rel=1e-6")
+    assert code == 1 and report["status"] == "Unstable"
+    assert report["certificate"]["intersection_dim"] == 1
+
+
+def test_psd_rel_knob_moves_the_psd_check(tmp_path, capsys):
+    # curvature -1e-6 along w: below -1e-8 * ||Q||_F by default
+    pf = write_json(tmp_path, slide_problem(-1e-6))
+    code, report = run(capsys, "analyze", pf)
+    assert code == 3 and report["error"]["kind"] == "precondition"
+    assert "lambda_min = -1.000e-06" in report["error"]["message"]
+    code, report = run(capsys, "analyze", pf, "--tol.psd_rel=1e-5")
+    assert code == 1 and report["verdict"]["status"] == "Unstable"
+
+
+def test_removed_angle_tolerance_is_unknown(tmp_path, capsys):
+    pf = write_json(tmp_path, slide_problem(1.0))
+    code, report = run(capsys, "analyze", pf, "--tol.angle=1e-9")
+    assert code == 3
+    assert report["error"]["message"] == "--tol.angle: unknown tolerance name"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "abc"])
