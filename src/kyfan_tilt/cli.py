@@ -502,9 +502,13 @@ def _suite_prox(seed, count):
         py = kyfan_vector_prox(y, t, kervec)
         # Moreau: the projection part x - prox must lie in t*B
         proj = x - px
-        l1cap = t * kervec * (1 + 1e-12)
-        if np.max(np.abs(proj)) > t * (1 + 1e-10) or np.sum(np.abs(proj)) > l1cap + 1e-10:
+        budget = t * kervec
+        if np.max(np.abs(proj)) > t * (1 + 1e-10) or np.sum(np.abs(proj)) > budget * (1 + 1e-12) + 1e-10:
             return False, {"reason": "projection left the dual ball"}
+        # a binding l1 cap is met exactly, not to a stopping tolerance
+        if np.sum(np.minimum(np.abs(x), t)) > budget * (1 + 1e-12):
+            if abs(float(np.sum(np.abs(proj))) - budget) > 1e-13 * budget:
+                return False, {"reason": "projection missed the l1 budget"}
         worst_nonexp = max(worst_nonexp, float(np.linalg.norm(px - py) - np.linalg.norm(x - y)))
         n = int(rng.integers(2, 6))
         m = int(rng.integers(n, 8))

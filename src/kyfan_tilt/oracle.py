@@ -1,9 +1,10 @@
 """Brute-force validators, independent of the closed-form routes.
 
 Three tools: an epi-quotient sampler for second subderivatives, an exact
-Ky-Fan proximal map (vector dual bisection + spectral transfer), and a
-proximal-gradient tilt probe that solves perturbed problems and estimates
-the solution-map modulus.
+Ky-Fan proximal map (the vector prox from the breakpoints of its dual
+projection, transferred through the SVD), and a proximal-gradient tilt
+probe that solves perturbed problems and estimates the solution-map
+modulus.
 
 Everything here is sampling- or solver-based on purpose: the library's
 closed forms are validated against these, never the other way round.
@@ -14,8 +15,6 @@ import dataclasses
 import math
 
 import numpy as np
-
-from .spectral import svd_ordered
 
 __all__ = [
     "QuotientConfig",
@@ -186,23 +185,31 @@ def d2_quotient_oracle(
 
 
 def _proj_capped_l1(x, cap, budget):
-    """Projection onto {y : |y_i| <= cap, sum |y_i| <= budget}."""
+    """Projection onto {y : |y_i| <= cap, sum |y_i| <= budget}.
+
+    When the l1 cap binds, y = sign(x) * clip(|x| - lam, 0, cap) with the
+    multiplier lam >= 0 solving s(lam) = budget, where
+    s(lam) = sum clip(|x_i| - lam, 0, cap) is nonincreasing and piecewise
+    linear with kinks at |x_i| and |x_i| - cap.  s is evaluated at every
+    kink from sorted prefix sums, and lam is interpolated on the one piece
+    where s crosses the budget: O(k log k), no iteration.
+    """
     y = np.clip(x, -cap, cap)
     if float(np.sum(np.abs(y))) <= budget * (1 + 1e-15):
         return y
     a = np.abs(x)
-    scale = max(1.0, float(np.max(a)))
-    lo, hi = 0.0, float(np.max(a))
-    for _ in range(200):
-        lam = 0.5 * (lo + hi)
-        s = float(np.sum(np.minimum(np.maximum(a - lam, 0.0), cap)))
-        if s > budget:
-            lo = lam
-        else:
-            hi = lam
-        if hi - lo <= 1e-12 * scale:
-            break
-    lam = 0.5 * (lo + hi)
+    srt = np.sort(a)
+    prefix = np.concatenate(([0.0], np.cumsum(srt)))
+    knots = np.sort(np.concatenate((srt - cap, srt)))
+    lo = np.searchsorted(srt, knots, side="right")  # a_i <= lam: clipped to 0
+    hi = np.searchsorted(srt, knots + cap, side="left")  # a_i >= lam + cap: capped
+    s = cap * (len(srt) - hi) + (prefix[hi] - prefix[lo]) - knots * (hi - lo)
+    # s is k * cap >= s(0) > budget at the first kink and 0 at the last, so
+    # the crossing lies at some lam > 0
+    j = int(np.argmax(s <= budget))
+    if j == 0:  # only by rounding
+        return y
+    lam = knots[j - 1] + (s[j - 1] - budget) / (s[j - 1] - s[j]) * (knots[j] - knots[j - 1])
     return np.sign(x) * np.minimum(np.maximum(a - lam, 0.0), cap)
 
 
@@ -211,8 +218,9 @@ def kyfan_vector_prox(x, t: float, kappa: int) -> np.ndarray:
 
     The conjugate unit ball is B = {y : ||y||_inf <= 1, ||y||_1 <= kappa},
     so prox(x) = x - proj_{t*B}(x); when kappa >= len(x) the l1 cap is
-    inactive and this is plain soft-thresholding at t.  The l1 multiplier is
-    found by bisection with inner clamping (tolerance 1e-12).
+    inactive and this is plain soft-thresholding at t.  The projection is
+    exact: its l1 multiplier is read off the breakpoints of a piecewise
+    linear equation (Wu, Ding, Sun & Toh, SIAM J. Optim. 24(2), 2014).
     """
     x = np.asarray(x, dtype=float)
     if t <= 0:
@@ -221,10 +229,14 @@ def kyfan_vector_prox(x, t: float, kappa: int) -> np.ndarray:
 
 
 def kyfan_matrix_prox(X, t: float, kappa: int) -> np.ndarray:
-    """Spectral transfer of the vector prox through the ordered SVD."""
-    pair = svd_ordered(np.asarray(X, dtype=float))
-    p = kyfan_vector_prox(pair.sigma, t, kappa)
-    return pair.U @ np.diag(p) @ pair.V1.T
+    """Spectral transfer of the vector prox through a reduced SVD.
+
+    The prox depends only on the singular subspaces, not on the signs or
+    the basis chosen inside a repeated singular value, so no sign
+    convention is needed."""
+    U, sigma, Vt = np.linalg.svd(np.asarray(X, dtype=float), full_matrices=False)
+    p = kyfan_vector_prox(sigma, t, kappa)
+    return U @ (p[:, None] * Vt)
 
 
 # ---------------------------------------------------------------------------
@@ -259,17 +271,23 @@ class ProbeConfig:
             raise ValueError("lipschitz_threshold must be positive")
 
 
-def _solve_tilted(spec, V, delta, solver: SolverConfig):
+def _hessian_lmax(spec) -> float:
+    """lambda_max of the symmetrized Hessian of theta (0 when nm = 0)."""
+    H = spec.hessian()
+    return float(np.linalg.eigvalsh(0.5 * (H + H.T))[-1]) if H.size else 0.0
+
+
+def _solve_tilted(spec, V, delta, solver: SolverConfig, lmax: float):
     """FISTA with function restarts on nu*theta(X) - <V,X> + Psi_kappa(X),
-    iterates projected into the delta-ball around Xbar.  Returns the point,
-    the prox-gradient residual, and the iteration count."""
+    iterates projected into the delta-ball around Xbar; lmax is
+    _hessian_lmax(spec), passed in so that a probe computes it once.
+    Returns the point, the prox-gradient residual, and the iteration
+    count."""
     from .subgrad import psi_value
 
     Xbar = np.asarray(spec.Xbar, dtype=float)
     V = np.asarray(V, dtype=float)
     nu, kappa = spec.nu, spec.kappa
-    H = spec.hessian()
-    lmax = float(np.linalg.eigvalsh(0.5 * (H + H.T))[-1]) if H.size else 0.0
     L = max(nu * lmax, 1e-12)
     if solver.step_rule == "lipschitz":
         step = 1.0 / L
@@ -328,7 +346,7 @@ def _solve_tilted(spec, V, delta, solver: SolverConfig):
 def solve_tilted(spec, V, cfg: ProbeConfig | None = None) -> np.ndarray:
     """argmin of nu*theta(X) - <V,X> + Psi_kappa(X) over the delta-ball."""
     cfg = cfg or ProbeConfig()
-    X, _, _ = _solve_tilted(spec, V, cfg.delta, cfg.solver)
+    X, _, _ = _solve_tilted(spec, V, cfg.delta, cfg.solver, _hessian_lmax(spec))
     return X
 
 
@@ -357,13 +375,14 @@ def tilt_probe(spec, cfg: ProbeConfig | None = None) -> ProbeResult:
         D = rng.standard_normal((n, m))
         D /= np.linalg.norm(D)
         dirs.extend([D, -D])
+    lmax = _hessian_lmax(spec)
     solves = []  # (tilt_id, V, X, residual)
-    X0, res0, _ = _solve_tilted(spec, np.zeros((n, m)), cfg.delta, cfg.solver)
+    X0, res0, _ = _solve_tilted(spec, np.zeros((n, m)), cfg.delta, cfg.solver, lmax)
     solves.append(("untilted", np.zeros((n, m)), X0, res0))
     for di, D in enumerate(dirs):
         for mi, mag in enumerate(cfg.tilt_magnitudes):
             V = mag * D
-            X, res, _ = _solve_tilted(spec, V, cfg.delta, cfg.solver)
+            X, res, _ = _solve_tilted(spec, V, cfg.delta, cfg.solver, lmax)
             solves.append((f"d{di}_m{mi}", V, X, res))
     rows = []
     for tilt_id, V, X, res in solves:

@@ -153,23 +153,26 @@ class LeastSquaresTheta:
 
 
 def _capped_simplex_proj(h, mass):
-    """Euclidean projection of h onto {0 <= x <= 1, sum x = mass}."""
+    """Euclidean projection of h onto {0 <= x <= 1, sum x = mass}.
+
+    The projection is clip(h - lam, 0, 1) for the lam at which
+    s(lam) = sum clip(h_i - lam, 0, 1) equals mass.  s is nonincreasing and
+    piecewise linear with breakpoints h_i - 1 and h_i, so it is evaluated at
+    every breakpoint and lam is interpolated on the piece where s reaches
+    mass.  h is one singular-value group, so the k x 2k table is small.
+    """
     h = np.asarray(h, dtype=float)
     k = len(h)
     if k == 0:
         return h.copy()
     mass = min(max(float(mass), 0.0), float(k))
-    lo, hi = float(np.min(h)) - 1.0, float(np.max(h))
-    for _ in range(200):
-        lam = 0.5 * (lo + hi)
-        s = float(np.sum(np.clip(h - lam, 0.0, 1.0)))
-        if s > mass:
-            lo = lam
-        else:
-            hi = lam
-        if hi - lo < 1e-14:
-            break
-    return np.clip(h - 0.5 * (lo + hi), 0.0, 1.0)
+    knots = np.sort(np.concatenate((h - 1.0, h)))
+    s = np.clip(h[None, :] - knots[:, None], 0.0, 1.0).sum(axis=1)
+    j = int(np.argmax(s <= mass))  # s is k at the first breakpoint, 0 at the last
+    if j == 0:
+        return np.ones(k)
+    lam = knots[j - 1] + (s[j - 1] - mass) / (s[j - 1] - s[j]) * (knots[j] - knots[j - 1])
+    return np.clip(h - lam, 0.0, 1.0)
 
 
 def stationarity_gap(X, Gamma, kappa, tols: Tolerances = DEFAULT_TOLS) -> float:

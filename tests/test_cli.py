@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import projector_complement
+from kyfan_tilt import cli
 from kyfan_tilt.cli import main
 from kyfan_tilt.instances import random_membership_instance
 from kyfan_tilt.io import matrix_to_json, unvec, vec
@@ -306,6 +307,24 @@ def test_oracle_validate_smoke(capsys):
     assert code == 0
     lines = cap.out.strip().split("\n")
     assert lines and all("PASS" in l for l in lines)
+
+
+def test_oracle_validate_prox_suite_checks_the_l1_budget(capsys, monkeypatch):
+    code, cap = run(capsys, "oracle-validate", "--suite", "prox", "--count", "50")
+    assert code == 0
+    assert cap.out.startswith("prox: PASS")
+    # a projection that stops 1e-11 short of the binding l1 cap, as a
+    # bisection with a stopping tolerance does, fails the suite
+    exact = cli.kyfan_vector_prox
+
+    def approximate(x, t, kappa):
+        p = exact(x, t, kappa)
+        return p + 1e-11 * np.sign(p)
+
+    monkeypatch.setattr(cli, "kyfan_vector_prox", approximate)
+    code, cap = run(capsys, "oracle-validate", "--suite", "prox", "--count", "50")
+    assert code != 0
+    assert "prox: FAIL (reason=projection missed the l1 budget)" in cap.out
 
 
 def test_oracle_validate_unknown_suite(capsys):

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from conftest import (
     make_quadratic_spec,
     oracle_psi_membership,
+    oracle_vector_prox_enum,
     oracle_vector_prox_qp,
     projector_complement,
 )
+from kyfan_tilt.instances import random_orthogonal
 from kyfan_tilt.oracle import (
     ProbeConfig,
     QuotientConfig,
@@ -78,7 +80,71 @@ def test_vector_prox_nonexpansive_and_moreau(seed):
     assert abs(np.dot(px, dual) - t * h) < 1e-9 * (1.0 + abs(t * h))
 
 
+def prox_case(rng, i):
+    """A seeded vector prox case with k <= 8: every fourth has ties and
+    zeros, every fifth has kappa = k, and x and t share a scale from 1e-6
+    to 1e6."""
+    k = int(rng.integers(1, 9))
+    kappa = k if i % 5 == 0 else int(rng.integers(1, k + 1))
+    scale = 10.0 ** rng.uniform(-6, 6)
+    x = rng.standard_normal(k) * rng.uniform(0.5, 4.0)
+    if i % 4 == 0:
+        x = np.round(x) * rng.choice([-1.0, 1.0], size=k)
+    t = float(rng.uniform(0.1, 3.0))
+    return x * scale, t * scale, kappa, scale
+
+
+def test_vector_prox_matches_enumeration():
+    rng = np.random.default_rng(2024)
+    for i in range(2400):
+        x, t, kappa, scale = prox_case(rng, i)
+        ref = oracle_vector_prox_enum(x, t, kappa)
+        assert np.max(np.abs(kyfan_vector_prox(x, t, kappa) - ref)) <= 1e-10 * scale, (x, t, kappa)
+
+
+def test_vector_prox_meets_the_l1_budget_exactly():
+    # when the l1 cap of the dual ball binds, the projection x - prox has l1
+    # norm t * kappa up to rounding, not up to a stopping tolerance
+    rng = np.random.default_rng(99)
+    binding = 0
+    for i in range(2000):
+        x, t, kappa, _ = prox_case(rng, i)
+        if np.sum(np.minimum(np.abs(x), t)) <= t * kappa * (1 + 1e-12):
+            continue
+        binding += 1
+        l1 = float(np.sum(np.abs(x - kyfan_vector_prox(x, t, kappa))))
+        assert abs(l1 - t * kappa) <= 1e-13 * t * kappa, (x, t, kappa)
+    assert binding > 500
+
+
+def test_vector_prox_long_vector_is_feasible():
+    # an O(k^2) breakpoint table would not fit in memory at this length
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(100_000)
+    t, kappa = 0.5, 100
+    dual = x - kyfan_vector_prox(x, t, kappa)
+    assert np.max(np.abs(dual)) <= t
+    assert abs(float(np.sum(np.abs(dual))) - t * kappa) <= 1e-9 * t * kappa
+
+
 # ---------------------------------------------------------------- matrix prox
+
+
+def test_matrix_prox_is_orthogonally_equivariant():
+    rng = np.random.default_rng(11)
+    for i in range(200):
+        n = int(rng.integers(1, 6))
+        m = n + int(rng.integers(0, 3))
+        X = rng.standard_normal((n, m)) * 2.0
+        if i % 4 == 0:  # repeated singular values
+            X = np.zeros((n, m))
+            X[np.arange(n), np.arange(n)] = np.round(rng.uniform(0.5, 3.0, n))
+        kappa = int(rng.integers(1, n + 1))
+        t = float(rng.uniform(0.2, 2.0))
+        Q, R = random_orthogonal(rng, n), random_orthogonal(rng, m)
+        lhs = kyfan_matrix_prox(Q @ X @ R, t, kappa)
+        rhs = Q @ kyfan_matrix_prox(X, t, kappa) @ R
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12, (X, t, kappa)
 
 
 @settings(max_examples=40, deadline=None)
@@ -188,6 +254,24 @@ def test_probe_classifies_stable_and_unstable():
     sliding = tilt_probe(sliding_spec(), cfg)
     assert sliding.consistent_with == "Unstable"
     assert sliding.data["max_displacement_ratio"] > cfg.lipschitz_threshold
+
+
+def test_probe_takes_one_hessian_eigenvalue_solve(monkeypatch):
+    calls = []
+    orig = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return orig(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    spec = stable_spec()
+    result = tilt_probe(spec, ProbeConfig(seed=0))
+    assert calls == [(9, 9)]
+    assert len(result.data["rows"]) == 19
+    # solve_tilted computes its own step, the same one
+    X = solve_tilted(spec, np.zeros((3, 3)))
+    assert result.data["rows"][0]["solution_displacement"] == float(np.linalg.norm(X - spec.Xbar))
 
 
 def test_probe_csv_layout():

@@ -1,6 +1,7 @@
 """Tilt-stability verdicts: hull construction, sandwich test, kernel intersection."""
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import pathlib
@@ -82,6 +83,40 @@ def test_validate_flags_nonstationary_point():
         ProblemSpec(Xbar=X, nu=1.0, kappa=1, theta=theta).validate()
     assert ei.value.distance > 0.1
     assert stationarity_gap(X, -X, 1) == pytest.approx(ei.value.distance)
+
+
+def capped_simplex_proj_enum(h, mass):
+    """Projection onto {0 <= x <= 1, sum x = mass} by enumerating every
+    assignment of each coordinate to 0, 1 or free; a free block is h - lam
+    with lam fixed by the sum.  The projection is the feasible candidate
+    nearest to h."""
+    k = len(h)
+    states = np.array(list(itertools.product((0, 1, 2), repeat=k)))
+    free = states == 2
+    nfree = free.sum(axis=1)
+    ones = (states == 1).sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        lam = ((free * h).sum(axis=1) - (mass - ones)) / nfree
+    cand = np.where(free, h - lam[:, None], (states == 1).astype(float))
+    ok = (
+        np.all(cand >= -1e-12, axis=1)
+        & np.all(cand <= 1 + 1e-12, axis=1)
+        & (np.abs(cand.sum(axis=1) - mass) <= 1e-12)
+    )
+    cand = cand[ok]
+    return cand[np.argmin(np.sum((cand - h) ** 2, axis=1))]
+
+
+def test_capped_simplex_proj_matches_enumeration():
+    rng = np.random.default_rng(7)
+    for i in range(300):
+        k = int(rng.integers(1, 9))
+        h = rng.standard_normal(k) * rng.choice([0.3, 1.0, 3.0])
+        if i % 3 == 0:
+            h = np.round(h * 2) / 2  # ties, and ties one apart
+        mass = [0.0, float(k), float(rng.integers(0, k + 1)), float(rng.uniform(0, k))][i % 4]
+        got = tilt._capped_simplex_proj(h, mass)
+        assert np.max(np.abs(got - capped_simplex_proj_enum(h, mass))) <= 1e-10, (h, mass)
 
 
 @settings(max_examples=40, deadline=None)
