@@ -25,7 +25,7 @@ from kyfan_tilt.instances import (  # noqa: E402
     random_incone_direction,
     random_membership_instance,
 )
-from kyfan_tilt.oracle import QuotientConfig, d2_quotient_oracle, kyfan_matrix_prox  # noqa: E402
+from kyfan_tilt.oracle import d2_quotient_oracle, kyfan_matrix_prox  # noqa: E402
 from kyfan_tilt.secder import d2_psi_explicit, d2_psi_general  # noqa: E402
 from kyfan_tilt.subgrad import psi_value, subdiff_membership  # noqa: E402
 
@@ -80,7 +80,6 @@ def main():
                     X,
                     Gamma,
                     W,
-                    cfg=QuotientConfig(seed=args.seed + i),
                     prox_fn=lambda Y, t, k=kappa: kyfan_matrix_prox(Y, t, k),
                 )
                 if not q.divergent:

@@ -24,7 +24,6 @@ from .io import SchemaError, canonical_dumps, matrix_from_json, matrix_to_json
 from .oracle import (
     ProbeConfig,
     ProbeResult,
-    QuotientConfig,
     SolverError,
     d2_quotient_oracle,
     kyfan_matrix_prox,
@@ -259,8 +258,8 @@ def _error_report(kind, message, **extra):
     return {"error": {"kind": kind, "message": message, **extra}}
 
 
-def _quotient_check(X, Gamma, W, kappa, seed, closed):
-    """Sampled quotient oracle for d2 Psi_kappa(X | Gamma)(W) and its
+def _quotient_check(X, Gamma, W, kappa, closed):
+    """Quotient oracle for d2 Psi_kappa(X | Gamma)(W) and its
     relative gap to the closed-form value `closed` (None unless both are
     finite).  Glue only: the oracle shares no code with the closed forms."""
     q = d2_quotient_oracle(
@@ -268,7 +267,6 @@ def _quotient_check(X, Gamma, W, kappa, seed, closed):
         X,
         Gamma,
         W,
-        QuotientConfig(seed=seed),
         prox_fn=lambda Y, t: kyfan_matrix_prox(Y, t, kappa),
     )
     gap = None
@@ -371,7 +369,7 @@ def run_analyze(
             Gamma = spec.gamma_bar()
             closed = d2_psi_explicit(cert, W, tols=tols)
             general = d2_psi_general(spec.Xbar, Gamma, W, spec.kappa, tols=tols, cert=cert)
-            q, rel = _quotient_check(spec.Xbar, Gamma, W, spec.kappa, seed, closed)
+            q, rel = _quotient_check(spec.Xbar, Gamma, W, spec.kappa, closed)
             if norm == 0:
                 rel = None  # the zero direction checks nothing
             oracle_section["quotient"] = {
@@ -411,7 +409,7 @@ def run_analyze(
 
 def run_d2(problem: dict, G, gamma=None, cross_check=False, tol_overrides=None):
     """Second subderivative at (Xbar, Gamma) in direction G; (report, code)."""
-    spec, tols, options = problem_from_dict(problem, tol_overrides)
+    spec, tols, _ = problem_from_dict(problem, tol_overrides)
     G = np.asarray(G, dtype=float)
     if G.shape != (spec.n, spec.m):
         raise SchemaError(f"G: expected shape {(spec.n, spec.m)}, got {G.shape}")
@@ -430,9 +428,7 @@ def run_d2(problem: dict, G, gamma=None, cross_check=False, tol_overrides=None):
         general = d2_psi_general(spec.Xbar, Gamma, G, spec.kappa, tols=tols, cert=cert)
         cc = {"general_form": general.value}
         if v.is_finite:
-            q, cc["oracle_rel_gap"] = _quotient_check(
-                spec.Xbar, Gamma, G, spec.kappa, options["seed"], v
-            )
+            q, cc["oracle_rel_gap"] = _quotient_check(spec.Xbar, Gamma, G, spec.kappa, v)
             cc["oracle"] = q.value
             cc["oracle_divergent"] = q.divergent
         report["cross_check"] = cc
@@ -538,7 +534,7 @@ def _suite_quotient(seed, count):
             continue  # cone is trivial for this instance; nothing to compare
         done += 1
         W /= np.linalg.norm(W)
-        _, rel = _quotient_check(X, Gamma, W, kappa, seed, d2_psi_explicit(cert, W))
+        _, rel = _quotient_check(X, Gamma, W, kappa, d2_psi_explicit(cert, W))
         if rel is None:
             return False, {"reason": "infinite value on an in-cone direction"}
         worst = max(worst, rel)

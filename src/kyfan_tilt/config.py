@@ -35,7 +35,8 @@ class Tolerances:
     # hessian positive-semidefiniteness check: lambda_min >= -psd_rel *
     # max(1, ||H||_F) (quadratic theta; A^T A is PSD by construction)
     psd_rel: float = 1e-8
-    # hessian symmetry check: orth * nm * max(1, ||H||_F)
+    # symmetry checks: orth * nm * max(1, ||H||_F) for the Hessian of theta,
+    # orth * p * max(1, ||Z||_F) for the p x p input of eigen_grouped
     orth: float = 1e-10
     # witness feasibility margin for instability certificates
     margin: float = 1e-8

@@ -1,13 +1,13 @@
 """Brute-force validators, independent of the closed-form routes.
 
-Three tools: an epi-quotient sampler for second subderivatives, an exact
-Ky-Fan proximal map (the vector prox from the breakpoints of its dual
-projection, transferred through the SVD), and a proximal-gradient tilt
-probe that solves perturbed problems and estimates the solution-map
-modulus.
+Three tools: a shrinking-ball difference-quotient oracle for second
+subderivatives, an exact Ky-Fan proximal map (the vector prox from the
+breakpoints of its dual projection, transferred through the SVD), and a
+proximal-gradient tilt probe that solves perturbed problems and estimates
+the solution-map modulus.
 
-Everything here is sampling- or solver-based on purpose: the library's
-closed forms are validated against these, never the other way round.
+Everything here is solver-based on purpose: the library's closed forms are
+validated against these, never the other way round.
 """
 from __future__ import annotations
 
@@ -48,32 +48,27 @@ class QuotientConfig:
 
     tau_grid: tuple = dataclasses.field(default_factory=_default_tau_grid)
     ball_factor: float = 2.0
-    samples_per_tau: int = 200
-    polish_steps: int = 40
     descent_steps: int = 200
-    seed: int = 0
 
     def __post_init__(self):
         taus = np.asarray(self.tau_grid, dtype=float)
         if taus.size == 0 or np.any(taus <= 0) or np.any(np.diff(taus) >= 0):
             raise ValueError("tau_grid must be nonempty, positive, strictly decreasing")
-        if self.ball_factor <= 0 or self.samples_per_tau < 1:
-            raise ValueError("ball_factor must be positive, samples_per_tau >= 1")
+        if self.ball_factor <= 0:
+            raise ValueError("ball_factor must be positive")
 
 
 @dataclasses.dataclass
 class QuotientResult:
     value: float
-    extrapolated: float
     per_tau: list
     divergent: bool
-    diagnostics: dict
 
 
 def d2_quotient_oracle(
-    value_fn, x, v, w, cfg: QuotientConfig | None = None, prox_fn=None
+    value_fn, x, v, w, cfg: QuotientConfig | None = None, *, prox_fn
 ) -> QuotientResult:
-    """Sampled second-order difference quotient of a convex value_fn.
+    """Shrinking-ball second-order difference quotient of a convex value_fn.
 
     For each tau the quotient
 
@@ -86,14 +81,13 @@ def d2_quotient_oracle(
 
     The per-tau subproblem is the convex program
 
-        min value_fn(Y) - <v, Y>   over  Y in ball(x + tau*w, tau*rho),
+        min value_fn(Y) - <v, Y>   over  Y in ball(x + tau*w, ball_factor*tau**2),
 
-    so when prox_fn(Y, t) ~ prox of t*value_fn is supplied it is solved by
-    three-operator (Davis-Yin) splitting; otherwise random sampling plus a
-    projected pattern search stands in.  Candidates from either route are
-    scored through value_fn alone, so a bad prox can only weaken the
-    minimum, never fake agreement.  Deterministic for a fixed seed; sample
-    seeds are derived by counter.
+    solved by three-operator (Davis-Yin) splitting from the ball centre,
+    with step equal to the radius and prox_fn(Y, t) ~ prox of t*value_fn.
+    The centre and every iterate are scored through value_fn alone, so a
+    bad prox can only weaken the minimum, never fake agreement.  Nothing
+    is sampled: the result is a function of the inputs.
     """
     cfg = cfg or QuotientConfig()
     x = np.asarray(x, dtype=float)
@@ -106,77 +100,27 @@ def d2_quotient_oracle(
         return 2.0 * (float(value_fn(x + tau * wp)) - h0 - tau * lin) / tau**2
 
     per_tau = []
-    for ti, tau in enumerate(cfg.tau_grid):
-        rho = cfg.ball_factor * tau
+    for tau in cfg.tau_grid:
+        center = x + tau * w
+        radius = tau * (cfg.ball_factor * tau)
         best_q = quotient(tau, w)
-        best_wp = w.copy()
-        for si in range(cfg.samples_per_tau):
-            rng = np.random.default_rng((cfg.seed, ti, si))
-            d = rng.standard_normal(x.shape)
-            d /= max(np.linalg.norm(d), 1e-300)
-            cand = w + rho * rng.uniform(0.0, 1.0) * d
-            q = quotient(tau, cand)
-            if q < best_q:
-                best_q, best_wp = q, cand
-        if prox_fn is not None:
-            center = x + tau * w
-            radius = tau * rho
-
-            def proj(Y):
-                D = Y - center
-                nd = float(np.linalg.norm(D))
-                return center + D * (radius / nd) if nd > radius else Y
-
-            t = radius
-            Z = x + tau * best_wp
-            for _ in range(cfg.descent_steps):
-                Yg = proj(Z)
-                Yf = prox_fn(2.0 * Yg - Z + t * v, t)
-                Z = Z + Yf - Yg
-                q = quotient(tau, (Yg - x) / tau)
-                if q < best_q:
-                    best_q, best_wp = q, (Yg - x) / tau
-        else:
-            step = 0.5 * rho
-            for it in range(cfg.polish_steps):
-                rng = np.random.default_rng((cfg.seed, ti, 10**6 + it))
-                d = rng.standard_normal(x.shape)
-                d /= max(np.linalg.norm(d), 1e-300)
-                improved = False
-                for sgn in (1.0, -1.0):
-                    cand = best_wp + sgn * step * d
-                    dv = cand - w
-                    nd = float(np.linalg.norm(dv))
-                    if nd > rho:
-                        cand = w + dv * (rho / nd)
-                    q = quotient(tau, cand)
-                    if q < best_q:
-                        best_q, best_wp = q, cand
-                        improved = True
-                if not improved:
-                    step *= 0.7
+        Z = center
+        for _ in range(cfg.descent_steps):
+            D = Z - center  # Yg: projection of Z onto the ball
+            nd = float(np.linalg.norm(D))
+            Yg = center + D * (radius / nd) if nd > radius else Z
+            Yf = prox_fn(2.0 * Yg - Z + radius * v, radius)
+            Z = Z + Yf - Yg
+            best_q = min(best_q, quotient(tau, (Yg - x) / tau))
         per_tau.append((float(tau), float(best_q)))
 
     qs = [q for _, q in per_tau]
-    taus = [t for t, _ in per_tau]
-    t1, t2 = taus[-1], taus[-2]
-    q1, q2 = qs[-1], qs[-2]
+    (t2, q2), (t1, q1) = per_tau[-2], per_tau[-1]
     extrapolated = (t2 * q1 - t1 * q2) / (t2 - t1)
     tail_increasing = len(qs) >= 3 and qs[-1] > qs[-2] > qs[-3]
     divergent = tail_increasing and qs[-1] > 50.0 * (1.0 + abs(qs[0]))
-    diagnostics = {
-        "monotone_decreasing": bool(all(qs[i + 1] <= qs[i] + 1e-9 * (1 + abs(qs[i])) for i in range(len(qs) - 1))),
-        "tail_increasing": bool(tail_increasing),
-        "ray_quotient_smallest_tau": quotient(t1, w),
-    }
     value = math.inf if divergent else float(extrapolated)
-    return QuotientResult(
-        value=value,
-        extrapolated=float(extrapolated),
-        per_tau=per_tau,
-        divergent=bool(divergent),
-        diagnostics=diagnostics,
-    )
+    return QuotientResult(value=value, per_tau=per_tau, divergent=bool(divergent))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +195,6 @@ class SolverError(RuntimeError):
 @dataclasses.dataclass
 class SolverConfig:
     max_iters: int = 5000
-    step_rule: str = "lipschitz"
     stop_tol: float = 1e-10
 
 
@@ -288,11 +231,7 @@ def _solve_tilted(spec, V, delta, solver: SolverConfig, lmax: float):
     Xbar = np.asarray(spec.Xbar, dtype=float)
     V = np.asarray(V, dtype=float)
     nu, kappa = spec.nu, spec.kappa
-    L = max(nu * lmax, 1e-12)
-    if solver.step_rule == "lipschitz":
-        step = 1.0 / L
-    else:
-        step = float(solver.step_rule)
+    step = 1.0 / max(nu * lmax, 1e-12)
 
     def grad_g(X):
         return nu * spec.grad_theta(X) - V

@@ -55,8 +55,7 @@ class SvdPair:
     """Full ordered SVD: X = U [Diag(sigma) 0] V^T.
 
     U is n x n, V is m x m orthogonal, sigma has length n and is
-    nonincreasing.  V1 denotes the first n columns of V and Vc the trailing
-    m - n columns.
+    nonincreasing.  V1 denotes the first n columns of V.
     """
 
     U: np.ndarray
@@ -74,10 +73,6 @@ class SvdPair:
     @property
     def V1(self) -> np.ndarray:
         return self.V[:, : self.n]
-
-    @property
-    def Vc(self) -> np.ndarray:
-        return self.V[:, self.n :]
 
     def reconstruct(self) -> np.ndarray:
         return self.U @ (self.sigma[:, None] * self.V1.T)
@@ -150,13 +145,6 @@ class SingularGrouping:
         if self.groups:
             return np.concatenate(self.groups)
         return np.array([], dtype=int)
-
-    def group_of_index(self, i: int) -> int:
-        """1-based group number of row index i (s+1 for the zero block)."""
-        for l, g in enumerate(self.groups):
-            if i in g:
-                return l + 1
-        return self.s + 1
 
 
 def _chain_groups(values: np.ndarray, gap: float) -> list:
@@ -325,14 +313,6 @@ class EigenGrouping:
     mu: np.ndarray  # group representatives, descending
     theta: list  # list of index arrays
 
-    def l_of(self, i: int) -> int:
-        """Number of eigenvalues equal (by grouping) to lam[i] with
-        position <= i; this is l_{i+1}(Z) for the 0-based index i."""
-        for g in self.theta:
-            if i in g:
-                return int(i - g[0] + 1)
-        raise IndexError(i)
-
     def group_index_of(self, k: int) -> int:
         """1-based group number containing 0-based position k."""
         for j, g in enumerate(self.theta):
@@ -344,14 +324,13 @@ class EigenGrouping:
 def eigen_grouped(Z: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> EigenGrouping:
     """Eigendecompose symmetric Z with descending eigenvalues and group them.
 
-    Raises ValueError if Z is not symmetric (within orth tolerance scaled
-    by its norm).
+    Raises ValueError if Z is not symmetric: ||Z - Z^T||_F above
+    orth * p * max(1, ||Z||_F) for p x p Z, the Hessian check's scaling.
     """
     Z = np.asarray(Z, dtype=float)
-    scale = max(1.0, float(np.linalg.norm(Z)))
     if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
         raise ValueError(f"expected square matrix, got {Z.shape}")
-    if np.linalg.norm(Z - Z.T) > 1e-8 * scale:
+    if np.linalg.norm(Z - Z.T) > tols.orth * Z.shape[0] * max(1.0, float(np.linalg.norm(Z))):
         raise ValueError("matrix is not symmetric")
     lam, Q = np.linalg.eigh(sym(Z))
     lam = lam[::-1].copy()

@@ -23,7 +23,6 @@ from kyfan_tilt.instances import (
 from kyfan_tilt.io import canonical_dumps, matrix_to_json, unvec, vec
 from kyfan_tilt.oracle import (
     ProbeConfig,
-    QuotientConfig,
     d2_quotient_oracle,
     kyfan_matrix_prox,
     kyfan_vector_prox,
@@ -229,7 +228,6 @@ def test_acceptance_06_quotient_oracle(capsys):
             X,
             Gamma,
             W,
-            cfg=QuotientConfig(seed=done),
             prox_fn=lambda Y, t, k=kappa: kyfan_matrix_prox(Y, t, k),
         )
         assert not res.divergent, done

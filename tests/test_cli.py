@@ -302,8 +302,9 @@ def test_usage_error_exits_three(capsys):
 # ---------------------------------------------------------------- oracle-validate
 
 
-def test_oracle_validate_smoke(capsys):
-    code, cap = run(capsys, "oracle-validate", "--suite", "formulas", "--count", "5")
+@pytest.mark.parametrize("suite", ["formulas", "quotient"])
+def test_oracle_validate_smoke(capsys, suite):
+    code, cap = run(capsys, "oracle-validate", "--suite", suite, "--count", "3")
     assert code == 0
     lines = cap.out.strip().split("\n")
     assert lines and all("PASS" in l for l in lines)

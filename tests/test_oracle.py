@@ -174,15 +174,21 @@ def test_quotient_oracle_quadratic_landscape():
     x = np.zeros((2, 3))
     w = np.zeros((2, 3))
     w[0, 1] = 1.0
-    res = d2_quotient_oracle(lambda Y: float(np.sum(Y * Y)), x, 2.0 * x, w)
+    res = d2_quotient_oracle(
+        lambda Y: float(np.sum(Y * Y)), x, 2.0 * x, w, prox_fn=lambda Y, t: Y / (1.0 + 2.0 * t)
+    )
     assert not res.divergent
     assert abs(res.value - 2.0) < 1e-3 * 2.0
 
 
-def test_quotient_oracle_matches_frozen_spectral_value():
+def frozen_spectral_problem():
     X = np.diag([3.0, 2.0])
-    Gamma = np.diag([1.0, 0.0])
     W = np.array([[0.0, 1.0], [1.0, 0.0]]) / np.sqrt(2.0)
+    return X, np.diag([1.0, 0.0]), W
+
+
+def test_quotient_oracle_matches_frozen_spectral_value():
+    X, Gamma, W = frozen_spectral_problem()
     res = d2_quotient_oracle(
         lambda Y: psi_value(Y, 1),
         X,
@@ -200,9 +206,37 @@ def test_quotient_oracle_flags_divergence_outside_cone():
     X = np.diag([2.0, 2.0])
     Gamma = np.diag([1.0, 0.0])
     W = np.array([[0.0, 1.0], [1.0, 0.0]])
-    res = d2_quotient_oracle(lambda Y: psi_value(Y, 1), X, Gamma, W)
+    res = d2_quotient_oracle(
+        lambda Y: psi_value(Y, 1), X, Gamma, W, prox_fn=lambda Y, t: kyfan_matrix_prox(Y, t, 1)
+    )
     assert res.divergent
     assert res.value > 1e3
+
+
+def test_quotient_oracle_draws_no_random_numbers(monkeypatch):
+    def no_rng(*args, **kwargs):
+        raise AssertionError("the quotient oracle drew a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    X, Gamma, W = frozen_spectral_problem()
+    res = d2_quotient_oracle(
+        lambda Y: psi_value(Y, 1), X, Gamma, W, prox_fn=lambda Y, t: kyfan_matrix_prox(Y, t, 1)
+    )
+    assert abs(res.value - 1.0) < 1e-2
+
+
+def test_quotient_oracle_value_calls_are_one_per_iterate():
+    # value_fn(x) once, then per tau the centre and one Davis-Yin iterate per step
+    cfg = QuotientConfig(tau_grid=(1e-1, 1e-2, 1e-3), descent_steps=7)
+    calls = []
+
+    def value_fn(Y):
+        calls.append(1)
+        return psi_value(Y, 1)
+
+    X, Gamma, W = frozen_spectral_problem()
+    d2_quotient_oracle(value_fn, X, Gamma, W, cfg, prox_fn=lambda Y, t: kyfan_matrix_prox(Y, t, 1))
+    assert len(calls) == 1 + len(cfg.tau_grid) * (1 + cfg.descent_steps)
 
 
 def test_quotient_config_validation():

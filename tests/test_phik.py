@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fantope_project, oracle_dirderiv, oracle_phi, oracle_phi_membership
-from kyfan_tilt.oracle import QuotientConfig, d2_quotient_oracle
+from kyfan_tilt.oracle import d2_quotient_oracle
 from kyfan_tilt.phik import (
     IN_CONE,
     OUTSIDE,
@@ -172,7 +172,6 @@ def test_phi_second_subderiv_vs_quotient_oracle():
             Z,
             S,
             H,
-            QuotientConfig(seed=3),
             prox_fn=lambda Y, t: sym(Y) - fantope_project(sym(Y), kappa, t),
         )
         assert abs(res.value - v.value) / (1 + abs(v.value)) <= 1e-2

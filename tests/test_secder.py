@@ -15,7 +15,7 @@ from kyfan_tilt.instances import (
     random_incone_direction,
     random_membership_instance,
 )
-from kyfan_tilt.oracle import QuotientConfig, d2_quotient_oracle, kyfan_matrix_prox
+from kyfan_tilt.oracle import d2_quotient_oracle, kyfan_matrix_prox
 from kyfan_tilt.phik import IN_CONE, OUTSIDE
 from kyfan_tilt.secder import (
     critical_cone_membership,
@@ -226,7 +226,6 @@ def test_quotient_oracle_agrees_on_separated_instance():
         X,
         Gamma,
         W,
-        cfg=QuotientConfig(seed=11),
         prox_fn=lambda Y, t, k=kappa: kyfan_matrix_prox(Y, t, k),
     )
     assert not res.divergent

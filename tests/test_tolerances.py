@@ -15,6 +15,7 @@ import pytest
 from kyfan_tilt.cli import main
 from kyfan_tilt.config import Tolerances
 from kyfan_tilt.io import matrix_to_json, unvec, vec
+from kyfan_tilt.spectral import eigen_grouped
 from kyfan_tilt.subgrad import subdiff_membership
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -109,6 +110,15 @@ def test_psd_rel_knob_moves_the_psd_check(tmp_path, capsys):
     assert "lambda_min = -1.000e-06" in report["error"]["message"]
     code, report = run(capsys, "analyze", pf, "--tol.psd_rel=1e-5")
     assert code == 1 and report["verdict"]["status"] == "Unstable"
+
+
+def test_orth_knob_moves_the_symmetry_check():
+    # ||Z - Z^T||_F = sqrt(2) * 1e-9 against orth * 4 * max(1, ||Z||_F) = 4e-10
+    Z = np.diag([0.4, 0.3, 0.2, 0.1])
+    Z[0, 1] += 1e-9
+    with pytest.raises(ValueError, match="not symmetric"):
+        eigen_grouped(Z)
+    assert len(eigen_grouped(Z, tols=Tolerances(orth=1e-9)).lam) == 4
 
 
 def test_removed_angle_tolerance_is_unknown(tmp_path, capsys):
