@@ -5,6 +5,8 @@ Per case (interior / zero_strict / zero_tight), draws random membership
 instances with in-cone directions and records the worst relative gap between
 d2_psi_general and d2_psi_explicit, plus the worst gap of the sampled
 difference-quotient oracle on a smaller subsample (the oracle is slow).
+Each case draws from its own generator, seeded by --seed and the case's
+position, so the same --seed gives the same lines on every run.
 The oracle comparison uses unit directions and well-separated singular
 values: the shrinking-ball quotient needs tau well inside the spectral
 gaps before the quadratic regime is visible.
@@ -46,8 +48,8 @@ def main():
     print("=" * 76)
     t0 = time.time()
     overall_ok = True
-    for case in (INTERIOR, ZERO_STRICT, ZERO_TIGHT):
-        rng = np.random.default_rng((args.seed, hash(case) % 2**32))
+    for ci, case in enumerate((INTERIOR, ZERO_STRICT, ZERO_TIGHT)):
+        rng = np.random.default_rng((args.seed, ci))
         worst_pair = 0.0
         worst_oracle = 0.0
         finite = infinite = 0
@@ -75,6 +77,7 @@ def main():
             if oracle_runs < args.oracle_per_case and ng > 1e-9:
                 W = G / ng
                 aw = d2_psi_general(X, Gamma, W, kappa, cert=cert)
+                # psi_value and the prox take the oracle's stacks of matrices
                 q = d2_quotient_oracle(
                     lambda Y, k=kappa: psi_value(Y, k),
                     X,

@@ -53,6 +53,12 @@ EXIT_ERROR = 3
 
 _VERDICT_EXIT = {STABLE: EXIT_STABLE, UNSTABLE: EXIT_UNSTABLE, INCONCLUSIVE: EXIT_INCONCLUSIVE}
 
+# resource bounds, checked at parse time: each rotation sample holds an
+# nm x hull_dim basis (hull_dim <= nm), so (samples + 1) * nm^2 floats must
+# fit in ROTATION_FLOATS (1 GiB); MAX_D2_SAMPLES caps --d2-samples
+ROTATION_FLOATS = 2**27
+MAX_D2_SAMPLES = 10_000
+
 
 # ---------------------------------------------------------------------------
 # schema
@@ -74,6 +80,12 @@ def _as_int(v, where, lo=None, hi=None):
     if hi is not None and v > hi:
         raise SchemaError(f"{where}: must be <= {hi}, got {v}")
     return v
+
+
+def _rotation_samples(v, where, nm):
+    """Rotation samples, bounded so that (v + 1) * nm^2 <= ROTATION_FLOATS;
+    0 is always allowed."""
+    return _as_int(v, where, lo=0, hi=max(0, ROTATION_FLOATS // (nm * nm) - 1))
 
 
 def _as_real(v, where, positive=False):
@@ -152,7 +164,10 @@ def problem_from_dict(d, tol_overrides=None):
     for k, v in opts_in.items():
         if k not in options:
             raise SchemaError(f"options.{k}: unknown option")
-        options[k] = _as_int(v, f"options.{k}", lo=0)
+        if k == "rotation_samples":
+            options[k] = _rotation_samples(v, f"options.{k}", n * m)
+        else:
+            options[k] = _as_int(v, f"options.{k}", lo=0)
     spec = ProblemSpec(Xbar=X, nu=nu, kappa=kappa, theta=theta)
     return spec, tols, options
 
@@ -261,7 +276,8 @@ def _error_report(kind, message, **extra):
 def _quotient_check(X, Gamma, W, kappa, closed):
     """Quotient oracle for d2 Psi_kappa(X | Gamma)(W) and its
     relative gap to the closed-form value `closed` (None unless both are
-    finite).  Glue only: the oracle shares no code with the closed forms."""
+    finite).  psi_value and kyfan_matrix_prox take the oracle's stacks as
+    they are.  Glue only: the oracle shares no code with the closed forms."""
     q = d2_quotient_oracle(
         lambda Y: psi_value(Y, kappa),
         X,
@@ -297,9 +313,9 @@ def run_analyze(
     rot = (
         options["rotation_samples"]
         if rotation_samples is None
-        else _as_int(rotation_samples, "--rotation-samples", lo=0)
+        else _rotation_samples(rotation_samples, "--rotation-samples", spec.n * spec.m)
     )
-    d2_samples = _as_int(d2_samples, "--d2-samples", lo=0)
+    d2_samples = _as_int(d2_samples, "--d2-samples", lo=0, hi=MAX_D2_SAMPLES)
     stamps = {}
     try:
         t0 = time.perf_counter()

@@ -65,6 +65,31 @@ class QuotientResult:
     divergent: bool
 
 
+def _norms(D):
+    """Frobenius norm of each matrix of the stack D (k, n, m), rounded as
+    np.linalg.norm rounds one matrix: the square root of a dot of the
+    raveled matrix."""
+    k = len(D)
+    return np.sqrt((D.reshape(k, 1, -1) @ D.reshape(k, -1, 1))[:, 0, 0])
+
+
+def _inner(A, B):
+    """<A_i, B_i> for each matrix of the stack A * B, summed as np.sum sums
+    one matrix (pairwise, over the raveled matrix)."""
+    P = A * B
+    return np.sum(P.reshape(len(P), -1), axis=-1)
+
+
+def _proj_ball(Y, centre, radius):
+    """Projection of each matrix of the stack Y onto the ball of its radius
+    (scalar or one per matrix) around centre."""
+    D = Y - centre
+    nd = _norms(D)
+    out = nd > radius
+    scale = radius / np.where(out, nd, radius)
+    return np.where(out[:, None, None], centre + D * scale[:, None, None], Y)
+
+
 def d2_quotient_oracle(
     value_fn, x, v, w, cfg: QuotientConfig | None = None, *, prox_fn
 ) -> QuotientResult:
@@ -88,31 +113,41 @@ def d2_quotient_oracle(
     The centre and every iterate are scored through value_fn alone, so a
     bad prox can only weaken the minimum, never fake agreement.  Nothing
     is sampled: the result is a function of the inputs.
+
+    Both callables take stacks: value_fn(Y) maps Y of shape (k, n, m) to
+    its k values, and prox_fn(Y, t) maps Y with steps t of shape (k,) to
+    the k proximal points.  The taus run in lockstep, one stack row each:
+    value_fn scores x alone, then the centres, then every Davis-Yin step
+    makes one ball projection, one prox_fn call and one value_fn call
+    over all taus.
     """
     cfg = cfg or QuotientConfig()
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
-    h0 = float(value_fn(x))
+    h0 = float(np.asarray(value_fn(x[None]), dtype=float)[0])
+    tau = np.array(cfg.tau_grid, dtype=float)
+    # squared one scalar at a time: np.float64 ** 2 and the array square
+    # round differently on some values
+    tau2 = np.array([t**2 for t in cfg.tau_grid], dtype=float)
+    T = tau[:, None, None]
 
-    def quotient(tau, wp):
-        lin = float(np.sum(v * wp))
-        return 2.0 * (float(value_fn(x + tau * wp)) - h0 - tau * lin) / tau**2
+    def quotient(wp):
+        lin = _inner(v, wp)
+        val = np.asarray(value_fn(x + T * wp), dtype=float)
+        return 2.0 * (val - h0 - tau * lin) / tau2
 
-    per_tau = []
-    for tau in cfg.tau_grid:
-        center = x + tau * w
-        radius = tau * (cfg.ball_factor * tau)
-        best_q = quotient(tau, w)
-        Z = center
-        for _ in range(cfg.descent_steps):
-            D = Z - center  # Yg: projection of Z onto the ball
-            nd = float(np.linalg.norm(D))
-            Yg = center + D * (radius / nd) if nd > radius else Z
-            Yf = prox_fn(2.0 * Yg - Z + radius * v, radius)
-            Z = Z + Yf - Yg
-            best_q = min(best_q, quotient(tau, (Yg - x) / tau))
-        per_tau.append((float(tau), float(best_q)))
+    center = x + T * w
+    radius = tau * (cfg.ball_factor * tau)
+    best = quotient(np.broadcast_to(w, center.shape))
+    Z = center
+    for _ in range(cfg.descent_steps):
+        Yg = _proj_ball(Z, center, radius)
+        Yf = prox_fn(2.0 * Yg - Z + radius[:, None, None] * v, radius)
+        Z = Z + Yf - Yg
+        q = quotient((Yg - x) / T)
+        best = np.where(q < best, q, best)
+    per_tau = [(float(t), float(q)) for t, q in zip(tau, best)]
 
     qs = [q for _, q in per_tau]
     (t2, q2), (t1, q1) = per_tau[-2], per_tau[-1]
@@ -128,36 +163,55 @@ def d2_quotient_oracle(
 # ---------------------------------------------------------------------------
 
 
+def _searchsorted_rows(a, v, side):
+    """np.searchsorted(a[r], v[r], side) for every row r of a, whose rows
+    are sorted.  Keyed as complex (row, value), which numpy orders
+    lexicographically, all rows make one flat sorted array and one search."""
+    r = np.arange(len(a))[:, None]
+    ka, kv = np.empty(a.shape, complex), np.empty(v.shape, complex)
+    ka.real, ka.imag, kv.real, kv.imag = r, a, r, v
+    return np.searchsorted(ka.ravel(), kv.ravel(), side).reshape(v.shape) - r * a.shape[1]
+
+
 def _proj_capped_l1(x, cap, budget):
-    """Projection onto {y : |y_i| <= cap, sum |y_i| <= budget}.
+    """Projection of each row x_r of x (rows, k) onto
+    {y : |y_i| <= cap_r, sum |y_i| <= budget_r}.
 
     When the l1 cap binds, y = sign(x) * clip(|x| - lam, 0, cap) with the
     multiplier lam >= 0 solving s(lam) = budget, where
     s(lam) = sum clip(|x_i| - lam, 0, cap) is nonincreasing and piecewise
     linear with kinks at |x_i| and |x_i| - cap.  s is evaluated at every
     kink from sorted prefix sums, and lam is interpolated on the one piece
-    where s crosses the budget: O(k log k), no iteration.
+    where s crosses the budget: O(k log k) per row, no iteration.
     """
-    y = np.clip(x, -cap, cap)
-    if float(np.sum(np.abs(y))) <= budget * (1 + 1e-15):
+    c = cap[:, None]
+    y = np.clip(x, -c, c)
+    over = np.sum(np.abs(y), axis=1) > budget * (1 + 1e-15)
+    if not over.any():
         return y
+    x, c, budget = x[over], c[over], budget[over, None]
     a = np.abs(x)
-    srt = np.sort(a)
-    prefix = np.concatenate(([0.0], np.cumsum(srt)))
-    knots = np.sort(np.concatenate((srt - cap, srt)))
-    lo = np.searchsorted(srt, knots, side="right")  # a_i <= lam: clipped to 0
-    hi = np.searchsorted(srt, knots + cap, side="left")  # a_i >= lam + cap: capped
-    s = cap * (len(srt) - hi) + (prefix[hi] - prefix[lo]) - knots * (hi - lo)
+    srt = np.sort(a, axis=1)
+    prefix = np.concatenate((np.zeros((len(a), 1)), np.cumsum(srt, axis=1)), axis=1)
+    knots = np.sort(np.concatenate((srt - c, srt), axis=1), axis=1)
+    lo = _searchsorted_rows(srt, knots, "right")  # a_i <= lam: clipped to 0
+    hi = _searchsorted_rows(srt, knots + c, "left")  # a_i >= lam + cap: capped
+    r = np.arange(len(a))[:, None]
+    s = c * (srt.shape[1] - hi) + (prefix[r, hi] - prefix[r, lo]) - knots * (hi - lo)
     # s is k * cap >= s(0) > budget at the first kink and 0 at the last, so
-    # the crossing lies at some lam > 0
-    j = int(np.argmax(s <= budget))
-    if j == 0:  # only by rounding
-        return y
-    lam = knots[j - 1] + (s[j - 1] - budget) / (s[j - 1] - s[j]) * (knots[j] - knots[j - 1])
-    return np.sign(x) * np.minimum(np.maximum(a - lam, 0.0), cap)
+    # the crossing lies at some lam > 0; j == 0 only by rounding
+    j = np.argmax(s <= budget, axis=1)[:, None]
+    jm = np.maximum(j - 1, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = knots[r, jm] + (s[r, jm] - budget) / (s[r, jm] - s[r, j]) * (
+            knots[r, j] - knots[r, jm]
+        )
+    proj = np.sign(x) * np.minimum(np.maximum(a - lam, 0.0), c)
+    y[over] = np.where(j > 0, proj, y[over])
+    return y
 
 
-def kyfan_vector_prox(x, t: float, kappa: int) -> np.ndarray:
+def kyfan_vector_prox(x, t, kappa: int) -> np.ndarray:
     """prox of t * (sum of the kappa largest |x_i|), by Moreau decomposition.
 
     The conjugate unit ball is B = {y : ||y||_inf <= 1, ||y||_1 <= kappa},
@@ -165,22 +219,28 @@ def kyfan_vector_prox(x, t: float, kappa: int) -> np.ndarray:
     inactive and this is plain soft-thresholding at t.  The projection is
     exact: its l1 multiplier is read off the breakpoints of a piecewise
     linear equation (Wu, Ding, Sun & Toh, SIAM J. Optim. 24(2), 2014).
+
+    x may carry leading axes (..., k); t is a scalar or one step per
+    vector, broadcast to x.shape[:-1].
     """
     x = np.asarray(x, dtype=float)
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    return x - _proj_capped_l1(x, float(t), float(t) * kappa)
+    t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[:-1]).reshape(-1)
+    if np.any(t <= 0):
+        raise ValueError(f"t must be positive, got {t.min()}")
+    rows = x.reshape(-1, x.shape[-1])
+    return (rows - _proj_capped_l1(rows, t, t * kappa)).reshape(x.shape)
 
 
-def kyfan_matrix_prox(X, t: float, kappa: int) -> np.ndarray:
+def kyfan_matrix_prox(X, t, kappa: int) -> np.ndarray:
     """Spectral transfer of the vector prox through a reduced SVD.
 
-    The prox depends only on the singular subspaces, not on the signs or
-    the basis chosen inside a repeated singular value, so no sign
-    convention is needed."""
+    X is one matrix or a stack (..., n, m), with t a scalar or one step per
+    matrix; the stack takes one np.linalg.svd call.  The prox depends only
+    on the singular subspaces, not on the signs or the basis chosen inside
+    a repeated singular value, so no sign convention is needed."""
     U, sigma, Vt = np.linalg.svd(np.asarray(X, dtype=float), full_matrices=False)
     p = kyfan_vector_prox(sigma, t, kappa)
-    return U @ (p[:, None] * Vt)
+    return U @ (p[..., :, None] * Vt)
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +281,16 @@ def _hessian_lmax(spec) -> float:
 
 
 def _solve_tilted(spec, V, delta, solver: SolverConfig, lmax: float):
-    """FISTA with function restarts on nu*theta(X) - <V,X> + Psi_kappa(X),
-    iterates projected into the delta-ball around Xbar; lmax is
-    _hessian_lmax(spec), passed in so that a probe computes it once.
-    Returns the point, the prox-gradient residual, and the iteration
-    count."""
+    """FISTA with function restarts on nu*theta(X) - <V_r,X> + Psi_kappa(X)
+    for each tilt V_r of the stack V (k, n, m), iterates projected into the
+    delta-ball around Xbar; lmax is _hessian_lmax(spec), passed in so that
+    a probe computes it once.
+
+    The solves advance in lockstep, one stack row each, with momentum,
+    restarts and the fixed-point stop kept per row; a row leaves the stack
+    when it stops.  Returns the points and their prox-gradient residuals,
+    one per tilt.  SolverError names the first tilt, in stack order, that
+    exhausts max_iters."""
     from .subgrad import psi_value
 
     Xbar = np.asarray(spec.Xbar, dtype=float)
@@ -233,60 +298,62 @@ def _solve_tilted(spec, V, delta, solver: SolverConfig, lmax: float):
     nu, kappa = spec.nu, spec.kappa
     step = 1.0 / max(nu * lmax, 1e-12)
 
-    def grad_g(X):
-        return nu * spec.grad_theta(X) - V
-
     # Restarts only compare objective differences, so theta is reconstructed
     # up to a constant by the quadratic identity theta(X) = 0.5<grad(X)+grad(0), X> + const.
     g0 = spec.grad_theta(np.zeros_like(Xbar))
 
-    def composite(X):
-        quad = 0.5 * float(np.sum((spec.grad_theta(X) + g0) * X))
-        return nu * quad - float(np.sum(V * X)) + psi_value(X, kappa)
+    def composite(X, V):
+        quad = 0.5 * _inner(spec.grad_theta(X) + g0, X)
+        return nu * quad - _inner(V, X) + psi_value(X, kappa)
 
-    def proj_ball(X):
-        D = X - Xbar
-        nd = float(np.linalg.norm(D))
-        if nd > delta:
-            return Xbar + D * (delta / nd)
-        return X
+    def T(X, V):
+        G = nu * spec.grad_theta(X) - V
+        return _proj_ball(kyfan_matrix_prox(X - step * G, step, kappa), Xbar, delta)
 
-    def T(X):
-        return proj_ball(kyfan_matrix_prox(X - step * grad_g(X), step, kappa))
-
-    X = Xbar.copy()
-    Z = Xbar.copy()
-    tk = 1.0
-    f_prev = composite(X)
-    res = math.inf
-    for it in range(solver.max_iters):
-        Xn = T(Z)
-        res = float(np.linalg.norm(Xn - Z)) / step
-        fn = composite(Xn)
-        if fn > f_prev + 1e-15 * (1 + abs(f_prev)):
+    k = len(V)
+    X_out, res_out = np.empty_like(V), np.empty(k)
+    live = np.arange(k)
+    X = np.broadcast_to(Xbar, V.shape).copy()
+    Z = X.copy()
+    tk = np.ones(k)
+    f_prev = composite(X, V)
+    res = np.full(k, math.inf)
+    tol = solver.stop_tol * (1.0 + float(np.linalg.norm(Xbar)))
+    for _ in range(solver.max_iters):
+        Xn = T(Z, V)
+        res = _norms(Xn - Z) / step
+        fn = composite(Xn, V)
+        r = fn > f_prev + 1e-15 * (1 + np.abs(f_prev))
+        if r.any():
             # function restart: drop momentum
-            Z = X.copy()
-            tk = 1.0
-            Xn = T(Z)
-            fn = composite(Xn)
-            res = float(np.linalg.norm(Xn - Z)) / step
-        tn = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
-        Z = Xn + ((tk - 1.0) / tn) * (Xn - X)
+            Z[r] = X[r]
+            tk[r] = 1.0
+            Xn[r] = T(Z[r], V[r])
+            fn[r] = composite(Xn[r], V[r])
+            res[r] = _norms(Xn[r] - Z[r]) / step
+        tn = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
+        Z = Xn + ((tk - 1.0) / tn)[:, None, None] * (Xn - X)
         X, tk, f_prev = Xn, tn, fn
-        fixed_res = float(np.linalg.norm(X - T(X))) / step
-        if fixed_res <= solver.stop_tol * (1.0 + float(np.linalg.norm(Xbar))):
-            return X, fixed_res, it + 1
+        fixed_res = _norms(X - T(X, V)) / step
+        done = fixed_res <= tol
+        if done.any():
+            X_out[live[done]], res_out[live[done]] = X[done], fixed_res[done]
+            keep = ~done
+            live, X, Z, V, tk, f_prev, res = (a[keep] for a in (live, X, Z, V, tk, f_prev, res))
+            if not live.size:
+                return X_out, res_out
     raise SolverError(
         f"proximal gradient did not reach stop_tol={solver.stop_tol:.1e} in "
-        f"{solver.max_iters} iterations (residual {res:.3e})"
+        f"{solver.max_iters} iterations (residual {float(res[0]):.3e})"
     )
 
 
 def solve_tilted(spec, V, cfg: ProbeConfig | None = None) -> np.ndarray:
     """argmin of nu*theta(X) - <V,X> + Psi_kappa(X) over the delta-ball."""
     cfg = cfg or ProbeConfig()
-    X, _, _ = _solve_tilted(spec, V, cfg.delta, cfg.solver, _hessian_lmax(spec))
-    return X
+    V = np.asarray(V, dtype=float)[None]
+    X, _ = _solve_tilted(spec, V, cfg.delta, cfg.solver, _hessian_lmax(spec))
+    return X[0]
 
 
 @dataclasses.dataclass
@@ -314,15 +381,13 @@ def tilt_probe(spec, cfg: ProbeConfig | None = None) -> ProbeResult:
         D = rng.standard_normal((n, m))
         D /= np.linalg.norm(D)
         dirs.extend([D, -D])
-    lmax = _hessian_lmax(spec)
-    solves = []  # (tilt_id, V, X, residual)
-    X0, res0, _ = _solve_tilted(spec, np.zeros((n, m)), cfg.delta, cfg.solver, lmax)
-    solves.append(("untilted", np.zeros((n, m)), X0, res0))
+    tilts = [("untilted", np.zeros((n, m)))]
     for di, D in enumerate(dirs):
         for mi, mag in enumerate(cfg.tilt_magnitudes):
-            V = mag * D
-            X, res, _ = _solve_tilted(spec, V, cfg.delta, cfg.solver, lmax)
-            solves.append((f"d{di}_m{mi}", V, X, res))
+            tilts.append((f"d{di}_m{mi}", mag * D))
+    Vs = np.stack([V for _, V in tilts])
+    Xs, res = _solve_tilted(spec, Vs, cfg.delta, cfg.solver, _hessian_lmax(spec))
+    solves = [(tid, V, X, r) for (tid, V), X, r in zip(tilts, Xs, res)]
     rows = []
     for tilt_id, V, X, res in solves:
         rows.append(

@@ -49,14 +49,16 @@ INTERIOR_GROUP = "InteriorGroup"
 ZERO_GROUP = "ZeroGroup"
 
 
-def psi_value(X: np.ndarray, kappa: int) -> float:
-    """Sum of the kappa largest singular values of X."""
+def psi_value(X: np.ndarray, kappa: int):
+    """Sum of the kappa largest singular values of X: a float for one
+    matrix, an array of values for a stack (..., n, m)."""
     X = np.asarray(X, dtype=float)
-    n = min(X.shape)
+    n = min(X.shape[-2:])
     if not (1 <= kappa <= n):
         raise ValueError(f"kappa must be in [1, {n}], got {kappa}")
     s = np.linalg.svd(X, compute_uv=False)
-    return float(np.sum(s[:kappa]))
+    values = np.sum(s[..., :kappa], axis=-1)
+    return float(values) if X.ndim == 2 else values
 
 
 @dataclasses.dataclass

@@ -71,14 +71,16 @@ class StationarityError(ValueError):
 
 @dataclasses.dataclass
 class QuadraticTheta:
-    """theta(X) = 0.5 vec(X)^T Q vec(X) + <L, X>, row-major vec."""
+    """theta(X) = 0.5 vec(X)^T Q vec(X) + <L, X>, row-major vec.
+
+    grad takes one matrix or a stack (..., n, m)."""
 
     Q: np.ndarray
     L: np.ndarray
 
     def grad(self, X):
-        n, m = X.shape
-        return unvec(self.Q @ vec(X), n, m) + self.L
+        *lead, n, m = X.shape
+        return (self.Q @ X.reshape(*lead, n * m, 1)).reshape(X.shape) + self.L
 
     def hessian(self):
         return np.asarray(self.Q, dtype=float)
@@ -120,15 +122,16 @@ class LeastSquaresTheta:
     """theta(X) = 0.5 * || A vec(X) - b ||^2.
 
     The verdict never forms the Hessian A^T A: it works with A B and
-    A^T (A w).  hessian() forms it for the oracles."""
+    A^T (A w).  hessian() forms it for the oracles.  grad takes one matrix
+    or a stack (..., n, m)."""
 
     A: np.ndarray
     b: np.ndarray
 
     def grad(self, X):
-        n, m = X.shape
-        r = self.A @ vec(X) - self.b
-        return unvec(self.A.T @ r, n, m)
+        *lead, n, m = X.shape
+        r = self.A @ X.reshape(*lead, n * m, 1) - self.b[:, None]
+        return (self.A.T @ r).reshape(X.shape)
 
     def hessian(self):
         return self.A.T @ self.A

@@ -278,6 +278,45 @@ def test_negative_resource_knobs_exit_three(tmp_path, capsys, command, flag):
     assert error["message"].startswith(f"{flag}: must be >= 0")
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("analyze", "--rotation-samples"),
+        ("analyze", "--d2-samples"),
+        ("tilt", "--rotation-samples"),
+        ("analyze", "options.rotation_samples"),
+    ],
+)
+def test_huge_resource_knobs_exit_three_before_any_work(tmp_path, capsys, monkeypatch, command, flag):
+    # 10**12 rotation samples would hold 10**12 hull bases: the bound is
+    # checked at parse time, before validation or the verdict run
+    def no_work(*args, **kwargs):
+        raise AssertionError("the analysis ran")
+
+    monkeypatch.setattr(cli.ProblemSpec, "validate", no_work)
+    if flag.startswith("options."):
+        pf = write_json(tmp_path, "p.json", problem_dict(X3, G3, 2, options={"rotation_samples": 10**12}))
+        code, cap = run(capsys, command, pf)
+    else:
+        pf = write_json(tmp_path, "p.json", problem_dict(X3, G3, 2))
+        code, cap = run(capsys, command, pf, flag, str(10**12))
+    assert code == 3
+    error = json.loads(cap.out)["error"]
+    assert error["kind"] == "schema"
+    assert error["message"].startswith(f"{flag}: must be <= ")
+
+
+def test_rotation_sample_bound_scales_with_nm():
+    # (samples + 1) * nm^2 <= 2^27 floats; nm = 9 allows 1,657,007 samples
+    d = problem_dict(X3, G3, 2, options={"rotation_samples": 2**27 // 81 - 1})
+    assert cli.problem_from_dict(d)[2]["rotation_samples"] == 2**27 // 81 - 1
+    d["options"]["rotation_samples"] += 1
+    with pytest.raises(cli.SchemaError, match="must be <= 1657007,"):
+        cli.problem_from_dict(d)
+    with pytest.raises(cli.SchemaError, match="--d2-samples: must be <= 10000"):
+        cli.run_analyze(problem_dict(X3, G3, 2), d2_samples=cli.MAX_D2_SAMPLES + 1)
+
+
 def test_tolerance_overrides_parse(tmp_path, capsys):
     pf = write_json(tmp_path, "p.json", problem_dict(X3, G3, 2))
     code, cap = run(capsys, "analyze", pf, "--tol.subdiff=1e-6", "--tol.cone", "1e-6")

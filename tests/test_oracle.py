@@ -19,6 +19,7 @@ from kyfan_tilt.oracle import (
     QuotientConfig,
     SolverConfig,
     SolverError,
+    _proj_capped_l1,
     d2_quotient_oracle,
     kyfan_matrix_prox,
     kyfan_vector_prox,
@@ -162,6 +163,42 @@ def test_matrix_prox_optimality_via_membership(seed):
     assert oracle_psi_membership(Z, (Y - Z) / t, kappa, tol=1e-7)
 
 
+def test_matrix_prox_stack_matches_single_calls():
+    # one stacked call, mixed steps, kappa = n and tied singular values
+    # included, equals the one-matrix calls bit for bit
+    rng = np.random.default_rng(17)
+    for n, m in ((1, 1), (2, 3), (3, 3), (4, 6)):
+        Ys = rng.standard_normal((8, n, m)) * 2.0
+        Ys[1] = 0.0
+        Ys[1, np.arange(n), np.arange(n)] = 2.0  # all singular values tied
+        Ys[2] = 0.0
+        Ys[2, np.arange(n), np.arange(n)] = np.round(rng.uniform(0.5, 3.0, n))
+        ts = rng.uniform(0.05, 3.0, 8)
+        for kappa in range(1, n + 1):
+            stacked = kyfan_matrix_prox(Ys, ts, kappa)
+            for Y, t, Z in zip(Ys, ts, stacked):
+                assert np.array_equal(Z, kyfan_matrix_prox(Y, float(t), kappa))
+
+
+def test_capped_l1_rows_match_single_rows():
+    # rows where the l1 cap binds sit next to rows where it does not, and
+    # next to rows that the box alone leaves inside; each row equals its
+    # one-row projection bit for bit
+    rng = np.random.default_rng(23)
+    for i in range(300):
+        x, t, kappa, _ = prox_case(rng, i)
+        k = len(x)
+        xs = np.stack([x, 0.01 * x, x[::-1], np.abs(x) + 0.3 * t, np.zeros(k)])
+        ts = t * np.array([1.0, 1.0, 0.5, 2.0, 1.0])
+        budgets = ts * np.array([kappa, kappa, 1, k, kappa])
+        rows = _proj_capped_l1(xs, ts, budgets)
+        for xr, tr, br, yr in zip(xs, ts, budgets, rows):
+            assert np.array_equal(yr, _proj_capped_l1(xr[None], tr[None], br[None])[0])
+    # and both kinds occur
+    y = _proj_capped_l1(np.array([[3.0, 2.0], [0.2, 0.1]]), np.ones(2), np.ones(2))
+    assert np.array_equal(y, [[1.0, 0.0], [0.2, 0.1]])
+
+
 def test_matrix_prox_large_step_kills_small_matrix():
     Y = 0.1 * np.eye(3)
     assert np.allclose(kyfan_matrix_prox(Y, 1.0, 3), 0.0, atol=1e-12)
@@ -175,7 +212,11 @@ def test_quotient_oracle_quadratic_landscape():
     w = np.zeros((2, 3))
     w[0, 1] = 1.0
     res = d2_quotient_oracle(
-        lambda Y: float(np.sum(Y * Y)), x, 2.0 * x, w, prox_fn=lambda Y, t: Y / (1.0 + 2.0 * t)
+        lambda Y: np.sum(Y * Y, axis=(1, 2)),
+        x,
+        2.0 * x,
+        w,
+        prox_fn=lambda Y, t: Y / (1.0 + 2.0 * t[:, None, None]),
     )
     assert not res.divergent
     assert abs(res.value - 2.0) < 1e-3 * 2.0
@@ -226,17 +267,51 @@ def test_quotient_oracle_draws_no_random_numbers(monkeypatch):
 
 
 def test_quotient_oracle_value_calls_are_one_per_iterate():
-    # value_fn(x) once, then per tau the centre and one Davis-Yin iterate per step
+    # value_fn(x) once, then per tau the centre and one Davis-Yin iterate per
+    # step: one call for x, one for the centres, one per lockstep step
     cfg = QuotientConfig(tau_grid=(1e-1, 1e-2, 1e-3), descent_steps=7)
-    calls = []
+    rows = []
 
     def value_fn(Y):
-        calls.append(1)
+        rows.append(len(Y))
         return psi_value(Y, 1)
 
     X, Gamma, W = frozen_spectral_problem()
     d2_quotient_oracle(value_fn, X, Gamma, W, cfg, prox_fn=lambda Y, t: kyfan_matrix_prox(Y, t, 1))
-    assert len(calls) == 1 + len(cfg.tau_grid) * (1 + cfg.descent_steps)
+    assert len(rows) == 2 + cfg.descent_steps
+    assert sum(rows) == 1 + len(cfg.tau_grid) * (1 + cfg.descent_steps)
+    assert rows[0] == 1 and set(rows[1:]) == {len(cfg.tau_grid)}
+
+
+def test_quotient_lockstep_matches_sub_grid_runs():
+    # each tau's row of the lockstep descent is independent of the others:
+    # the 9-tau per_tau equals the entries of 2-tau runs, bit for bit
+    rng = np.random.default_rng(3)
+    X = np.diag([3.0, 2.0, 2.0]) + 0.1 * rng.standard_normal((3, 3))
+    Gamma = np.diag([1.0, 0.5, 0.5])
+    W = rng.standard_normal((3, 3))
+    W /= np.linalg.norm(W)
+    cfg = QuotientConfig(descent_steps=40)
+    taus = cfg.tau_grid
+
+    def run(grid):
+        return d2_quotient_oracle(
+            lambda Y: psi_value(Y, 2),
+            X,
+            Gamma,
+            W,
+            QuotientConfig(tau_grid=grid, descent_steps=cfg.descent_steps),
+            prox_fn=lambda Y, t: kyfan_matrix_prox(Y, t, 2),
+        ).per_tau
+
+    full = run(taus)
+    assert len(full) == 9
+    for i in range(0, 9, 2):
+        pair = (taus[i], taus[i + 1]) if i + 1 < 9 else (taus[i - 1], taus[i])
+        sub = dict(run(pair))
+        for tau, q in full:
+            if tau in sub:
+                assert sub[tau] == q, (tau, sub[tau], q)
 
 
 def test_quotient_config_validation():
@@ -306,6 +381,34 @@ def test_probe_takes_one_hessian_eigenvalue_solve(monkeypatch):
     # solve_tilted computes its own step, the same one
     X = solve_tilted(spec, np.zeros((3, 3)))
     assert result.data["rows"][0]["solution_displacement"] == float(np.linalg.norm(X - spec.Xbar))
+
+
+def test_probe_rows_match_single_magnitude_probes():
+    # each solve of the lockstep stack is independent of the others: a
+    # probe's rows equal the rows of the probes with one magnitude each
+    spec = stable_spec()
+    cfg = ProbeConfig(seed=4, tilt_magnitudes=(1e-4, 1e-3, 1e-2))
+    full = {row["tilt_id"]: row for row in tilt_probe(spec, cfg).data["rows"]}
+    for mi, mag in enumerate(cfg.tilt_magnitudes):
+        single = tilt_probe(spec, ProbeConfig(seed=4, tilt_magnitudes=(mag,))).data["rows"]
+        assert single[0] == full["untilted"]
+        for row in single[1:]:
+            di = row["tilt_id"].split("_")[0]
+            assert row == {**full[f"{di}_m{mi}"], "tilt_id": row["tilt_id"]}
+
+
+def test_probe_raises_for_the_first_solve_in_order():
+    # the untilted solve comes first: its error is the probe's
+    X = np.diag([3.0, 2.0, 1.0])
+    Gamma = np.diag([1.0, 1.0, 0.0])
+    spec = make_quadratic_spec(X, Gamma, 2, np.diag(np.linspace(0.05, 1.0, 9)))
+    spec.Xbar = spec.Xbar + 1e-3  # start off the minimizer so no solve stops at once
+    cfg = ProbeConfig(seed=0, solver=SolverConfig(max_iters=3))
+    with pytest.raises(SolverError) as alone:
+        solve_tilted(spec, np.zeros((3, 3)), cfg)
+    with pytest.raises(SolverError) as probe:
+        tilt_probe(spec, cfg)
+    assert str(probe.value) == str(alone.value)
 
 
 def test_probe_csv_layout():

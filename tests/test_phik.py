@@ -167,11 +167,15 @@ def test_phi_second_subderiv_vs_quotient_oracle():
         v = phi_second_subderiv(Z, S, H, kappa)
         if not v.is_finite:
             continue
+        # the oracle passes stacks; phi_value and the Fantope projection
+        # take one matrix each
         res = d2_quotient_oracle(
-            lambda Y: phi_value(sym(Y), kappa),
+            lambda Ys: np.array([phi_value(sym(Y), kappa) for Y in Ys]),
             Z,
             S,
             H,
-            prox_fn=lambda Y, t: sym(Y) - fantope_project(sym(Y), kappa, t),
+            prox_fn=lambda Ys, ts: np.stack(
+                [sym(Y) - fantope_project(sym(Y), kappa, t) for Y, t in zip(Ys, ts)]
+            ),
         )
         assert abs(res.value - v.value) / (1 + abs(v.value)) <= 1e-2

@@ -49,6 +49,23 @@ def test_psi_value_matches_oracle(seed):
     assert psi_value(X, kappa) == pytest.approx(oracle_psi(X, kappa), rel=1e-12, abs=1e-12)
 
 
+def test_psi_value_stack_matches_single_calls():
+    # one stacked call equals the one-matrix calls bit for bit, kappa = n
+    # and tied singular values included; one matrix still gives a float
+    rng = np.random.default_rng(41)
+    for n, m in ((1, 1), (2, 3), (3, 3), (4, 6)):
+        Xs = rng.standard_normal((6, n, m))
+        Xs[0] = 0.0
+        Xs[0, np.arange(n), np.arange(n)] = 1.5
+        for kappa in range(1, n + 1):
+            values = psi_value(Xs, kappa)
+            assert values.shape == (6,)
+            for X, v in zip(Xs, values):
+                single = psi_value(X, kappa)
+                assert type(single) is float and single == v
+    assert psi_value(np.zeros((2, 4, 3, 5)), 2).shape == (2, 4)
+
+
 def test_psi_value_rejects_bad_kappa():
     X = np.eye(3)
     with pytest.raises(ValueError):

@@ -112,6 +112,32 @@ def test_psd_rel_knob_moves_the_psd_check(tmp_path, capsys):
     assert code == 1 and report["verdict"]["status"] == "Unstable"
 
 
+def test_sigma_class_knob_moves_the_beta_split(tmp_path, capsys):
+    # the critical block's subgradient singular values 1 - 1e-6 and 1e-6 are
+    # interior (beta_plus) at sigma_class 1e-7, and 1 and 0 at 1e-5
+    pf = write_json(tmp_path, problem_dict(np.diag([3.0, 2.0, 2.0]), np.diag([1.0, 1 - 1e-6, 1e-6]), 2))
+    code, report = run(capsys, "subgrad-check", pf)
+    assert code == 0
+    sets = report["index_sets"]
+    assert sets["beta_plus"] == [1, 2] and sets["beta1"] == [] and sets["beta0"] == []
+    code, report = run(capsys, "subgrad-check", pf, "--tol.sigma_class=1e-5")
+    assert code == 0
+    sets = report["index_sets"]
+    assert sets["beta_plus"] == [] and sets["beta1"] == [1] and sets["beta0"] == [2]
+
+
+def test_cone_knob_moves_the_critical_cone_test(tmp_path, capsys):
+    # G couples beta1 to beta0 by 1e-6, against cone * (1 + ||G||_F) ~ 2e-7:
+    # outside the critical cone (d2 = +inf) by default, inside at 1e-5
+    pf = write_json(tmp_path, problem_dict(np.diag([2.0, 2.0]), np.diag([1.0, 0.0]), 1))
+    G = tmp_path / "g.json"
+    G.write_text(json.dumps(matrix_to_json(np.array([[1.0, 1e-6], [1e-6, 0.0]]))))
+    code, report = run(capsys, "d2", pf, str(G))
+    assert code == 0 and report["value"] == "+inf"
+    code, report = run(capsys, "d2", pf, str(G), "--tol.cone=1e-5")
+    assert code == 0 and np.isfinite(report["value"])
+
+
 def test_orth_knob_moves_the_symmetry_check():
     # ||Z - Z^T||_F = sqrt(2) * 1e-9 against orth * 4 * max(1, ||Z||_F) = 4e-10
     Z = np.diag([0.4, 0.3, 0.2, 0.1])
