@@ -485,6 +485,13 @@ class TiltOptions:
 _SEARCH_STARTS = 64
 _SEARCH_STEPS = 500
 _FD_STEP = 1e-6
+# a start stalls, and stops, after _STALL_STEPS consecutive steps in which
+# its margin never rose above its best by more than _STALL_RISE times the
+# remaining distance tols.margin - best to a hit.  The rise is relative
+# because near a kink the ascent oscillates with shrinking steps, and tiny
+# absolute rises would keep such a start running to the step limit
+_STALL_STEPS = 20
+_STALL_RISE = 1e-3
 # floats held by one stacked margin evaluation of the witness search (its
 # coefficient rows and their W, U^T W and U^T W V); larger batches of
 # directions are evaluated in chunks of this size
@@ -569,12 +576,13 @@ def _search_witness(ups, N, rng, tols: Tolerances):
     lockstep: each step evaluates the 2q central-difference probes of every
     active start in one stacked evaluation (chunked to _STACK_FLOATS) and
     the new points in another.  A start leaves the lockstep when it hits,
-    goes non-finite, flattens (projected gradient below 1e-12), or when a
-    lower-indexed start has hit, since the sequential search would never
-    reach it.  Afterwards the first start that hit ends the search: the best
-    margin is taken over the starts up to it (ties to the earlier start,
-    and within a start to the earlier step), and starts_used and
-    margin_evals count what the sequential search would have run."""
+    goes non-finite, flattens (projected gradient below 1e-12), stalls (see
+    _STALL_STEPS), or when a lower-indexed start has hit, since the
+    sequential search would never reach it.  Afterwards the first start
+    that hit ends the search: the best margin is taken over the starts up
+    to it (ties to the earlier start, and within a start to the earlier
+    step), and starts_used and margin_evals count what the sequential
+    search would have run."""
     q = N.shape[1]
     n, m = ups.pair.n, ups.pair.m
     U, V = ups.pair.U, ups.pair.V
@@ -625,6 +633,7 @@ def _search_witness(ups, N, rng, tols: Tolerances):
     evals = np.ones(S, dtype=int)
     best = np.where(vals > -math.inf, vals, -math.inf)
     best_c = C.copy()
+    flat_for = np.zeros(S, dtype=int)  # consecutive steps without a real rise
     hit = vals > tols.margin
     first = int(np.argmax(hit)) if hit.any() else S
     active = np.flatnonzero(~hit & np.isfinite(vals) & (np.arange(S) < first))
@@ -645,13 +654,16 @@ def _search_witness(ups, N, rng, tols: Tolerances):
         C[active] = c
         val = margins(c)
         evals[active] += 1
-        up = val > best[active]
+        b = best[active]
+        rose = val > b + _STALL_RISE * (tols.margin - b)
+        flat_for[active] = np.where(rose, 0, flat_for[active] + 1)
+        up = val > b
         best[active[up]] = val[up]
         best_c[active[up]] = c[up]
         now = val > tols.margin
         if now.any():
             first = min(first, int(active[now][0]))
-        active = active[~now & np.isfinite(val)]
+        active = active[~now & np.isfinite(val) & (flat_for[active] < _STALL_STEPS)]
     ran = min(first + 1, S)
     i = int(np.argmax(best[:ran]))
     margin = float(best[i])

@@ -13,6 +13,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from kyfan_tilt.instances import (
+    INTERIOR,
+    ZERO_STRICT,
+    ZERO_TIGHT,
+    random_membership_instance,
+    random_orthogonal,
+)
 from kyfan_tilt.io import unvec, vec
 from kyfan_tilt.tilt import ProblemSpec, QuadraticTheta
 
@@ -165,6 +172,85 @@ def projector_complement(w):
     w = vec(w)
     w = w / np.linalg.norm(w)
     return np.eye(len(w)) - np.outer(w, w)
+
+
+def _rotated(rng, X, Gamma, W):
+    U = random_orthogonal(rng, X.shape[0])
+    V = random_orthogonal(rng, X.shape[1])
+    return U @ X @ V.T, U @ Gamma @ V.T, U @ W @ V.T
+
+
+def tilt_family():
+    """The acceptance gate's tilt family (criterion 09): (label, spec,
+    expected status) triples, 10 Stable and 10 Unstable."""
+    rng = np.random.default_rng(909)
+    fam = []
+
+    def add(label, X, Gamma, kappa, W, expected, rotate=False):
+        if rotate:
+            X, Gamma, W = _rotated(rng, X, Gamma, W)
+        Q = np.eye(X.size) if W is None else projector_complement(W)
+        fam.append((label, make_quadratic_spec(X, Gamma, kappa, Q), expected))
+
+    X3 = np.diag([3.0, 2.0, 1.0])
+    G3 = np.diag([1.0, 1.0, 0.0])
+    X6 = np.diag([3.0, 2.0, 2.0, 2.0, 2.0, 1.0])
+    G6 = np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+
+    def E(n, m, pairs):
+        M = np.zeros((n, m))
+        for i, j, v in pairs:
+            M[i, j] = v
+        return M
+
+    # ---- Stable: definite Hessians
+    g = np.random.default_rng(1)
+    for case in (INTERIOR, ZERO_STRICT, ZERO_TIGHT):
+        X, Gamma, kappa, _ = random_membership_instance(g, case=case)
+        add(f"pd-{case}", X, Gamma, kappa, None, "Stable")
+    # ---- Stable: kernel transverse to the direction set
+    add("skew-distinct", X3, G3, 2, E(3, 3, [(0, 1, 1 / np.sqrt(2)), (1, 0, -1 / np.sqrt(2))]), "Stable")
+    add("alpha-gamma-entry", X3, G3, 2, E(3, 3, [(0, 2, 1.0)]), "Stable", rotate=True)
+    add("skew-cross-split", X6, G6, 3, E(6, 6, [(2, 3, 1 / np.sqrt(2)), (3, 2, -1 / np.sqrt(2))]), "Stable")
+    add(
+        "strict-trivial-hull",
+        np.hstack([np.diag([2.0, 1.0, 0.0, 0.0]), np.zeros((4, 0))]),
+        np.diag([1.0, 1.0, 0.5, 0.2]),
+        3,
+        E(4, 4, [(2, 2, 1.0)]),
+        "Stable",
+    )
+    add("rect-offblock", np.hstack([np.diag([3.0, 1.0]), np.zeros((2, 2))]),
+        np.hstack([np.diag([1.0, 0.0]), np.zeros((2, 2))]), 1,
+        E(2, 4, [(0, 1, 1.0)]), "Stable", rotate=True)
+    add("skew-plus-group", np.diag([2.0, 2.0, 1.0]), np.diag([0.5, 0.5, 0.0]), 1,
+        E(3, 3, [(0, 1, 1 / np.sqrt(2)), (1, 0, -1 / np.sqrt(2))]), "Stable")
+    add("zero-col-entry", np.hstack([np.diag([2.0, 1.0, 0.0]), np.zeros((3, 2))]),
+        np.hstack([np.diag([1.0, 1.0, 0.4]), np.zeros((3, 2))]), 3,
+        E(3, 5, [(2, 3, 1.0)]), "Stable")
+
+    # ---- Unstable: Hessian kernel spanned by a certified set element
+    add("top-slide", np.diag([2.0, 1.0]), np.diag([1.0, 0.0]), 1,
+        E(2, 2, [(0, 0, 1.0)]), "Unstable")
+    add("beta1-slide", X3, G3, 2, E(3, 3, [(1, 1, 1.0)]), "Unstable", rotate=True)
+    add("varpi-pair", np.diag([3.0, 2.0, 2.0, 1.0]), np.diag([1.0, 0.5, 0.5, 0.0]), 2,
+        E(4, 4, [(1, 1, 1 / np.sqrt(2)), (2, 2, 1 / np.sqrt(2))]), "Unstable")
+    add("spectral-varpi", np.diag([2.0, 2.0, 1.0]), np.diag([0.5, 0.5, 0.0]), 1,
+        E(3, 3, [(0, 0, 1 / np.sqrt(2)), (1, 1, 1 / np.sqrt(2))]), "Unstable", rotate=True)
+    add("varpi-wide", X6, np.diag([1.0, 0.7, 0.7, 0.3, 0.3, 0.0]), 3,
+        E(6, 6, [(1, 1, 0.5), (2, 2, 0.5), (3, 3, 0.5), (4, 4, 0.5)]), "Unstable")
+    add("nuclear-strict-grow", np.diag([2.0, 1.0, 0.0, 0.0]),
+        np.diag([1.0, 1.0, 1.0, 0.3]), 4, E(4, 4, [(2, 2, 1.0)]), "Unstable")
+    add("tight-joint-grow", np.diag([2.0, 1.0, 0.0, 0.0]),
+        np.diag([1.0, 1.0, 1.0, 0.0]), 3,
+        E(4, 4, [(2, 2, 1.0), (3, 3, 1.0)]), "Unstable")
+    add("tight-rect-grow", np.hstack([np.diag([2.0, 1.0, 0.0, 0.0]), np.zeros((4, 2))]),
+        np.hstack([np.diag([1.0, 1.0, 1.0, 0.0]), np.zeros((4, 2))]), 3,
+        E(4, 6, [(2, 2, 1.0), (3, 3, 1 / np.sqrt(2)), (3, 4, 1 / np.sqrt(2))]), "Unstable")
+    add("degenerate-one-way", X6, G6, 3, E(6, 6, [(1, 1, 1.0)]), "Unstable")
+    add("rank-zero-grow", np.zeros((2, 3)), E(2, 3, [(0, 0, 1.0)]), 1,
+        E(2, 3, [(0, 0, 1.0)]), "Unstable")
+    return fam
 
 
 @pytest.fixture

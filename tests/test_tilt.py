@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_quadratic_spec, projector_complement
+from conftest import make_quadratic_spec, projector_complement, tilt_family
 from kyfan_tilt.instances import (
     INTERIOR,
     ZERO_STRICT,
@@ -22,7 +22,7 @@ from kyfan_tilt.instances import (
 from kyfan_tilt import cli, tilt
 from kyfan_tilt.config import DEFAULT_TOLS
 from kyfan_tilt.instances import random_orthogonal
-from kyfan_tilt.io import matrix_to_json, unvec, vec
+from kyfan_tilt.io import matrix_from_json, matrix_to_json, unvec, vec
 from kyfan_tilt.subgrad import subdiff_membership
 from kyfan_tilt.tilt import (
     INCONCLUSIVE,
@@ -306,9 +306,10 @@ def test_witness_search_reports_starts_that_ran():
 
 def _sequential_search(ups, N, rng, margin_tol, steps):
     """Reference witness search: the starts run one after another, each
-    margin from upsilon_residuals.  Returns (W, diagnostics, hit_step), where
-    hit_step is the ascent step at which a margin first exceeded margin_tol
-    (-1 at the start point, None when no start hit)."""
+    margin from upsilon_residuals.  Returns (W, diagnostics, hit_step,
+    stalled), where hit_step is the ascent step at which a margin first
+    exceeded margin_tol (-1 at the start point, None when no start hit) and
+    stalled counts the starts stopped by the stall rule."""
     q = N.shape[1]
     n, m = ups.pair.n, ups.pair.m
 
@@ -325,7 +326,7 @@ def _sequential_search(ups, N, rng, margin_tol, steps):
         starts.append(v / np.linalg.norm(v))
     if q == 1:
         starts, steps = [starts[0], -starts[0]], 0
-    best, evals, ran, hit_step = (-math.inf, None), 0, 0, None
+    best, evals, ran, hit_step, stalled = (-math.inf, None), 0, 0, None, 0
     for idx, c in enumerate(starts):
         ran = idx + 1
         val = margin_of(c)
@@ -336,6 +337,7 @@ def _sequential_search(ups, N, rng, margin_tol, steps):
             hit_step = -1
             break
         h = tilt._FD_STEP
+        start_best, flat_for = val, 0
         for t in range(steps):
             if not math.isfinite(val):
                 break
@@ -359,26 +361,38 @@ def _sequential_search(ups, N, rng, margin_tol, steps):
             if best[0] > margin_tol:
                 hit_step = t
                 break
+            # the stall rule: no rise above this start's best by a share of
+            # its remaining distance to a hit, _STALL_STEPS steps running
+            if val > start_best + tilt._STALL_RISE * (margin_tol - start_best):
+                flat_for = 0
+            else:
+                flat_for += 1
+            if val > start_best:
+                start_best = val
+            if flat_for >= tilt._STALL_STEPS:
+                stalled += 1
+                break
         if hit_step is not None:
             break
     margin, c = best
     diagnostics = {"starts_used": ran, "margin_evals": evals, "best_margin": margin}
     if c is None or margin < -margin_tol:
-        return None, diagnostics, hit_step
+        return None, diagnostics, hit_step, stalled
     W = unvec(N @ c, n, m)
-    return W / np.linalg.norm(W), diagnostics, hit_step
+    return W / np.linalg.norm(W), diagnostics, hit_step, stalled
 
 
-def test_witness_search_matches_sequential_reference(monkeypatch):
-    # random q = 2, 3 subspaces of the X6/G6 hull, half of them in rotated
-    # coordinates; a third lean toward the admissible beta1 slide so that
-    # some searches hit after ascent steps
-    steps = 8
+def _compare_with_sequential_reference(monkeypatch, steps, seeds):
+    """Run the lockstep search and the sequential reference on random
+    q = 2, 3 subspaces of the X6/G6 hull, half of them in rotated
+    coordinates; a third lean toward the admissible beta1 slide so that
+    some searches hit after ascent steps.  Asserts that the two agree and
+    returns how often each kind of search occurred."""
     monkeypatch.setattr(tilt, "_SEARCH_STEPS", steps)
     slide = np.zeros((6, 6))
     slide[1, 1] = 1.0
-    seen = {"exhausted": 0, "hit_after_ascent": 0, "several_starts": 0}
-    for seed in range(48):
+    seen = {"exhausted": 0, "hit_after_ascent": 0, "several_starts": 0, "stalled": 0, "stalled_then_hit": 0}
+    for seed in seeds:
         rng = np.random.default_rng(seed)
         U, V = np.eye(6), np.eye(6)
         if seed % 4 >= 2:
@@ -391,7 +405,7 @@ def test_witness_search_matches_sequential_reference(monkeypatch):
             N[:, 0] = 0.3 * N[:, 0] + vec(U @ slide @ V.T)
         N = np.linalg.qr(N)[0]
         W, diag = tilt._search_witness(ups, N, np.random.default_rng(seed + 7), DEFAULT_TOLS)
-        W_ref, ref, hit_step = _sequential_search(
+        W_ref, ref, hit_step, stalled = _sequential_search(
             ups, N, np.random.default_rng(seed + 7), DEFAULT_TOLS.margin, steps
         )
         assert diag["starts_used"] == ref["starts_used"], seed
@@ -406,15 +420,78 @@ def test_witness_search_matches_sequential_reference(monkeypatch):
         seen["exhausted"] += hit_step is None
         seen["hit_after_ascent"] += hit_step is not None and hit_step >= 0
         seen["several_starts"] += ref["starts_used"] > 1
+        seen["stalled"] += stalled > 0
+        seen["stalled_then_hit"] += stalled > 0 and hit_step is not None
+    return seen
+
+
+def test_witness_search_matches_sequential_reference(monkeypatch):
+    # 8 steps: no start runs long enough to stall
+    seen = _compare_with_sequential_reference(monkeypatch, 8, range(48))
+    assert seen.pop("stalled") == seen.pop("stalled_then_hit") == 0
     assert all(seen.values()), seen
 
 
-def test_split_plane_search_runs_every_start():
+def test_witness_search_stall_stop_matches_sequential_reference(monkeypatch):
+    # enough steps for starts to stall: some searches exhaust with stalled
+    # starts, and in one a stalled start precedes the start that hits
+    seen = _compare_with_sequential_reference(monkeypatch, 60, range(15))
+    assert all(seen.values()), seen
+
+
+def _positive_margin_element(cert):
+    """I on beta1 plus I/2 on beta_plus, in G coordinates: a hull element
+    whose sandwich margin is at least 1/2 (0 when both blocks are empty)."""
+    H = np.zeros((cert.pair.n, cert.pair.m))
+    H[cert.beta1, cert.beta1] = 1.0
+    H[cert.beta_plus, cert.beta_plus] = 0.5
+    return cert.pair.U @ H @ cert.pair.V.T
+
+
+def test_stall_stop_keeps_every_search_decision(monkeypatch):
+    # random q = 2, 3 subspaces of the hulls of random instances of all three
+    # cases; seven in eight contain a set element with positive margin, in a
+    # random direction of the subspace, so that most searches hit, some
+    # after other starts stalled.  The search at the defaults must reach
+    # the same decision as the one whose starts never stall
+    tol = DEFAULT_TOLS.margin
+    searches = hits = saved_on_hit = exhausted = 0
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        X, Gamma, kappa, _ = random_membership_instance(rng, case=CASES[seed % 3])
+        ups = build_upsilon(make_quadratic_spec(X, Gamma, kappa, np.eye(X.size)))
+        if ups.exact:
+            continue
+        B = ups.hull_basis
+        q = min(2 + seed % 2, B.shape[1])
+        N = B @ rng.standard_normal((B.shape[1], q))
+        if seed % 8:
+            N[:, 0] = vec(_positive_margin_element(ups.cert))
+            N = np.linalg.qr(N)[0] @ random_orthogonal(rng, q)
+        N = np.linalg.qr(N)[0]
+        W, diag = tilt._search_witness(ups, N, np.random.default_rng(seed), DEFAULT_TOLS)
+        with monkeypatch.context() as mp:
+            mp.setattr(tilt, "_STALL_STEPS", tilt._SEARCH_STEPS + 1)
+            W_full, full = tilt._search_witness(ups, N, np.random.default_rng(seed), DEFAULT_TOLS)
+        hit = diag["best_margin"] > tol
+        assert (W is None) == (W_full is None), seed
+        assert hit == (full["best_margin"] > tol), seed
+        assert diag["margin_evals"] <= full["margin_evals"], seed
+        searches += 1
+        hits += hit
+        saved_on_hit += hit and diag["margin_evals"] < full["margin_evals"]
+        exhausted += W is None
+    assert searches >= 100 and hits >= 50, (searches, hits)
+    assert saved_on_hit and exhausted, (saved_on_hit, exhausted)
+
+
+def test_split_plane_search_stops_stalled_starts():
     # the kernel is spanned by two hull elements, an off-diagonal of the
     # beta1 block and one of the beta0 block: every unit kernel direction
-    # has margin -(|c1| + |c2|) <= -1/sqrt(2), so all 64 starts run their
-    # ascent out (some flatten early); the counts are those of the
-    # sequential search
+    # has margin -(|c1| + |c2|) <= -1/sqrt(2), so all 64 starts run, and
+    # each stops when it stalls or flattens instead of running all 500
+    # steps (155,072 evaluations without the stall stop); the counts are
+    # those of the sequential search
     s2 = 1 / np.sqrt(2)
     W1, W2 = np.zeros((6, 6)), np.zeros((6, 6))
     W1[1, 2] = W1[2, 1] = s2
@@ -425,7 +502,7 @@ def test_split_plane_search_runs_every_start():
     assert v.certificate["intersection_dim"] == 2
     search = v.certificate["search"]
     assert search["starts_used"] == 64
-    assert search["margin_evals"] == 155_072
+    assert search["margin_evals"] == 18_807
     assert search["best_margin"] == pytest.approx(-s2, abs=1e-12)
 
 
@@ -604,3 +681,38 @@ def test_nu_scaling_invariance():
         spec = make_quadratic_spec(X, Gamma, 2, Q / nu, nu=nu)
         assert np.max(np.abs(spec.gamma_bar() - Gamma)) < 1e-12
         assert tilt_check(spec).status == UNSTABLE
+
+
+def _scale_problems():
+    """The quadratic demos and the acceptance gate's tilt family, as
+    problem dicts."""
+    problems = [_demo(name)() for name in ("stable_quadratic", "unstable_slide", "inconclusive_split")]
+    for _, spec, _ in tilt_family():
+        theta = {"type": "quadratic", "Q": matrix_to_json(spec.theta.Q), "L": matrix_to_json(spec.theta.L)}
+        problems.append(_problem(spec.Xbar, -spec.gamma_bar(), spec.kappa, theta))
+    return problems
+
+
+SCALE_PROBLEMS = _scale_problems()
+
+
+def _outcome(problem):
+    report, code = cli.run_analyze(problem)
+    verdict = report["verdict"]
+    return code, verdict["status"], verdict["certificate"].get("intersection_dim")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(SCALE_PROBLEMS) - 1), st.floats(-4.0, 4.0))
+def test_joint_scaling_keeps_the_verdict(k, log_c):
+    # X -> cX with Q -> Q/c and L unchanged keeps grad theta(Xbar), so
+    # Gamma_bar, the hull and the Hessian kernel are unchanged
+    problem = SCALE_PROBLEMS[k]
+    c = 10.0**log_c
+    theta = problem["theta"]
+    scaled = {
+        **problem,
+        "X": matrix_to_json(matrix_from_json(problem["X"]) * c),
+        "theta": {**theta, "Q": matrix_to_json(matrix_from_json(theta["Q"]) / c)},
+    }
+    assert _outcome(scaled) == _outcome(problem), (k, c)

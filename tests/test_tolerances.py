@@ -1,7 +1,8 @@
 """The tolerance table is live: each knob moves the decision it names, and
 every value, from the command line or the problem file, is checked.
 
-Each boundary instance flips only when its one tolerance is widened."""
+Each boundary instance flips only when its one tolerance is moved: widened,
+or for group_rel narrowed, which splits a group."""
 from __future__ import annotations
 
 import dataclasses
@@ -100,6 +101,34 @@ def test_kernel_rel_knob_moves_the_restricted_kernel(tmp_path, capsys):
     code, report = run(capsys, "tilt", pf, "--tol.kernel_rel=1e-6")
     assert code == 1 and report["status"] == "Unstable"
     assert report["certificate"]["intersection_dim"] == 1
+
+
+def test_kernel_floor_knob_moves_the_restricted_kernel(tmp_path, capsys):
+    # Q = 1e-4 I: kernel_rel * ||Q||_F = 3e-13 is below the floor, so the
+    # floor is the cutoff; the restricted lambda_min 1e-4 is above the
+    # default floor 1e-12 and below 1e-3, where the whole hull is kernel
+    pf = write_json(tmp_path, problem_dict(np.diag([3.0, 2.0, 1.0]), np.diag([1.0, 1.0, 0.0]), 2,
+                                           Q=1e-4 * np.eye(9)))
+    code, report = run(capsys, "tilt", pf)
+    assert code == 0 and report["status"] == "Stable"
+    cert = report["certificate"]
+    assert cert["restricted_cutoff"] == 1e-12
+    assert cert["restricted_lambda_min"] == pytest.approx(1e-4, rel=1e-9)
+    code, report = run(capsys, "tilt", pf, "--tol.kernel_floor=1e-3")
+    assert code == 1 and report["status"] == "Unstable"
+    assert report["certificate"]["restricted_cutoff"] == 1e-3
+
+
+def test_group_rel_knob_moves_the_grouping(tmp_path, capsys):
+    # X's singular values 2 + 1e-9 and 2 are one group at the default
+    # group_rel * sigma_1 = 3e-8, so Gamma's 1/2, 1/2 share the kappa mass
+    # in it; at 1e-10 (3e-10) they split, the kappa-th group {2 + 1e-9}
+    # needs Gamma = 1 there, and stationarity fails
+    pf = write_json(tmp_path, problem_dict(np.diag([3.0, 2.0 + 1e-9, 2.0]), np.diag([1.0, 0.5, 0.5]), 2))
+    code, report = run(capsys, "analyze", pf)
+    assert code == 0 and report["verdict"]["status"] == "Stable"
+    code, report = run(capsys, "analyze", pf, "--tol.group_rel=1e-10")
+    assert code == 3 and report["error"]["kind"] == "stationarity"
 
 
 def test_psd_rel_knob_moves_the_psd_check(tmp_path, capsys):
