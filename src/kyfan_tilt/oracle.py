@@ -44,7 +44,8 @@ def _default_tau_grid():
 @dataclasses.dataclass
 class QuotientConfig:
     """tau_grid must be strictly decreasing; the candidate ball around the
-    base direction has radius ball_factor * tau."""
+    base direction has radius ball_factor * tau.  descent_steps caps each
+    tau's Davis-Yin descent, which stops earlier at its fixed point."""
 
     tau_grid: tuple = dataclasses.field(default_factory=_default_tau_grid)
     ball_factor: float = 2.0
@@ -80,6 +81,13 @@ def _inner(A, B):
     return np.sum(P.reshape(len(P), -1), axis=-1)
 
 
+# stop rule of the quotient oracle's descent (see d2_quotient_oracle); the
+# residual of the tau = 1e-5 ball (radius 2e-10) bottoms out at a few eps*||x||
+_STOP_REL = 1e-6
+_STOP_ULPS = 16.0
+_EPS = float(np.finfo(float).eps)
+
+
 def _proj_ball(Y, centre, radius):
     """Projection of each matrix of the stack Y onto the ball of its radius
     (scalar or one per matrix) around centre."""
@@ -109,17 +117,24 @@ def d2_quotient_oracle(
         min value_fn(Y) - <v, Y>   over  Y in ball(x + tau*w, ball_factor*tau**2),
 
     solved by three-operator (Davis-Yin) splitting from the ball centre,
-    with step equal to the radius and prox_fn(Y, t) ~ prox of t*value_fn.
-    The centre and every iterate are scored through value_fn alone, so a
-    bad prox can only weaken the minimum, never fake agreement.  Nothing
-    is sampled: the result is a function of the inputs.
+    with step ball_factor*tau (the radius over tau) and prox_fn(Y, t) ~
+    prox of t*value_fn.  In the coordinates w' = (Y - x)/tau the quotient
+    has O(1) slope and the ball radius ball_factor*tau, so that step is a
+    fixed fraction of the ball at every tau.  A tau's descent stops at its
+    fixed point, once the residual ||Yf - Yg|| is at or below
+    max(1e-6 * radius, 16 * eps * ||centre||) (the second term is the
+    rounding floor of the small balls), or after descent_steps steps.  The
+    centre and every iterate are scored through value_fn alone, so a bad
+    prox can only weaken the minimum, never fake agreement.  Nothing is
+    sampled: the result is a function of the inputs.
 
     Both callables take stacks: value_fn(Y) maps Y of shape (k, n, m) to
     its k values, and prox_fn(Y, t) maps Y with steps t of shape (k,) to
     the k proximal points.  The taus run in lockstep, one stack row each:
     value_fn scores x alone, then the centres, then every Davis-Yin step
     makes one ball projection, one prox_fn call and one value_fn call
-    over all taus.
+    over the taus still descending.  A tau leaves the stack when it stops,
+    so each row's result is the one its tau gives alone.
     """
     cfg = cfg or QuotientConfig()
     x = np.asarray(x, dtype=float)
@@ -132,21 +147,29 @@ def d2_quotient_oracle(
     tau2 = np.array([t**2 for t in cfg.tau_grid], dtype=float)
     T = tau[:, None, None]
 
-    def quotient(wp):
+    def quotient(rows, wp):
         lin = _inner(v, wp)
-        val = np.asarray(value_fn(x + T * wp), dtype=float)
-        return 2.0 * (val - h0 - tau * lin) / tau2
+        val = np.asarray(value_fn(x + T[rows] * wp), dtype=float)
+        return 2.0 * (val - h0 - tau[rows] * lin) / tau2[rows]
 
     center = x + T * w
-    radius = tau * (cfg.ball_factor * tau)
-    best = quotient(np.broadcast_to(w, center.shape))
+    step = cfg.ball_factor * tau
+    radius = tau * step
+    stop = np.maximum(_STOP_REL * radius, _STOP_ULPS * _EPS * _norms(center))
+    live = np.arange(len(tau))
+    best = quotient(live, np.broadcast_to(w, center.shape))
     Z = center
     for _ in range(cfg.descent_steps):
-        Yg = _proj_ball(Z, center, radius)
-        Yf = prox_fn(2.0 * Yg - Z + radius[:, None, None] * v, radius)
+        Yg = _proj_ball(Z, center[live], radius[live])
+        Yf = prox_fn(2.0 * Yg - Z + step[live, None, None] * v, step[live])
         Z = Z + Yf - Yg
-        q = quotient((Yg - x) / T)
-        best = np.where(q < best, q, best)
+        q = quotient(live, (Yg - x) / T[live])
+        best[live] = np.where(q < best[live], q, best[live])
+        going = _norms(Yf - Yg) > stop[live]
+        if not going.all():
+            live, Z = live[going], Z[going]
+            if not live.size:
+                break
     per_tau = [(float(t), float(q)) for t, q in zip(tau, best)]
 
     qs = [q for _, q in per_tau]

@@ -208,7 +208,6 @@ def test_acceptance_05_zero_set(capsys):
 # ---------------------------------------------------------------- 6
 
 
-@pytest.mark.slow
 def test_acceptance_06_quotient_oracle(capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(606)

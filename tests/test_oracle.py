@@ -13,7 +13,14 @@ from conftest import (
     oracle_vector_prox_qp,
     projector_complement,
 )
-from kyfan_tilt.instances import random_orthogonal
+from kyfan_tilt.instances import (
+    INTERIOR,
+    ZERO_STRICT,
+    ZERO_TIGHT,
+    random_incone_direction,
+    random_membership_instance,
+    random_orthogonal,
+)
 from kyfan_tilt.oracle import (
     ProbeConfig,
     QuotientConfig,
@@ -27,7 +34,7 @@ from kyfan_tilt.oracle import (
     solve_tilted,
     tilt_probe,
 )
-from kyfan_tilt.subgrad import psi_value
+from kyfan_tilt.subgrad import psi_value, subdiff_membership
 
 seeds = st.integers(0, 2**31 - 1)
 
@@ -208,18 +215,28 @@ def test_matrix_prox_large_step_kills_small_matrix():
 
 
 def test_quotient_oracle_quadratic_landscape():
+    # ||Y||^2 from x = 0 along a unit w: the quotient is 2||w'||^2, whose
+    # minimum over the ball of radius 2 tau around w is 2(1 - 2 tau)^2.  The
+    # tau-scaled step reaches it at every tau within a few steps; a step
+    # equal to the radius leaves the small-tau rows near their centres
     x = np.zeros((2, 3))
     w = np.zeros((2, 3))
     w[0, 1] = 1.0
+    rows = []
+
+    def value_fn(Y):
+        rows.append(len(Y))
+        return np.sum(Y * Y, axis=(1, 2))
+
     res = d2_quotient_oracle(
-        lambda Y: np.sum(Y * Y, axis=(1, 2)),
-        x,
-        2.0 * x,
-        w,
-        prox_fn=lambda Y, t: Y / (1.0 + 2.0 * t[:, None, None]),
+        value_fn, x, 2.0 * x, w, prox_fn=lambda Y, t: Y / (1.0 + 2.0 * t[:, None, None])
     )
     assert not res.divergent
     assert abs(res.value - 2.0) < 1e-3 * 2.0
+    for tau, q in res.per_tau:
+        exact = 2.0 * (1.0 - 2.0 * tau) ** 2
+        assert abs(q - exact) <= 1e-12 * exact, (tau, q, exact)
+    assert len(rows) <= 30
 
 
 def frozen_spectral_problem():
@@ -267,8 +284,9 @@ def test_quotient_oracle_draws_no_random_numbers(monkeypatch):
 
 
 def test_quotient_oracle_value_calls_are_one_per_iterate():
-    # value_fn(x) once, then per tau the centre and one Davis-Yin iterate per
-    # step: one call for x, one for the centres, one per lockstep step
+    # value_fn(x) once, then the centres, then one call per Davis-Yin step
+    # carrying one row per tau still descending; a tau that stops never
+    # comes back, and descent_steps caps the steps
     cfg = QuotientConfig(tau_grid=(1e-1, 1e-2, 1e-3), descent_steps=7)
     rows = []
 
@@ -278,9 +296,43 @@ def test_quotient_oracle_value_calls_are_one_per_iterate():
 
     X, Gamma, W = frozen_spectral_problem()
     d2_quotient_oracle(value_fn, X, Gamma, W, cfg, prox_fn=lambda Y, t: kyfan_matrix_prox(Y, t, 1))
-    assert len(rows) == 2 + cfg.descent_steps
-    assert sum(rows) == 1 + len(cfg.tau_grid) * (1 + cfg.descent_steps)
-    assert rows[0] == 1 and set(rows[1:]) == {len(cfg.tau_grid)}
+    assert rows[:2] == [1, len(cfg.tau_grid)]
+    assert 2 < len(rows) <= 2 + cfg.descent_steps
+    steps = rows[1:]
+    assert all(0 < b <= a for a, b in zip(steps, steps[1:])), rows
+
+
+def test_quotient_oracle_rows_stop_before_the_cap():
+    # every tau row stops at its fixed point before the 200-step default
+    # cap: a 10,000-step cap gives the same per_tau bit for bit, on the
+    # instance family of acceptance criterion 06
+    rng = np.random.default_rng(606)
+    cases = [INTERIOR, ZERO_STRICT, ZERO_TIGHT]
+    done = 0
+    while done < 30:
+        X, Gamma, kappa, _ = random_membership_instance(
+            rng, case=cases[done % 3], well_separated=True
+        )
+        ok, cert = subdiff_membership(X, Gamma, kappa)
+        assert ok
+        W = random_incone_direction(rng, cert)
+        nw = np.linalg.norm(W)
+        if nw < 1e-9:
+            continue
+        W = W / nw
+
+        def per_tau(cfg, k=kappa):
+            return d2_quotient_oracle(
+                lambda Y: psi_value(Y, k),
+                X,
+                Gamma,
+                W,
+                cfg,
+                prox_fn=lambda Y, t: kyfan_matrix_prox(Y, t, k),
+            ).per_tau
+
+        assert per_tau(None) == per_tau(QuotientConfig(descent_steps=10_000)), done
+        done += 1
 
 
 def test_quotient_lockstep_matches_sub_grid_runs():

@@ -167,6 +167,23 @@ def test_cone_knob_moves_the_critical_cone_test(tmp_path, capsys):
     assert code == 0 and np.isfinite(report["value"])
 
 
+def test_pinv_rel_knob_moves_the_general_form(tmp_path, capsys):
+    # X's singular value 1e-6 sits 1e-6 from the zero block of the frame;
+    # against the default cutoff pinv_rel * (3 + 1e-6) ~ 3e-10 that gap is
+    # inverted, and its term carries the whole value 1e6 of G, which couples
+    # the two; at 1e-5 (cutoff 3e-5) the general form drops it and reads 0,
+    # while the explicit form, which has no pseudo-inverse, stays
+    pf = write_json(tmp_path, problem_dict(np.diag([3.0, 1e-6, 0.0]), np.diag([1.0, 1.0, 0.0]), 2))
+    G = tmp_path / "g.json"
+    G.write_text(json.dumps(matrix_to_json(np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]]) / np.sqrt(2))))
+    code, report = run(capsys, "d2", pf, str(G), "--cross-check")
+    assert code == 0 and report["value"] == pytest.approx(1e6, rel=1e-9)
+    assert report["cross_check"]["general_form"] == pytest.approx(1e6, rel=1e-9)
+    code, wide = run(capsys, "d2", pf, str(G), "--cross-check", "--tol.pinv_rel=1e-5")
+    assert code == 0 and wide["value"] == report["value"]
+    assert wide["cross_check"]["general_form"] == 0.0
+
+
 def test_orth_knob_moves_the_symmetry_check():
     # ||Z - Z^T||_F = sqrt(2) * 1e-9 against orth * 4 * max(1, ||Z||_F) = 4e-10
     Z = np.diag([0.4, 0.3, 0.2, 0.1])
