@@ -22,7 +22,6 @@ from .oracle import (
     solve_tilted,
     tilt_probe,
 )
-from .phik import phi_second_subderiv, phi_subdiff_membership, phi_value
 from .secder import (
     CriticalConeCert,
     SecondSubderivValue,
@@ -33,13 +32,8 @@ from .secder import (
     d2_spectral,
     d2_zero_set_membership,
 )
-from .spectral import bmap, bmap_adjoint, build_frame, eigen_grouped, group_singular, svd_ordered
-from .subgrad import (
-    SubgradCertificate,
-    multiplier_membership,
-    psi_value,
-    subdiff_membership,
-)
+from .spectral import bmap, build_frame, group_singular, svd_ordered
+from .subgrad import SubgradCertificate, psi_value, subdiff_membership
 from .tilt import (
     INCONCLUSIVE,
     STABLE,

@@ -323,7 +323,9 @@ def run_analyze(
         stamps["validate_s"] = time.perf_counter() - t0
     except StationarityError as e:
         return (
-            _error_report("stationarity", str(e), subdiff_distance=e.distance),
+            _error_report(
+                "stationarity", str(e), subdiff_distance=e.distance, first_failed=e.first_failed
+            ),
             EXIT_ERROR,
         )
     except ValueError as e:

@@ -12,13 +12,11 @@ import dataclasses
 
 @dataclasses.dataclass
 class Tolerances:
-    # grouping of singular/eigen values: group_rel * max(1, sigma_1)
+    # grouping of singular values: group_rel * max(1, sigma_1)
     group_rel: float = 1e-8
-    # pseudo-inverse cutoff: pinv_rel * max(1, |mu| + ||Z||_2)
+    # pseudo-inverse cutoff of the general d2 form: pinv_rel * max(1, |nu_l| +
+    # sigma_1), nu_l the grouped frame eigenvalue whose block is built
     pinv_rel: float = 1e-10
-    # second-subderivative domain condition for the symmetric-matrix function:
-    # cond_rel * (1 + ||H||_F)
-    cond_rel: float = 1e-8
     # classification of subgradient singular values against {0, 1}
     sigma_class: float = 1e-7
     # trace/sum conditions: sum_rel * kappa
@@ -35,8 +33,7 @@ class Tolerances:
     # hessian positive-semidefiniteness check: lambda_min >= -psd_rel *
     # max(1, ||H||_F) (quadratic theta; A^T A is PSD by construction)
     psd_rel: float = 1e-8
-    # symmetry checks: orth * nm * max(1, ||H||_F) for the Hessian of theta,
-    # orth * p * max(1, ||Z||_F) for the p x p input of eigen_grouped
+    # Hessian symmetry check: ||H - H^T||_F <= orth * nm * max(1, ||H||_F)
     orth: float = 1e-10
     # witness feasibility margin for instability certificates
     margin: float = 1e-8

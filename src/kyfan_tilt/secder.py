@@ -20,7 +20,6 @@ import math
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .phik import IN_CONE, OUTSIDE, SecondSubderivValue
 from .spectral import bmap, build_frame, skew, sym
 from .subgrad import (
     INTERIOR_GROUP,
@@ -38,12 +37,39 @@ __all__ = [
     "d2_spectral",
     "d2_zero_set_membership",
     "fine_case",
+    "IN_CONE",
+    "OUTSIDE",
     "ZERO_GROUP_STRICT",
     "ZERO_GROUP_TIGHT",
 ]
 
+IN_CONE = "InCone"
+OUTSIDE = "OutsideCriticalCone"
 ZERO_GROUP_STRICT = "ZeroGroupStrict"
 ZERO_GROUP_TIGHT = "ZeroGroupTight"
+
+
+@dataclasses.dataclass
+class SecondSubderivValue:
+    """Extended-real second subderivative value with provenance.
+
+    value is a float, possibly math.inf.  reason is "InCone" exactly when
+    value is finite.  terms itemizes the contributions (one entry per
+    summand family of the closed form used).
+    """
+
+    value: float
+    reason: str
+    terms: dict
+
+    def __post_init__(self):
+        finite = math.isfinite(self.value)
+        if finite != (self.reason == IN_CONE):
+            raise ValueError("finite value must pair with reason InCone")
+
+    @property
+    def is_finite(self) -> bool:
+        return math.isfinite(self.value)
 
 
 @dataclasses.dataclass

@@ -7,7 +7,7 @@ symmetric embedding
 
 whose eigenvalues are +/- the singular values of X plus m - n zeros.  This
 module provides deterministic full SVDs, tolerance-based grouping of equal
-singular/eigen values, and the orthogonal frame that diagonalizes B(X) with
+singular values, and the orthogonal frame that diagonalizes B(X) with
 eigenvalues in nonincreasing order.
 """
 from __future__ import annotations
@@ -22,13 +22,10 @@ __all__ = [
     "SvdPair",
     "SingularGrouping",
     "EmbeddingFrame",
-    "EigenGrouping",
     "svd_ordered",
     "group_singular",
     "bmap",
-    "bmap_adjoint",
     "build_frame",
-    "eigen_grouped",
     "sym",
     "skew",
 ]
@@ -213,23 +210,15 @@ def bmap(X: np.ndarray) -> np.ndarray:
     return Z
 
 
-def bmap_adjoint(M: np.ndarray, n: int) -> np.ndarray:
-    """Adjoint of bmap: twice the top-right n x (m) block of M.
-
-    Satisfies <B(X), M> = <X, bmap_adjoint(M, n)> for symmetric M.
-    """
-    M = np.asarray(M, dtype=float)
-    return 2.0 * M[:n, n:]
-
-
 @dataclasses.dataclass
 class EmbeddingFrame:
     """Orthogonal frame diagonalizing B(X) with nonincreasing eigenvalues.
 
     Column layout: [a_1 .. a_s | b(+) | c | b(-) | -a_s .. -a_1], i.e. the
     positive singular groups, the 2|b| + (m-n) dimensional zero eigenspace,
-    then the negative groups in ascending magnitude.  P0 is the zero-space
-    sub-frame [b(+) | c | b(-)].
+    then the negative groups in ascending magnitude.  column_blocks maps
+    each block key (("a", l), "b+", "c", "b-", "zero", ("-a", l)) to its
+    half-open column range in P.
     """
 
     P: np.ndarray
@@ -237,15 +226,6 @@ class EmbeddingFrame:
     eigenvalues: np.ndarray  # grouped representatives, one per column
     n: int
     m: int
-
-    @property
-    def P0(self) -> np.ndarray:
-        lo, hi = self.column_blocks["zero"]
-        return self.P[:, lo:hi]
-
-    def block(self, key) -> np.ndarray:
-        lo, hi = self.column_blocks[key]
-        return self.P[:, lo:hi]
 
 
 def build_frame(pair: SvdPair, grouping: SingularGrouping) -> EmbeddingFrame:
@@ -296,50 +276,3 @@ def build_frame(pair: SvdPair, grouping: SingularGrouping) -> EmbeddingFrame:
     return EmbeddingFrame(
         P=P, column_blocks=blocks, eigenvalues=np.array(eigs), n=n, m=m
     )
-
-
-# ---------------------------------------------------------------------------
-# symmetric eigen grouping
-# ---------------------------------------------------------------------------
-
-
-@dataclasses.dataclass
-class EigenGrouping:
-    """Nonincreasing eigendecomposition of a symmetric matrix with
-    tolerance-chained eigenvalue groups theta_1..theta_varsigma."""
-
-    Q: np.ndarray
-    lam: np.ndarray
-    mu: np.ndarray  # group representatives, descending
-    theta: list  # list of index arrays
-
-    def group_index_of(self, k: int) -> int:
-        """1-based group number containing 0-based position k."""
-        for j, g in enumerate(self.theta):
-            if g[0] <= k <= g[-1]:
-                return j + 1
-        raise IndexError(k)
-
-
-def eigen_grouped(Z: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> EigenGrouping:
-    """Eigendecompose symmetric Z with descending eigenvalues and group them.
-
-    Raises ValueError if Z is not symmetric: ||Z - Z^T||_F above
-    orth * p * max(1, ||Z||_F) for p x p Z, the Hessian check's scaling.
-    """
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
-        raise ValueError(f"expected square matrix, got {Z.shape}")
-    if np.linalg.norm(Z - Z.T) > tols.orth * Z.shape[0] * max(1.0, float(np.linalg.norm(Z))):
-        raise ValueError("matrix is not symmetric")
-    lam, Q = np.linalg.eigh(sym(Z))
-    lam = lam[::-1].copy()
-    Q = Q[:, ::-1].copy()
-    for j in range(Q.shape[1]):
-        i = int(np.argmax(np.abs(Q[:, j])))
-        if Q[i, j] < 0:
-            Q[:, j] = -Q[:, j]
-    group_tol = tols.group_rel * max(1.0, float(np.max(np.abs(lam))) if len(lam) else 0.0)
-    theta = _chain_groups(lam, group_tol)
-    mu = np.array([float(np.mean(lam[g])) for g in theta])
-    return EigenGrouping(Q=Q, lam=lam, mu=mu, theta=theta)

@@ -12,9 +12,6 @@ value groups of X:
   ZeroGroup (kappa beyond the positive part):
       sigma_a(Gamma) = 1,  sigma_b(Gamma) in [0,1] summing to at most
       kappa - |a|.
-
-Multipliers for the embedded formulation are recovered in the frame of the
-symmetric embedding.
 """
 from __future__ import annotations
 
@@ -23,24 +20,13 @@ import dataclasses
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .spectral import (
-    EmbeddingFrame,
-    SingularGrouping,
-    SvdPair,
-    bmap_adjoint,
-    build_frame,
-    group_singular,
-    svd_ordered,
-)
+from .spectral import SingularGrouping, SvdPair, group_singular, svd_ordered
 
 __all__ = [
     "SubgradCertificate",
-    "MultiplierElement",
     "psi_value",
     "simultaneous_svd",
     "subdiff_membership",
-    "multiplier_from_xi",
-    "multiplier_membership",
     "INTERIOR_GROUP",
     "ZERO_GROUP",
 ]
@@ -298,132 +284,3 @@ def subdiff_membership(
         tight=bool(tight),
     )
     return out(True, cert, "")
-
-
-@dataclasses.dataclass
-class MultiplierElement:
-    """Element of the multiplier set for the embedded formulation.
-
-    M is symmetric (n+m)x(n+m) with off-diagonal block Gamma/2; xi is its
-    coordinate vector on the critical frame block (split (xi1; xi2; xi3)
-    over [b(+), c, b(-)] in the ZeroGroup case).
-    """
-
-    M: np.ndarray
-    xi: np.ndarray
-    M11: np.ndarray
-    M22: np.ndarray
-    case: str
-
-
-def _mass_check(xi, mass, tol):
-    return (
-        float(np.min(xi, initial=np.inf)) >= -tol
-        and float(np.max(xi, initial=-np.inf)) <= 1 + tol
-        and abs(float(np.sum(xi)) - mass) <= max(tol, 1e-9 * max(1.0, mass))
-    )
-
-
-def multiplier_from_xi(
-    cert: SubgradCertificate,
-    frame: EmbeddingFrame,
-    xi: np.ndarray,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> MultiplierElement:
-    """Assemble the multiplier with critical-block weights xi.
-
-    InteriorGroup: xi must equal the subgradient singular values on beta
-    (the multiplier is unique).  ZeroGroup: xi = (xi1; xi2; xi3) over the
-    zero-space frame columns with xi1 - xi3 = sigma_b(Gamma), entries in
-    [0, 1], total mass kappa - kappa0.  Raises ValueError on infeasible xi.
-    """
-    tol = tols.subdiff
-    xi = np.asarray(xi, dtype=float)
-    n = cert.pair.n
-    mass = float(cert.kappa1)
-    if cert.case == INTERIOR_GROUP:
-        target = cert.sigma_gamma_vals[cert.beta]
-        if xi.shape != target.shape:
-            raise ValueError(f"xi must have length {len(target)}")
-        if np.max(np.abs(xi - target), initial=0.0) > max(tol, tols.sigma_class):
-            raise ValueError("xi must equal the critical-block subgradient singular values")
-        if not _mass_check(xi, mass, tol):
-            raise ValueError("xi violates the capped-simplex constraints")
-        M = np.zeros((frame.P.shape[0],) * 2)
-        for l in range(cert.grouping.r - 1):
-            Pl = frame.block(("a", l + 1))
-            M += Pl @ Pl.T
-        Pr = frame.block(("a", cert.grouping.r))
-        M += Pr @ np.diag(xi) @ Pr.T
-    else:
-        nb = len(cert.beta)
-        nc = len(cert.grouping.c)
-        if xi.shape != (2 * nb + nc,):
-            raise ValueError(f"xi must have length {2 * nb + nc}")
-        xi1, xi2, xi3 = xi[:nb], xi[nb : nb + nc], xi[nb + nc :]
-        sig_b = cert.sigma_gamma_vals[cert.beta]
-        if np.max(np.abs((xi1 - xi3) - sig_b), initial=0.0) > max(tol, tols.sigma_class):
-            raise ValueError("xi1 - xi3 must reproduce the zero-block subgradient values")
-        if not _mass_check(xi, mass, tol):
-            raise ValueError("xi violates the capped-simplex constraints")
-        M = np.zeros((frame.P.shape[0],) * 2)
-        for l in range(cert.grouping.s):
-            Pl = frame.block(("a", l + 1))
-            M += Pl @ Pl.T
-        P0 = frame.P0
-        M += P0 @ np.diag(xi) @ P0.T
-    return MultiplierElement(
-        M=M, xi=xi, M11=M[:n, :n], M22=M[n:, n:], case=cert.case
-    )
-
-
-def multiplier_membership(
-    X: np.ndarray,
-    Gamma: np.ndarray,
-    M: np.ndarray,
-    kappa: int,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> bool:
-    """Decide whether M is a multiplier for (X, Gamma).
-
-    Recovers xi by projecting M minus the weight-one frame blocks onto the
-    critical frame columns and checks the capped-simplex and linkage
-    conditions; the residual off the expected span must vanish.  The
-    recovered xi is checked at the classification tolerance sigma_class.
-    """
-    tol = tols.subdiff
-    X = np.asarray(X, dtype=float)
-    M = np.asarray(M, dtype=float)
-    n, m = X.shape
-    if M.shape != (n + m, n + m):
-        return False
-    if np.linalg.norm(M - M.T) > tol * max(1.0, np.linalg.norm(M)):
-        return False
-    if np.linalg.norm(bmap_adjoint(M, n) - Gamma) > tol * max(1.0, np.linalg.norm(Gamma)):
-        return False
-    ok, cert = subdiff_membership(X, Gamma, kappa, tols=tols)
-    if not ok:
-        return False
-    frame = build_frame(cert.pair, cert.grouping)
-    R = M.copy()
-    upto = cert.grouping.r - 1 if cert.case == INTERIOR_GROUP else cert.grouping.s
-    for l in range(upto):
-        Pl = frame.block(("a", l + 1))
-        R = R - Pl @ Pl.T
-    Pc = (
-        frame.block(("a", cert.grouping.r))
-        if cert.case == INTERIOR_GROUP
-        else frame.P0
-    )
-    W = Pc.T @ R @ Pc
-    if np.linalg.norm(R - Pc @ W @ Pc.T) > 10 * tol * max(1.0, np.linalg.norm(M)):
-        return False
-    xi = np.diag(W).copy()
-    if np.linalg.norm(W - np.diag(xi)) > 10 * tol * max(1.0, np.linalg.norm(M)):
-        return False
-    try:
-        xi_tols = dataclasses.replace(tols, subdiff=max(tol, tols.sigma_class))
-        multiplier_from_xi(cert, frame, xi, tols=xi_tols)
-    except ValueError:
-        return False
-    return True

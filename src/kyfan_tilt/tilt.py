@@ -57,11 +57,13 @@ INCONCLUSIVE = "Inconclusive"
 
 class StationarityError(ValueError):
     """-nu * grad theta(Xbar) is not a subgradient; carries a best-effort
-    distance diagnostic in .distance."""
+    distance diagnostic in .distance and the first failed membership
+    condition in .first_failed."""
 
-    def __init__(self, message, distance=None):
+    def __init__(self, message, distance=None, first_failed=None):
         super().__init__(message)
         self.distance = distance
+        self.first_failed = first_failed
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +258,16 @@ class ProblemSpec:
             raise ValueError(f"kappa must be in [1, {n}], got {self.kappa}")
         self.theta.check_hessian(n * m, tols)
         Gamma = self.gamma_bar()
-        ok, cert = subdiff_membership(X, Gamma, self.kappa, tols=tols)
+        ok, cert, why = subdiff_membership(
+            X, Gamma, self.kappa, tols=tols, with_diagnostics=True
+        )
         if not ok:
             gap = stationarity_gap(X, Gamma, self.kappa, tols=tols)
             raise StationarityError(
                 f"-nu * grad theta(Xbar) is not a subgradient of Psi_kappa at "
                 f"Xbar (best-effort distance {gap:.3e})",
                 distance=gap,
+                first_failed=why,
             )
         return cert
 

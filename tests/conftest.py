@@ -2,11 +2,9 @@
 
 The oracles here deliberately avoid the library's certificate machinery:
 subgradient membership goes through the support-function / dual-ball
-characterization (plain SVD only), directional derivatives through
-one-sided finite differences, the vector prox through exhaustive
+characterization (plain SVD only), and the vector prox through exhaustive
 enumeration of its KKT active sets (and a small convex program when cvxpy
-is installed), and Fantope projections are rebuilt from scratch for the
-symmetric-function cross-checks.
+is installed).
 """
 from __future__ import annotations
 
@@ -34,11 +32,6 @@ def oracle_psi(X, kappa):
     return float(np.sum(np.sort(s)[::-1][:kappa]))
 
 
-def oracle_phi(Z, kappa):
-    lam = np.linalg.eigvalsh(np.asarray(Z, dtype=float))
-    return float(np.sum(lam[::-1][:kappa]))
-
-
 def oracle_psi_membership(X, Gamma, kappa, tol=1e-8):
     """Support-function test: Gamma is a subgradient iff it lies in the dual
     ball {sigma_1 <= 1, sum sigma <= kappa} and <Gamma, X> attains Psi_kappa(X)."""
@@ -51,47 +44,6 @@ def oracle_psi_membership(X, Gamma, kappa, tol=1e-8):
         and float(np.sum(s)) <= kappa + tol * max(1, kappa)
         and abs(float(np.sum(Gamma * X)) - oracle_psi(X, kappa)) <= tol * scale
     )
-
-
-def oracle_phi_membership(Z, M, kappa, tol=1e-8):
-    """Fantope test: M in the subdifferential iff 0 <= eig(M) <= 1,
-    tr M = kappa, and <M, Z> attains Phi_kappa(Z)."""
-    Z = np.asarray(Z, dtype=float)
-    M = np.asarray(M, dtype=float)
-    lam = np.linalg.eigvalsh(M)
-    scale = 1.0 + float(np.linalg.norm(Z))
-    return bool(
-        lam[0] >= -tol
-        and lam[-1] <= 1 + tol
-        and abs(float(np.trace(M)) - kappa) <= tol * max(1, kappa)
-        and abs(float(np.sum(M * Z)) - oracle_phi(Z, kappa)) <= tol * scale
-    )
-
-
-def oracle_dirderiv(fn, X, W, h=1e-5):
-    """One-sided directional derivative with one Richardson step."""
-    f0 = fn(X)
-    q1 = (fn(X + h * W) - f0) / h
-    q2 = (fn(X + 0.5 * h * W) - f0) / (0.5 * h)
-    return 2.0 * q2 - q1
-
-
-def fantope_project(Z, kappa, t=1.0):
-    """Projection onto t * {0 <= M <= I, tr M = kappa} (eigen transfer of the
-    capped simplex with an equality constraint, solved by bisection)."""
-    lam, Q = np.linalg.eigh(np.asarray(Z, dtype=float))
-    cap, mass = t, t * kappa
-    lo = float(np.min(lam)) - cap - 1.0
-    hi = float(np.max(lam)) + 1.0
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        s = float(np.sum(np.clip(lam - mid, 0.0, cap)))
-        if s > mass:
-            lo = mid
-        else:
-            hi = mid
-    w = np.clip(lam - 0.5 * (lo + hi), 0.0, cap)
-    return (Q * w) @ Q.T
 
 
 def oracle_vector_prox_enum(x, t, kappa):

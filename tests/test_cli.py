@@ -163,6 +163,8 @@ def test_analyze_stationarity_failure_exit_three(tmp_path, capsys):
     err = json.loads(cap.out)["error"]
     assert err["kind"] == "stationarity"
     assert err["subdiff_distance"] > 0
+    # Gamma_bar = -X3 has negative diagonal: no common ordered SVD
+    assert err["first_failed"] == "no simultaneous ordered SVD pair exists"
 
 
 # ---------------------------------------------------------------- d2

@@ -16,8 +16,8 @@ from kyfan_tilt.instances import (
     random_membership_instance,
 )
 from kyfan_tilt.oracle import d2_quotient_oracle, kyfan_matrix_prox
-from kyfan_tilt.phik import IN_CONE, OUTSIDE
 from kyfan_tilt.secder import (
+    IN_CONE,
     critical_cone_membership,
     d2_nuclear,
     d2_psi_explicit,

@@ -6,15 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kyfan_tilt.spectral import (
-    bmap,
-    bmap_adjoint,
-    build_frame,
-    eigen_grouped,
-    group_singular,
-    svd_ordered,
-    sym,
-)
+from kyfan_tilt.spectral import bmap, build_frame, group_singular, svd_ordered
 
 seeds = st.integers(0, 2**31 - 1)
 
@@ -76,18 +68,6 @@ def test_bmap_spectrum_is_plus_minus_sigma(seed):
     assert np.allclose(np.sort(lam), expected, atol=1e-10)
 
 
-@settings(max_examples=40, deadline=None)
-@given(seeds)
-def test_bmap_adjoint_identity(seed):
-    rng = np.random.default_rng(seed)
-    X = random_rect(rng)
-    n, m = X.shape
-    M = sym(rng.standard_normal((n + m, n + m)))
-    lhs = float(np.sum(bmap(X) * M))
-    rhs = float(np.sum(X * bmap_adjoint(M, n)))
-    assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
-
-
 def frame_for(X, kappa):
     pair = svd_ordered(X)
     grouping = group_singular(pair, kappa)
@@ -129,11 +109,3 @@ def test_frame_square_zero_matrix():
     assert np.allclose(frame.eigenvalues, 0.0)
     assert np.linalg.norm(frame.P.T @ frame.P - np.eye(6)) <= 1e-10
 
-
-def test_eigen_grouped_basic():
-    Z = np.diag([3.0, 3.0, 1.0, -2.0])
-    eg = eigen_grouped(Z)
-    assert np.allclose(eg.lam, [3.0, 3.0, 1.0, -2.0])
-    assert eg.group_index_of(0) == eg.group_index_of(1) != eg.group_index_of(2)
-    with pytest.raises(ValueError):
-        eigen_grouped(np.array([[0.0, 1.0], [0.0, 0.0]]))

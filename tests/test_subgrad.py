@@ -1,4 +1,4 @@
-"""Ky-Fan subdifferential: membership test, certificates, multiplier set."""
+"""Ky-Fan subdifferential: membership test and certificates."""
 from __future__ import annotations
 
 import numpy as np
@@ -14,12 +14,9 @@ from kyfan_tilt.instances import (
     random_membership_instance,
     random_orthogonal,
 )
-from kyfan_tilt.spectral import build_frame
 from kyfan_tilt.subgrad import (
     INTERIOR_GROUP,
     ZERO_GROUP,
-    multiplier_from_xi,
-    multiplier_membership,
     psi_value,
     simultaneous_svd,
     subdiff_membership,
@@ -212,86 +209,3 @@ def test_tight_flag_tracks_case(seed):
         assert ok
         assert cert.tight == want, case
 
-
-# ---------------------------------------------------------------- multiplier set
-
-
-def feasible_xi(cert, rng):
-    """A point of the multiplier polytope's xi coordinates, or None if fiddly."""
-    if cert.case == INTERIOR_GROUP:
-        return cert.sigma_gamma_vals[cert.beta]
-    nb = len(cert.beta)
-    nc = len(cert.grouping.c)
-    sig = cert.sigma_gamma_vals[cert.beta]
-    xi1 = sig.copy()
-    xi3 = np.zeros(nb)
-    xi2 = np.zeros(nc)
-    rem = cert.kappa1 - float(np.sum(xi1))
-    # pour slack into the c-block, then symmetrically into (xi1, xi3) pairs
-    for i in range(nc):
-        take = min(1.0, rem)
-        xi2[i] = take
-        rem -= take
-        if rem <= 1e-14:
-            break
-    i = 0
-    while rem > 1e-14 and i < nb:
-        take = min((1.0 - xi1[i]), rem / 2.0)
-        xi1[i] += take
-        xi3[i] += take
-        rem -= 2 * take
-        i += 1
-    if rem > 1e-12:
-        return None
-    return np.concatenate([xi1, xi2, xi3])
-
-
-@settings(max_examples=50, deadline=None)
-@given(seeds, st.sampled_from(CASES))
-def test_multiplier_round_trip(seed, case):
-    rng = np.random.default_rng(seed)
-    X, Gamma, kappa, _ = random_membership_instance(rng, case=case)
-    ok, cert = subdiff_membership(X, Gamma, kappa)
-    assert ok
-    frame = build_frame(cert.pair, cert.grouping)
-    xi = feasible_xi(cert, rng)
-    if xi is None:
-        return
-    elem = multiplier_from_xi(cert, frame, xi)
-    n, m = X.shape
-    # M reproduces Gamma through the off-diagonal block of the embedding
-    assert np.max(np.abs(2.0 * elem.M[:n, n:] - Gamma)) < 1e-8
-    assert np.max(np.abs(elem.M - elem.M.T)) < 1e-10
-    lam = np.linalg.eigvalsh(elem.M)
-    assert lam[0] > -1e-9 and lam[-1] < 1 + 1e-9
-    assert np.trace(elem.M) == pytest.approx(kappa, abs=1e-8)
-    assert multiplier_membership(X, Gamma, elem.M, kappa)
-
-
-@settings(max_examples=30, deadline=None)
-@given(seeds)
-def test_multiplier_membership_rejects_perturbed(seed):
-    rng = np.random.default_rng(seed)
-    X, Gamma, kappa, _ = random_membership_instance(rng)
-    ok, cert = subdiff_membership(X, Gamma, kappa)
-    assert ok
-    frame = build_frame(cert.pair, cert.grouping)
-    xi = feasible_xi(cert, rng)
-    if xi is None:
-        return
-    M = multiplier_from_xi(cert, frame, xi).M
-    E = rng.standard_normal(M.shape)
-    M_bad = M + 1e-3 * (E + E.T)
-    assert not multiplier_membership(X, Gamma, M_bad, kappa)
-
-
-def test_multiplier_from_xi_rejects_infeasible():
-    X = np.diag([3.0, 2.0, 1.0])
-    Gamma = np.diag([1.0, 1.0, 0.0])
-    ok, cert = subdiff_membership(X, Gamma, 2)
-    assert ok
-    frame = build_frame(cert.pair, cert.grouping)
-    with pytest.raises(ValueError):
-        multiplier_from_xi(cert, frame, np.array([0.5]))  # must equal sigma on beta
-    with pytest.raises(ValueError):
-        multiplier_from_xi(cert, frame, np.array([1.0, 1.0]))  # wrong length

@@ -16,7 +16,6 @@ import pytest
 from kyfan_tilt.cli import main
 from kyfan_tilt.config import Tolerances
 from kyfan_tilt.io import matrix_to_json, unvec, vec
-from kyfan_tilt.spectral import eigen_grouped
 from kyfan_tilt.subgrad import subdiff_membership
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -184,20 +183,29 @@ def test_pinv_rel_knob_moves_the_general_form(tmp_path, capsys):
     assert wide["cross_check"]["general_form"] == 0.0
 
 
-def test_orth_knob_moves_the_symmetry_check():
-    # ||Z - Z^T||_F = sqrt(2) * 1e-9 against orth * 4 * max(1, ||Z||_F) = 4e-10
-    Z = np.diag([0.4, 0.3, 0.2, 0.1])
-    Z[0, 1] += 1e-9
-    with pytest.raises(ValueError, match="not symmetric"):
-        eigen_grouped(Z)
-    assert len(eigen_grouped(Z, tols=Tolerances(orth=1e-9)).lam) == 4
+def test_orth_knob_moves_the_symmetry_check(tmp_path, capsys):
+    # Q = I + 1e-8 E_01: ||Q - Q^T||_F = 1.4e-8 against
+    # orth * nm * max(1, ||Q||_F) = 1e-10 * 9 * 3 = 2.7e-9 by default
+    Q = np.eye(9)
+    Q[0, 1] += 1e-8
+    pf = write_json(tmp_path, problem_dict(np.diag([3.0, 2.0, 1.0]), np.diag([1.0, 1.0, 0.0]), 2, Q=Q))
+    code, report = run(capsys, "analyze", pf)
+    assert code == 3 and report["error"]["kind"] == "precondition"
+    assert report["error"]["message"] == "Hessian of theta must be symmetric"
+    code, report = run(capsys, "analyze", pf, "--tol.orth=1e-8")
+    assert code == 0 and report["verdict"]["status"] == "Stable"
 
 
-def test_removed_angle_tolerance_is_unknown(tmp_path, capsys):
-    pf = write_json(tmp_path, slide_problem(1.0))
-    code, report = run(capsys, "analyze", pf, "--tol.angle=1e-9")
+@pytest.mark.parametrize("name", ["angle", "cond_rel"])
+def test_removed_angle_tolerance_is_unknown(tmp_path, capsys, name):
+    d = slide_problem(1.0)
+    code, report = run(capsys, "analyze", write_json(tmp_path, d), f"--tol.{name}=1e-9")
     assert code == 3
-    assert report["error"]["message"] == "--tol.angle: unknown tolerance name"
+    assert report["error"]["message"] == f"--tol.{name}: unknown tolerance name"
+    d["tolerances"] = {name: 1e-8}
+    code, report = run(capsys, "analyze", write_json(tmp_path, d))
+    assert code == 3
+    assert report["error"]["message"] == f"tolerances.{name}: unknown tolerance name"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "abc"])
