@@ -53,9 +53,10 @@ EXIT_ERROR = 3
 
 _VERDICT_EXIT = {STABLE: EXIT_STABLE, UNSTABLE: EXIT_UNSTABLE, INCONCLUSIVE: EXIT_INCONCLUSIVE}
 
-# resource bounds, checked at parse time: each rotation sample holds an
-# nm x hull_dim basis (hull_dim <= nm), so (samples + 1) * nm^2 floats must
-# fit in ROTATION_FLOATS (1 GiB); MAX_D2_SAMPLES caps --d2-samples
+# resource bounds, checked at parse time.  A rotation sample is one more
+# witness-search round and holds no basis; (samples + 1) * nm^2 <= 2^27, the
+# bound from when each held an nm x hull_dim basis, stays so that no value
+# changes its exit code.  MAX_D2_SAMPLES caps --d2-samples
 ROTATION_FLOATS = 2**27
 MAX_D2_SAMPLES = 10_000
 
@@ -91,7 +92,10 @@ def _rotation_samples(v, where, nm):
 def _as_real(v, where, positive=False):
     if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
         raise SchemaError(f"{where}: expected a number, got {v!r}")
-    v = float(v)
+    try:
+        v = float(v)
+    except OverflowError:
+        raise SchemaError(f"{where}: must be finite, got an integer beyond the float range") from None
     if not math.isfinite(v):
         raise SchemaError(f"{where}: must be finite, got {v}")
     if positive and v <= 0:

@@ -76,6 +76,8 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
             flat = np.array([float(v) for v in data], dtype=float)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"{where}.data: non-numeric entry ({exc})") from None
+        except OverflowError:
+            raise SchemaError(f"{where}.data: entries must be finite") from None
         if not np.all(np.isfinite(flat)):
             raise SchemaError(f"{where}.data: entries must be finite")
     return flat.reshape((rows, cols))

@@ -19,7 +19,10 @@ Xbar and B an orthonormal basis of the hull:
                                 exhaustion degrades to Inconclusive.
 
 Phase 5 never reports Unstable from the hull alone: a witness must satisfy
-the recorded inequality within tolerance.
+the recorded inequality within tolerance.  Steps 1-2 run once per analysis:
+rotating the degenerate blocks of the simultaneous SVD changes neither the
+hull's span nor the margin, so each rotation sample is only one more round
+of phase 5, on a random orthonormal frame of the same N.
 """
 from __future__ import annotations
 
@@ -347,18 +350,17 @@ def build_upsilon(
     spec: ProblemSpec,
     tols: Tolerances = DEFAULT_TOLS,
     cert: SubgradCertificate | None = None,
-    pair: SvdPair | None = None,
 ) -> UpsilonSpec:
-    """Assemble the structured set for (Xbar, Gamma_bar).
+    """Assemble the structured set for (Xbar, Gamma_bar) on the
+    certificate's simultaneous SVD.
 
-    Raises StationarityError when Gamma_bar is not a subgradient.  `pair`
-    overrides the certificate's simultaneous SVD (used for re-rotation
-    sampling of degenerate blocks).
+    Raises StationarityError when Gamma_bar is not a subgradient.  The hull
+    is built once per analysis: rotating the degenerate blocks of the SVD
+    leaves its span and the sandwich margin unchanged.
     """
     if cert is None:
         cert = spec.validate(tols=tols)
-    if pair is None:
-        pair = cert.pair
+    pair = cert.pair
     n, m = pair.n, pair.m
     case = fine_case(cert)
     elems = _hull_elements(cert, case, n, m)
@@ -503,15 +505,6 @@ _STALL_RISE = 1e-3
 _STACK_FLOATS = 1 << 20
 
 
-def _orth(B: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Orthonormal basis of the column span."""
-    if B.size == 0:
-        return B.reshape(B.shape[0], 0)
-    U, s, _ = np.linalg.svd(B, full_matrices=False)
-    keep = s > tol * max(1.0, s[0] if len(s) else 0.0)
-    return U[:, keep]
-
-
 def _kernel_in_hull(theta, B: np.ndarray, cutoff: float):
     """Orthonormal basis of ker H  intersect  span B, and lambda_min(B^T H B)
     (+inf on an empty hull).
@@ -522,43 +515,6 @@ def _kernel_in_hull(theta, B: np.ndarray, cutoff: float):
         return B, math.inf
     lam, Y = np.linalg.eigh(theta.restricted_hessian(B))
     return B @ Y[:, lam <= cutoff], float(lam[0])
-
-
-def _rotate_pair(cert: SubgradCertificate, rng, tols: Tolerances) -> SvdPair:
-    """Random joint rotation of degenerate blocks that preserves both X and
-    Gamma diagonal structure: common rotations within (sigma_X, sigma_Gamma)
-    equal-value sub-blocks, a free rotation on the kernel columns."""
-    pair = cert.pair
-    U = pair.U.copy()
-    V = pair.V.copy()
-    vals = cert.sigma_gamma_vals
-
-    def subsplit(idx):
-        out = []
-        cur = [idx[0]]
-        for i in idx[1:]:
-            if abs(vals[i] - vals[cur[-1]]) <= tols.sigma_class:
-                cur.append(i)
-            else:
-                out.append(cur)
-                cur = [i]
-        out.append(cur)
-        return out
-
-    blocks = list(cert.grouping.groups)
-    if len(cert.grouping.b):
-        blocks.append(cert.grouping.b)
-    for g in blocks:
-        for sb in subsplit(list(g)):
-            k = len(sb)
-            R = np.linalg.qr(rng.standard_normal((k, k)))[0]
-            U[:, sb] = U[:, sb] @ R
-            V[:, sb] = V[:, sb] @ R
-    c = cert.grouping.c
-    if len(c):
-        R = np.linalg.qr(rng.standard_normal((len(c), len(c))))[0]
-        V[:, c] = V[:, c] @ R
-    return SvdPair(U=U, V=V, sigma=pair.sigma.copy())
 
 
 def _rowdot(A, B):
@@ -619,20 +575,13 @@ def _search_witness(ups, N, rng, tols: Tolerances):
 
         return stacked(2 * q * len(points), probes).reshape(len(points), 2, q)
 
-    starts = []
-    for i in range(min(q, _SEARCH_STARTS)):
-        e = np.zeros(q)
-        e[i] = 1.0
-        starts.append(e)
-    while len(starts) < _SEARCH_STARTS:
-        v = rng.standard_normal(q)
-        starts.append(v / np.linalg.norm(v))
-    # the random starts are drawn even when q == 1, so that the variants
-    # searched after this one see the same random stream
+    # the unit axes, then random unit directions; these are drawn even when
+    # q == 1, so that the rounds searched after this one see the same stream
+    R = rng.standard_normal((max(0, _SEARCH_STARTS - q), q))
+    C = np.vstack([np.eye(min(q, _SEARCH_STARTS), q), R / np.sqrt(_rowdot(R, R))[:, None]])
     steps = _SEARCH_STEPS
     if q == 1:
-        starts, steps = [starts[0], -starts[0]], 0
-    C = np.array(starts)
+        C, steps = np.vstack([C[0], -C[0]]), 0
     S = len(C)
     vals = margins(C)
     evals = np.ones(S, dtype=int)
@@ -688,27 +637,19 @@ def tilt_check(
 ) -> TiltVerdict:
     """Decide tilt stability of Xbar for min nu*theta + Psi_kappa.
 
-    Pure given its options.seed.  With rotation_samples > 0 the hulls of
-    re-rotated degenerate pairs are unioned for the Stable test and each
-    sampled pattern is searched for witnesses; verdict disagreement between
-    samples degrades to Inconclusive.
+    Pure given its options.seed.  The intersection N (q columns) is built
+    once; each rotation sample is one more witness-search round: round 0
+    searches N, round r >= 1 searches N @ R_r, R_r the Q factor of a q x q
+    Gaussian from default_rng(seed).  The rounds share the search stream
+    default_rng(seed + 1); the first witness ends the search, and the best
+    margin is kept over the rounds (ties to the earlier round).
     """
     options = options or TiltOptions()
     if ups is None:
         ups = build_upsilon(spec, tols=tols)
-    cert = ups.cert
     theta = spec.theta
     cutoff = max(tols.kernel_rel * theta.hessian_bound(), tols.kernel_floor)
-    variants = [ups]
-    if options.rotation_samples > 0:
-        rng_rot = np.random.default_rng(options.seed)
-        for _ in range(options.rotation_samples):
-            pair2 = _rotate_pair(cert, rng_rot, tols)
-            variants.append(build_upsilon(spec, tols=tols, cert=cert, pair=pair2))
-        union = _orth(np.hstack([v.hull_basis for v in variants]))
-    else:
-        union = ups.hull_basis  # orthonormal by construction
-    N_union, lam_min = _kernel_in_hull(theta, union, cutoff)
+    N, lam_min = _kernel_in_hull(theta, ups.hull_basis, cutoff)
     base_cert = {
         "hull_dim": int(ups.hull_basis.shape[1]),
         "restricted_lambda_min": lam_min,
@@ -717,48 +658,49 @@ def tilt_check(
         "exact": ups.exact,
         "rotation_samples": options.rotation_samples,
     }
-    if N_union.shape[1] == 0:
+    q = N.shape[1]
+    if q == 0:
         return TiltVerdict(STABLE, base_cert)
+    base_cert["intersection_dim"] = q
 
-    def unstable(v, v_idx, N, W):
-        res = upsilon_residuals(v, W)
+    def unstable(W, round_):
+        res = upsilon_residuals(ups, W)
         kres = float(np.linalg.norm(theta.hessian_times(vec(W))))
         return TiltVerdict(
             UNSTABLE,
-            {
-                **base_cert,
-                "intersection_dim": int(N.shape[1]),
-                "witness_residuals": res,
-                "kernel_residual": kres,
-                "variant": v_idx,
-            },
+            {**base_cert, "witness_residuals": res, "kernel_residual": kres, "variant": round_},
             witness=W,
         )
 
-    # per-variant intersections (a witness must live in a single pattern)
+    if ups.exact:
+        W = unvec(N[:, 0], spec.n, spec.m)
+        W /= np.linalg.norm(W)
+        return unstable(W, 0)
+    rng_rot = np.random.default_rng(options.seed)
     rng = np.random.default_rng(options.seed + 1)
-    best_diag = None
-    for v_idx, v in enumerate(variants):
-        N = N_union
-        if len(variants) > 1:
-            N = _kernel_in_hull(theta, v.hull_basis, cutoff)[0]
-        if N.shape[1] == 0:
-            continue
-        if v.exact:
-            W = unvec(N[:, 0], spec.n, spec.m)
-            W /= np.linalg.norm(W)
-            return unstable(v, v_idx, N, W)
-        W, diag = _search_witness(v, N, rng, tols)
-        if best_diag is None or diag["best_margin"] > best_diag["best_margin"]:
-            best_diag = {**diag, "variant": v_idx}
+    rounds = 1 + options.rotation_samples
+    best, best_round = -math.inf, 0
+    starts_used = margin_evals = 0
+    for r in range(rounds):
+        frame = N if r == 0 else N @ np.linalg.qr(rng_rot.standard_normal((q, q)))[0]
+        W, diag = _search_witness(ups, frame, rng, tols)
+        starts_used += diag["starts_used"]
+        margin_evals += diag["margin_evals"]
+        if diag["best_margin"] > best:
+            best, best_round = diag["best_margin"], r
         if W is not None:
-            return unstable(v, v_idx, N, W)
+            return unstable(W, r)
     return TiltVerdict(
         INCONCLUSIVE,
         {
             **base_cert,
-            "intersection_dim": int(N_union.shape[1]),
-            "search": best_diag or {"best_margin": None},
+            "search": {
+                "best_margin": best,
+                "variant": best_round,
+                "rounds": rounds,
+                "starts_used": starts_used,
+                "margin_evals": margin_evals,
+            },
             "note": "kernel meets the hull but no certified set member was found",
         },
     )

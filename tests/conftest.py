@@ -4,7 +4,9 @@ The oracles here deliberately avoid the library's certificate machinery:
 subgradient membership goes through the support-function / dual-ball
 characterization (plain SVD only), and the vector prox through exhaustive
 enumeration of its KKT active sets (and a small convex program when cvxpy
-is installed).
+is installed).  The random rotation of degenerate SVD blocks that the
+hull-invariance test applies is built here too, from index bookkeeping on
+the certificate's singular values.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from kyfan_tilt.instances import (
     random_orthogonal,
 )
 from kyfan_tilt.io import unvec, vec
+from kyfan_tilt.spectral import SvdPair
 from kyfan_tilt.tilt import ProblemSpec, QuadraticTheta
 
 
@@ -124,6 +127,35 @@ def projector_complement(w):
     w = vec(w)
     w = w / np.linalg.norm(w)
     return np.eye(len(w)) - np.outer(w, w)
+
+
+def rotate_degenerate_blocks(cert, rng, tol=1e-9):
+    """Another simultaneous ordered SVD of the certificate's (X, Gamma).
+
+    Consecutive indices whose X singular values and Gamma diagonal values
+    both agree within tol form a sub-block; one random orthogonal R (the Q
+    factor of a Gaussian) acts on the U and V columns of each sub-block, and
+    an independent one on V's kernel columns n..m-1.  Both X = U [S 0] V^T
+    and Gamma keep their diagonal forms.  Written without the library's
+    grouping, so that the hull invariance it tests is checked from outside."""
+    pair = cert.pair
+    n, m = pair.n, pair.m
+    sx, sg = pair.sigma, cert.sigma_gamma_vals
+    U, V = pair.U.copy(), pair.V.copy()
+
+    def orthogonal(k):
+        return np.linalg.qr(rng.standard_normal((k, k)))[0]
+
+    start = 0
+    for i in range(1, n + 1):
+        if i == n or abs(sx[i] - sx[start]) > tol or abs(sg[i] - sg[start]) > tol:
+            R = orthogonal(i - start)
+            U[:, start:i] = U[:, start:i] @ R
+            V[:, start:i] = V[:, start:i] @ R
+            start = i
+    if m > n:
+        V[:, n:] = V[:, n:] @ orthogonal(m - n)
+    return SvdPair(U=U, V=V, sigma=pair.sigma.copy())
 
 
 def _rotated(rng, X, Gamma, W):

@@ -5,12 +5,20 @@ appear in any pytest run; the assert after the print keeps the gate honest.
 """
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
-from conftest import make_quadratic_spec, oracle_vector_prox_qp, projector_complement, tilt_family
+from conftest import (
+    make_quadratic_spec,
+    oracle_vector_prox_qp,
+    projector_complement,
+    rotate_degenerate_blocks,
+    tilt_family,
+)
+from kyfan_tilt import tilt
 from kyfan_tilt.cli import run_analyze
 from kyfan_tilt.instances import (
     INTERIOR,
@@ -38,7 +46,7 @@ from kyfan_tilt.secder import (
 )
 from kyfan_tilt.spectral import bmap, build_frame, group_singular, svd_ordered
 from kyfan_tilt.subgrad import psi_value, subdiff_membership
-from kyfan_tilt.tilt import TiltOptions, tilt_check
+from kyfan_tilt.tilt import TiltOptions, build_upsilon, tilt_check
 
 CASES = [INTERIOR, ZERO_STRICT, ZERO_TIGHT]
 
@@ -345,9 +353,27 @@ def _decisive_kernel(rng, cert):
     return cert.pair.U @ H @ cert.pair.V.T
 
 
+def _span_gap(A, B):
+    """||(I - A A^T) B||_F for A with orthonormal columns."""
+    return float(np.linalg.norm(B - A @ (A.T @ B)))
+
+
+def _margin_gap(a, b):
+    """Largest |a - b| over two margin arrays: 0 where both hold the same
+    infinity (a vacuous inequality stays vacuous), inf where one does."""
+    with np.errstate(invalid="ignore"):
+        d = np.abs(a - b)
+    return float(np.max(np.where(a == b, 0.0, d), initial=0.0))
+
+
 def test_acceptance_10_pair_invariance(capsys):
+    """Rotating the degenerate blocks of the simultaneous SVD (the test's own
+    rotation code) moves neither the hull's span nor the sandwich margins of
+    hull elements, and rotation samples leave the verdict unchanged."""
     rng = np.random.default_rng(1010)
+    rng_rot = np.random.default_rng(1011)
     changes = []
+    span_worst = margin_worst = 0.0
     statuses = {"Stable": 0, "Unstable": 0, "Inconclusive": 0}
     for i in range(100):
         X, Gamma, kappa, cert = member_with_cert(rng, case=CASES[i % 3])
@@ -363,15 +389,39 @@ def test_acceptance_10_pair_invariance(capsys):
             else:
                 Q = projector_complement(W)
         spec = make_quadratic_spec(X, Gamma, kappa, Q)
-        base = tilt_check(spec, options=TiltOptions(seed=7))
-        rot = tilt_check(spec, options=TiltOptions(seed=7, rotation_samples=8))
+        ups = build_upsilon(spec)
+        n, m = X.shape
+        rotated = rotate_degenerate_blocks(ups.cert, rng_rot)
+        B = ups.hull_basis
+        B_rot = np.zeros_like(B)
+        for j, H in enumerate(tilt._hull_elements(ups.cert, ups.case, n, m)):
+            B_rot[:, j] = vec(rotated.U @ H @ rotated.V.T)
+        span_worst = max(span_worst, _span_gap(B, B_rot), _span_gap(B_rot, B))
+        if B.shape[1]:
+            C = rng_rot.standard_normal((5, B.shape[1]))
+            Ws = (C / np.linalg.norm(C, axis=1, keepdims=True)) @ B.T
+            Ws = Ws.reshape(5, n, m)
+            here = tilt._sandwich(ups, ups.pair.U.T @ Ws @ ups.pair.V)[0]
+            there = tilt._sandwich(
+                dataclasses.replace(ups, pair=rotated), rotated.U.T @ Ws @ rotated.V
+            )[0]
+            margin_worst = max(margin_worst, _margin_gap(here, there))
+        base = tilt_check(spec, ups=ups, options=TiltOptions(seed=7))
+        rot = tilt_check(spec, ups=ups, options=TiltOptions(seed=7, rotation_samples=8))
         statuses[base.status] += 1
         if base.status != rot.status:
             changes.append((i, base.status, rot.status))
-    ok = not changes and statuses["Stable"] > 0 and statuses["Unstable"] > 0
+    ok = (
+        not changes
+        and statuses["Stable"] > 0
+        and statuses["Unstable"] > 0
+        and span_worst <= 1e-12
+        and margin_worst <= 1e-12
+    )
     emit(
         capsys, 10, "pair-invariance", ok,
-        f"n=100 changes={changes or 0} statuses={statuses}",
+        f"n=100 changes={changes or 0} statuses={statuses} "
+        f"span_gap={span_worst:.1e} margin_gap={margin_worst:.1e}",
     )
 
 

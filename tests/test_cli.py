@@ -257,6 +257,19 @@ def test_schema_errors_exit_three(tmp_path, capsys):
     assert code == 3
     assert "invalid JSON" in json.loads(cap.out)["error"]["message"]
 
+    # integers beyond the float range overflow float(); they are schema
+    # errors naming the field, not a traceback and exit 1
+    d = problem_dict(X3, G3, 2)
+    d["nu"] = 10**400
+    code, cap = run(capsys, "analyze", write_json(tmp_path, "nu.json", d))
+    assert code == 3
+    assert json.loads(cap.out)["error"]["message"].startswith("nu: must be finite")
+    d = problem_dict(X3, G3, 2)
+    d["X"]["data"][0] = 10**400
+    code, cap = run(capsys, "analyze", write_json(tmp_path, "x.json", d))
+    assert code == 3
+    assert json.loads(cap.out)["error"]["message"] == "X.data: entries must be finite"
+
 
 @pytest.mark.parametrize(
     "command, flag",

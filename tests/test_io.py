@@ -62,12 +62,16 @@ def _entry_loop_message(data, where):
         flat = np.array([float(v) for v in data], dtype=float)
     except (TypeError, ValueError) as exc:
         return f"{where}.data: non-numeric entry ({exc})"
+    except OverflowError:
+        return f"{where}.data: entries must be finite"
     if not np.all(np.isfinite(flat)):
         return f"{where}.data: entries must be finite"
     return None
 
 
-@pytest.mark.parametrize("bad", [None, "x", [2.0], float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "bad", [None, "x", [2.0], float("nan"), float("inf"), pytest.param(10**400, id="huge_int")]
+)
 def test_matrix_from_json_messages_match_entry_loop(bad):
     data = [1.0, bad, 3.0, 4.0]
     want = _entry_loop_message(data, "theta.Q")
