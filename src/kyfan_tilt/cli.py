@@ -60,6 +60,9 @@ _VERDICT_EXIT = {STABLE: EXIT_STABLE, UNSTABLE: EXIT_UNSTABLE, INCONCLUSIVE: EXI
 ROTATION_FLOATS = 2**27
 MAX_D2_SAMPLES = 10_000
 
+# the tolerance table's field names, in declaration order
+TOLERANCE_NAMES = tuple(f.name for f in dataclasses.fields(Tolerances))
+
 
 # ---------------------------------------------------------------------------
 # schema
@@ -133,10 +136,11 @@ def _with_tolerances(tols, values, where):
     through here.  Each value must be a finite positive number."""
     if not isinstance(values, dict):
         raise SchemaError(f"{where.rstrip('.')}: expected an object")
-    names = {f.name for f in dataclasses.fields(Tolerances)}
+    if not values:
+        return tols
     updates = {}
     for k, v in values.items():
-        if k not in names:
+        if k not in TOLERANCE_NAMES:
             raise SchemaError(f"{where}{k}: unknown tolerance name")
         updates[k] = _as_real(v, f"{where}{k}", positive=True)
     return dataclasses.replace(tols, **updates)
@@ -343,13 +347,13 @@ def run_analyze(
 
     report = {
         "problem": _problem_echo(spec),
-        "tolerances": dataclasses.asdict(tols),
+        "tolerances": {name: getattr(tols, name) for name in TOLERANCE_NAMES},
         "certificate": _cert_summary(cert),
         "index_sets": _index_sets(cert),
         "upsilon": {
             "case": ups.case,
             "exact": bool(ups.exact),
-            "hull_dim": int(ups.hull_basis.shape[1]),
+            "hull_dim": ups.hull.dim,
             "cone_constraint": ups.cone_constraint,
             "block_dims": ups.block_dims,
         },

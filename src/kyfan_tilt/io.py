@@ -58,7 +58,7 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
         if key not in obj:
             raise SchemaError(f"{where}.{key}: missing")
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 0 or cols < 0:
+    if any(isinstance(v, bool) or not isinstance(v, int) or v < 0 for v in (rows, cols)):
         raise SchemaError(f"{where}.rows/cols: must be nonnegative integers")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise SchemaError(

@@ -78,20 +78,15 @@ class SvdPair:
 def _fix_signs(U, V):
     """Flip matched column pairs so each U column has its largest-magnitude
     entry positive (first index wins ties)."""
-    U = U.copy()
-    V = V.copy()
     n = U.shape[1]
-    for j in range(n):
-        i = int(np.argmax(np.abs(U[:, j])))
-        if U[i, j] < 0:
-            U[:, j] = -U[:, j]
-            V[:, j] = -V[:, j]
+
+    def signs(A):
+        cols = np.arange(A.shape[1])
+        return np.where(A[np.argmax(np.abs(A), axis=0), cols] < 0, -1.0, 1.0)
+
+    s = signs(U)
     # trailing V columns have no U partner; apply the rule to themselves
-    for j in range(n, V.shape[1]):
-        i = int(np.argmax(np.abs(V[:, j])))
-        if V[i, j] < 0:
-            V[:, j] = -V[:, j]
-    return U, V
+    return U * s, V * np.concatenate([s, signs(V[:, n:])])
 
 
 def svd_ordered(X: np.ndarray) -> SvdPair:

@@ -108,28 +108,35 @@ def simultaneous_svd(X: np.ndarray, Gamma: np.ndarray, tols: Tolerances = DEFAUL
     V = pair.V.copy()
     K = U.T @ Gamma @ V  # n x m
     d = np.full(n, np.nan)
-    # positive groups: common rotation, block must be symmetric PSD
+    # positive groups (runs of consecutive indices): common rotation, block
+    # must be symmetric PSD.  A 1 x 1 block is its own eigenvalue, with
+    # eigenvector 1.  The column blocks are rotated in Fortran order, the
+    # layout in which BLAS has always rounded these products
     for g in grouping.groups:
-        B = K[np.ix_(g, g)]
-        if np.linalg.norm(B - B.T) > gtol:
+        g = slice(g[0], g[-1] + 1)
+        B = K[g, g]
+        if B.shape == (1, 1):
+            w = B[0]
+        else:
+            if np.linalg.norm(B - B.T) > gtol:
+                return None
+            w, R = np.linalg.eigh(0.5 * (B + B.T))
+            w = w[::-1]
+            R = R[:, ::-1]
+            U[:, g] = np.asfortranarray(U[:, g]) @ R
+            V[:, g] = np.asfortranarray(V[:, g]) @ R
+        if w[-1] < -gtol:
             return None
-        w, R = np.linalg.eigh(0.5 * (B + B.T))
-        w = w[::-1]
-        R = R[:, ::-1]
-        if len(w) and w[-1] < -gtol:
-            return None
-        U[:, g] = U[:, g] @ R
-        V[:, g] = V[:, g] @ R
         d[g] = np.clip(w, 0.0, None)
-    # zero block of X: independent rotations over rows b and columns b + c
+    # zero block of X (the trailing rows b): independent rotations over rows
+    # b and columns b + c, the trailing columns
     b = grouping.b
     if len(b):
-        cols = np.concatenate([b, grouping.c]).astype(int)
-        Bb = K[np.ix_(b, cols)]
-        L, s, Rt = np.linalg.svd(Bb, full_matrices=True)
-        U[:, b] = U[:, b] @ L
-        V[:, cols] = V[:, cols] @ Rt.T
-        d[b] = s[: len(b)]
+        b, cols = slice(b[0], n), slice(b[0], m)
+        L, s, Rt = np.linalg.svd(K[b, cols], full_matrices=True)
+        U[:, b] = np.asfortranarray(U[:, b]) @ L
+        V[:, cols] = np.asfortranarray(V[:, cols]) @ Rt.T
+        d[b] = s[: n - b.start]
     # all coupling blocks must vanish (recheck on the rotated pair)
     K2 = U.T @ Gamma @ V
     D = np.zeros((n, m))

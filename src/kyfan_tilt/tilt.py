@@ -9,8 +9,12 @@ Xbar and B an orthonormal basis of the hull:
 
   1. R := B^T H B, the Hessian restricted to the hull; since H is PSD,
      ker H  intersect  span B = B ker R (the reduced-Hessian test), so H
-     itself is never factored,
+     itself is never factored.  B = (U kron V) S is the simultaneous SVD
+     applied to a block selection S, so R is contracted from the Hessian
+     factor (Q, or A for least squares) and column blocks of U and V, a
+     band of the factor's rows at a time; B itself is never formed,
   2. N := B * (eigenvectors of R with eigenvalue <= the kernel cutoff),
+     built for those q columns only,
   3. N = {0}                 -> Stable (sufficient certificate),
   4. N != {0} and exact      -> Unstable with any unit element of N,
   5. otherwise               -> maximize the (concave, 1-homogeneous)
@@ -27,6 +31,7 @@ of phase 5, on a random orthonormal frame of the same N.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -41,6 +46,7 @@ __all__ = [
     "QuadraticTheta",
     "LeastSquaresTheta",
     "ProblemSpec",
+    "HullBlocks",
     "UpsilonSpec",
     "TiltVerdict",
     "TiltOptions",
@@ -91,19 +97,31 @@ class QuadraticTheta:
         return np.asarray(self.Q, dtype=float)
 
     def check_hessian(self, nm: int, tols: Tolerances):
-        """Q must be symmetric PSD nm x nm.  PSD is one Cholesky factorization
-        of sym(Q) + psd_rel * max(1, ||Q||_F) * I; the eigenvalues are
+        """Q must be symmetric PSD nm x nm.  ||Q - Q^T||_F and sym(Q) come
+        from one pass over square tiles; PSD is one Cholesky factorization
+        of sym(Q) + psd_rel * max(1, ||Q||_F) * I, handed to LAPACK as its
+        transpose (Fortran order, the same values); the eigenvalues are
         computed only on failure, for the lambda_min of the message."""
         Q = self.hessian()
         if Q.shape != (nm, nm):
             raise ValueError(f"Hessian must be {nm} x {nm}, got {Q.shape}")
         hscale = max(1.0, self.hessian_bound())
-        if np.linalg.norm(Q - Q.T) > tols.orth * hscale * nm:
+        S = np.empty_like(Q)
+        skew_sq = 0.0
+        for lo in range(0, nm, _TILE):
+            I = slice(lo, lo + _TILE)
+            for lo2 in range(lo, nm, _TILE):
+                J = slice(lo2, lo2 + _TILE)
+                A, Bt = Q[I, J], Q[J, I].T
+                D = A - Bt
+                skew_sq += (1.0 if lo == lo2 else 2.0) * float(np.vdot(D, D))
+                S[I, J] = 0.5 * (A + Bt)
+                S[J, I] = S[I, J].T
+        if math.sqrt(skew_sq) > tols.orth * hscale * nm:
             raise ValueError("Hessian of theta must be symmetric")
-        S = sym(Q)
         S[np.diag_indices(nm)] += tols.psd_rel * hscale
         try:
-            np.linalg.cholesky(S)
+            np.linalg.cholesky(S.T)
         except np.linalg.LinAlgError:
             lmin = np.linalg.eigvalsh(sym(Q))[0]
             raise ValueError(
@@ -114,9 +132,15 @@ class QuadraticTheta:
         """||Q||_F, an upper bound on lambda_max(Q)."""
         return float(np.linalg.norm(self.Q))
 
-    def restricted_hessian(self, B):
-        """B^T Q B."""
-        return sym(B.T @ (self.Q @ B))
+    def restricted_hessian(self, hull: HullBlocks):
+        """sym(B^T Q B), a band of Q's rows at a time: the rows of matrix
+        rows lo..hi-1 of G add B[band]^T (Q[band] B)."""
+        Q = self.hessian()
+        m = hull.m
+        R = np.zeros((hull.dim, hull.dim))
+        for lo, hi in hull.bands(m):
+            hull.left(hull.right(Q[lo * m : hi * m]), lo, hi, R)
+        return sym(R)
 
     def hessian_times(self, w):
         return self.Q @ w
@@ -151,10 +175,15 @@ class LeastSquaresTheta:
         """||A||_F^2, an upper bound on lambda_max(A^T A) = ||A||_2^2."""
         return float(np.linalg.norm(self.A)) ** 2
 
-    def restricted_hessian(self, B):
-        """B^T A^T A B, as (A B)^T (A B)."""
-        AB = self.A @ B
-        return AB.T @ AB
+    def restricted_hessian(self, hull: HullBlocks):
+        """B^T A^T A B, as the sum of (A_k B)^T (A_k B) over bands A_k of
+        A's rows."""
+        A = np.asarray(self.A, dtype=float)
+        R = np.zeros((hull.dim, hull.dim))
+        for lo, hi in hull.bands(1, len(A)):
+            AB = hull.right(A[lo:hi])
+            R += AB.T @ AB
+        return R
 
     def hessian_times(self, w):
         return self.A.T @ (self.A @ w)
@@ -280,63 +309,163 @@ class ProblemSpec:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _pair_positions(a):
+    """Flat positions kl, lk of (k, l) and (l, k), k <= l row by row, in an
+    a x a block, with the weights of the symmetric pair elements: a product
+    with B gathers (P[kl] + P[lk]) * gather, an expansion scatters
+    c * scatter to both positions.  Shared, so never written to."""
+    k, l = np.triu_indices(a)
+    diag = k == l
+    return (
+        k * a + l,
+        l * a + k,
+        np.where(diag, 1.0, 1.0 / math.sqrt(2.0)),
+        np.where(diag, 0.5, 1.0 / math.sqrt(2.0)),
+    )
+
+
+class HullBlocks:
+    """The hull's orthonormal basis B = (U kron V) S, held as blocks of U and
+    V: B itself (nm x dim) is never formed.
+
+    With row-major vec, vec(U H V^T) = (U kron V) vec(H), and S selects the
+    block template in U^T G V coordinates, in this order:
+      1. the symmetric pairs of `pairs` (alpha and beta1): E_kk, and
+         (E_kl + E_lk) / sqrt 2 for k < l, row by row;
+      2. the beta_plus diagonal I / sqrt|beta_plus|, when beta_plus is
+         nonempty;
+      3. the free block: E_ij for i in `rows`, j in `cols`, row by row.
+    So a product with B contracts one side with the V columns of the pairs
+    and the free block at once and then each block with its U columns; the
+    beta_plus column is held densely (nm floats), as bp_col.  The column
+    blocks, bp_col and the gather indices are computed once, here.
+    """
+
+    def __init__(self, pair: SvdPair, pairs, beta_plus, rows, cols):
+        U, V = pair.U, pair.V
+        self.n, self.m = pair.n, pair.m
+        self.pairs, self.beta_plus, self.rows, self.cols = pairs, beta_plus, rows, cols
+        self.UP, self.UR = U[:, pairs], U[:, rows]
+        # V columns of the pairs, then those of the free block
+        self.V = V[:, np.concatenate([pairs, cols])]
+        self.kl, self.lk, self.scatter, self.gather = _pair_positions(len(pairs))
+        self.bp_col = None
+        if len(beta_plus):
+            D = U[:, beta_plus] @ V[:, beta_plus].T
+            self.bp_col = D.ravel() / math.sqrt(len(beta_plus))
+        self.free_at = len(self.kl) + (self.bp_col is not None)
+        self.dim = self.free_at + len(rows) * len(cols)
+
+    def bands(self, row_floats, total=None):
+        """(lo, hi) bands over `total` items (default the n matrix rows of
+        G), each item holding row_floats rows of a product with B: a band's
+        product and the temporaries that contract it again, about 3 * dim
+        floats a row, stay within _STACK_FLOATS."""
+        total = self.n if total is None else total
+        per_row = 3 * self.dim
+        step = max(1, _STACK_FLOATS // max(1, row_floats * per_row))
+        return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+
+    def right(self, M):
+        """M @ B for a (k, nm) M, contracted a chunk of rows at a time."""
+        k, n, m = len(M), self.n, self.m
+        a, npair = len(self.pairs), len(self.kl)
+        out = np.empty((k, self.dim))
+        step = max(1, _SUB_FLOATS // max(1, n * self.V.shape[1] + a * a))
+        for lo in range(0, k, step):
+            rows = slice(lo, min(lo + step, k))
+            j = rows.stop - lo
+            Y = (M[rows].reshape(j * n, m) @ self.V).reshape(j, n, self.V.shape[1])
+            if npair:
+                P = (self.UP.T @ Y[:, :, :a]).reshape(j, -1)
+                pair_sums = P.take(self.kl, axis=1) + P.take(self.lk, axis=1)
+                out[rows, :npair] = pair_sums * self.gather
+            if self.bp_col is not None:
+                out[rows, npair] = M[rows] @ self.bp_col
+            if self.dim > self.free_at:
+                out[rows, self.free_at :] = (self.UR.T @ Y[:, :, a:]).reshape(j, -1)
+        return out
+
+    def left(self, X, lo, hi, out):
+        """Add B[band]^T X into the (dim, k) `out`, for a (band rows, k) X,
+        where the band is the vec rows of matrix rows lo..hi-1 of G."""
+        b, k, m = hi - lo, X.shape[1], self.m
+        a, npair = len(self.pairs), len(self.kl)
+        Z = self.V.T @ X.reshape(b, m, k)
+        if npair:
+            P = (self.UP[lo:hi].T @ Z[:, :a].reshape(b, -1)).reshape(-1, k)
+            pair_sums = P.take(self.kl, axis=0)
+            pair_sums += P.take(self.lk, axis=0)
+            pair_sums *= self.gather[:, None]
+            out[:npair] += pair_sums
+        if self.bp_col is not None:
+            out[npair] += self.bp_col[lo * m : hi * m] @ X
+        if self.dim > self.free_at:
+            out[self.free_at :] += (self.UR[lo:hi].T @ Z[:, a:].reshape(b, -1)).reshape(-1, k)
+
+    def expand(self, C):
+        """B @ C for a (dim, k) C, as a C-ordered (nm, k) array."""
+        k, n, m = C.shape[1], self.n, self.m
+        a, npair = len(self.pairs), len(self.kl)
+        W = np.zeros((k, n, m))
+        if npair:
+            H = np.zeros((k, a * a))
+            H[:, self.kl] = H[:, self.lk] = C[:npair].T * self.scatter
+            W += self.UP @ H.reshape(k, a, a) @ self.V[:, :a].T
+        if self.bp_col is not None:
+            W += np.multiply.outer(C[npair], self.bp_col.reshape(n, m))
+        if self.dim > self.free_at:
+            F = C[self.free_at :].T.reshape(k, len(self.rows), len(self.cols))
+            W += self.UR @ F @ self.V[:, a:].T
+        return np.ascontiguousarray(W.reshape(k, n * m).T)
+
+    def off_hull(self, H):
+        """||H - P H||_F for H = U^T W V, P the orthogonal projection onto
+        the template: the distance of W from the hull."""
+        D = np.array(H, dtype=float)
+        A, bp = (self.pairs[:, None], self.pairs), self.beta_plus
+        D[A] -= sym(D[A])
+        if len(bp):
+            D[bp, bp] -= D[bp, bp].mean()
+        D[self.rows[:, None], self.cols] = 0.0
+        return float(np.linalg.norm(D))
+
+
 @dataclasses.dataclass
 class UpsilonSpec:
     """Structured direction set: linear hull plus residual inequality.
 
-    hull_basis has orthonormal columns in vectorized G-space.  The recorded
-    cone_constraint is the sandwich inequality of the block template
-    ("none" when no inequality survives the block dimensions); exact=True
-    means the set equals its hull, so any nonzero hull element in the
-    Hessian kernel is already a witness.
+    hull holds an orthonormal basis of the linear hull in vectorized
+    G-space as blocks of the pair's U and V.  The recorded cone_constraint
+    is the sandwich inequality of the block template ("none" when no
+    inequality survives the block dimensions); exact=True means the set
+    equals its hull, so any nonzero hull element in the Hessian kernel is
+    already a witness.
     """
 
     case: str
     pair: SvdPair
     block_dims: dict
-    hull_basis: np.ndarray
+    hull: HullBlocks
     cone_constraint: str
     exact: bool
     cert: SubgradCertificate
 
 
-def _hull_elements(cert: SubgradCertificate, case: str, n: int, m: int):
-    """Orthonormal block-template basis in U^T G V coordinates."""
-    A = np.concatenate([cert.alpha, cert.beta1]).astype(int)
-    bp = cert.beta_plus
-    isq = 1.0 / np.sqrt(2.0)
-    elems = []
-    for ii in range(len(A)):
-        for jj in range(ii, len(A)):
-            i, j = int(A[ii]), int(A[jj])
-            H = np.zeros((n, m))
-            if i == j:
-                H[i, i] = 1.0
-            else:
-                H[i, j] = isq
-                H[j, i] = isq
-            elems.append(H)
-    if len(bp):
-        H = np.zeros((n, m))
-        H[bp, bp] = 1.0 / np.sqrt(len(bp))
-        elems.append(H)
+def _hull_blocks(cert: SubgradCertificate, case: str) -> HullBlocks:
+    """The block template of the case on the certificate's pair."""
+    n, m = cert.pair.n, cert.pair.m
+    pairs = np.concatenate([cert.alpha, cert.beta1]).astype(int)
     if case == INTERIOR_GROUP:
-        free_rows = np.concatenate([cert.beta0, cert.gamma]).astype(int)
-        free_cols = np.concatenate(
-            [cert.beta0, cert.gamma, np.arange(n, m)]
-        ).astype(int)
+        rows = np.concatenate([cert.beta0, cert.gamma]).astype(int)
+        cols = np.concatenate([cert.beta0, cert.gamma, np.arange(n, m)]).astype(int)
     elif case == ZERO_GROUP_TIGHT:
-        free_rows = cert.beta0.astype(int)
-        free_cols = np.concatenate([cert.beta0, np.arange(n, m)]).astype(int)
+        rows = cert.beta0.astype(int)
+        cols = np.concatenate([cert.beta0, np.arange(n, m)]).astype(int)
     else:
-        free_rows = np.array([], dtype=int)
-        free_cols = np.array([], dtype=int)
-    for i in free_rows:
-        for j in free_cols:
-            H = np.zeros((n, m))
-            H[i, j] = 1.0
-            elems.append(H)
-    return elems
+        rows = cols = np.array([], dtype=int)
+    return HullBlocks(cert.pair, pairs, cert.beta_plus.astype(int), rows, cols)
 
 
 def _interior_vacuous(cert) -> bool:
@@ -356,19 +485,15 @@ def build_upsilon(
 
     Raises StationarityError when Gamma_bar is not a subgradient.  The hull
     is built once per analysis: rotating the degenerate blocks of the SVD
-    leaves its span and the sandwich margin unchanged.
+    leaves its span and the sandwich margin unchanged.  It is held as index
+    blocks and column blocks of U and V (HullBlocks); no nm-sized basis is
+    formed.
     """
     if cert is None:
         cert = spec.validate(tols=tols)
     pair = cert.pair
     n, m = pair.n, pair.m
     case = fine_case(cert)
-    elems = _hull_elements(cert, case, n, m)
-    if elems:
-        cols = [vec(pair.U @ H @ pair.V.T) for H in elems]
-        basis = np.column_stack(cols)
-    else:
-        basis = np.zeros((n * m, 0))
     if case == INTERIOR_GROUP:
         exact = _interior_vacuous(cert)
         constraint = (
@@ -398,7 +523,7 @@ def build_upsilon(
         case=case,
         pair=pair,
         block_dims=block_dims,
-        hull_basis=basis,
+        hull=_hull_blocks(cert, case),
         cone_constraint=constraint,
         exact=exact,
         cert=cert,
@@ -447,10 +572,8 @@ def _sandwich(ups: UpsilonSpec, H: np.ndarray):
 def upsilon_residuals(ups: UpsilonSpec, W: np.ndarray) -> dict:
     """Membership residuals of W: distance to the hull plus the sandwich
     margin (negative margin = violated inequality)."""
-    w = vec(W)
-    coeff = ups.hull_basis.T @ w
-    off_hull = float(np.linalg.norm(w - ups.hull_basis @ coeff))
     H = ups.pair.U.T @ np.asarray(W, dtype=float) @ ups.pair.V
+    off_hull = ups.hull.off_hull(H)
     margin, lower, upper, varpi = (
         None if a is None else float(a[0]) for a in _sandwich(ups, H[None])
     )
@@ -503,18 +626,27 @@ _STALL_RISE = 1e-3
 # coefficient rows and their W, U^T W and U^T W V); larger batches of
 # directions are evaluated in chunks of this size
 _STACK_FLOATS = 1 << 20
+# floats held by the contraction temporaries of one chunk of rows in a
+# product M @ B with the hull basis; the bands of such products that the
+# restricted Hessian sums are sized by _STACK_FLOATS
+_SUB_FLOATS = 1 << 16
+# tile side of the symmetry pass over a quadratic theta's Q
+_TILE = 192
 
 
-def _kernel_in_hull(theta, B: np.ndarray, cutoff: float):
+def _kernel_in_hull(theta, hull: HullBlocks, cutoff: float):
     """Orthonormal basis of ker H  intersect  span B, and lambda_min(B^T H B)
     (+inf on an empty hull).
 
     For PSD H and orthonormal B the intersection is B ker(B^T H B): the basis
-    is B times the eigenvectors of B^T H B with eigenvalue <= cutoff."""
-    if B.shape[1] == 0:
-        return B, math.inf
-    lam, Y = np.linalg.eigh(theta.restricted_hessian(B))
-    return B @ Y[:, lam <= cutoff], float(lam[0])
+    is B times the eigenvectors of B^T H B with eigenvalue <= cutoff, built
+    only for those columns."""
+    if hull.dim == 0:
+        return np.zeros((hull.n * hull.m, 0)), math.inf
+    lam, Y = np.linalg.eigh(theta.restricted_hessian(hull))
+    keep = lam <= cutoff
+    N = hull.expand(Y[:, keep]) if keep.any() else np.zeros((hull.n * hull.m, 0))
+    return N, float(lam[0])
 
 
 def _rowdot(A, B):
@@ -649,9 +781,9 @@ def tilt_check(
         ups = build_upsilon(spec, tols=tols)
     theta = spec.theta
     cutoff = max(tols.kernel_rel * theta.hessian_bound(), tols.kernel_floor)
-    N, lam_min = _kernel_in_hull(theta, ups.hull_basis, cutoff)
+    N, lam_min = _kernel_in_hull(theta, ups.hull, cutoff)
     base_cert = {
-        "hull_dim": int(ups.hull_basis.shape[1]),
+        "hull_dim": ups.hull.dim,
         "restricted_lambda_min": lam_min,
         "restricted_cutoff": cutoff,
         "case": ups.case,

@@ -21,7 +21,9 @@ from kyfan_tilt.instances import (
     random_orthogonal,
 )
 from kyfan_tilt.io import unvec, vec
+from kyfan_tilt.secder import ZERO_GROUP_TIGHT
 from kyfan_tilt.spectral import SvdPair
+from kyfan_tilt.subgrad import INTERIOR_GROUP
 from kyfan_tilt.tilt import ProblemSpec, QuadraticTheta
 
 
@@ -156,6 +158,57 @@ def rotate_degenerate_blocks(cert, rng, tol=1e-9):
     if m > n:
         V[:, n:] = V[:, n:] @ orthogonal(m - n)
     return SvdPair(U=U, V=V, sigma=pair.sigma.copy())
+
+
+def hull_elements(cert, case):
+    """The hull's orthonormal block-template basis in U^T G V coordinates,
+    one n x m matrix per element, in the library's column order: the
+    symmetric pairs of alpha and beta1 (row by row), the beta_plus
+    diagonal, then the free block (row by row)."""
+    n, m = cert.pair.n, cert.pair.m
+    A = np.concatenate([cert.alpha, cert.beta1]).astype(int)
+    bp = cert.beta_plus
+    isq = 1.0 / np.sqrt(2.0)
+    elems = []
+    for ii in range(len(A)):
+        for jj in range(ii, len(A)):
+            i, j = int(A[ii]), int(A[jj])
+            H = np.zeros((n, m))
+            if i == j:
+                H[i, i] = 1.0
+            else:
+                H[i, j] = isq
+                H[j, i] = isq
+            elems.append(H)
+    if len(bp):
+        H = np.zeros((n, m))
+        H[bp, bp] = 1.0 / np.sqrt(len(bp))
+        elems.append(H)
+    if case == INTERIOR_GROUP:
+        free_rows = np.concatenate([cert.beta0, cert.gamma]).astype(int)
+        free_cols = np.concatenate([cert.beta0, cert.gamma, np.arange(n, m)]).astype(int)
+    elif case == ZERO_GROUP_TIGHT:
+        free_rows = cert.beta0.astype(int)
+        free_cols = np.concatenate([cert.beta0, np.arange(n, m)]).astype(int)
+    else:
+        free_rows = free_cols = np.array([], dtype=int)
+    for i in free_rows:
+        for j in free_cols:
+            H = np.zeros((n, m))
+            H[i, j] = 1.0
+            elems.append(H)
+    return elems
+
+
+def dense_hull_basis(ups, pair=None):
+    """The reference hull basis B (nm x hull_dim): column k is vec(U H_k
+    V^T) for the k-th template element, on the spectrum's pair (or on
+    `pair`).  The library never forms it."""
+    pair = ups.pair if pair is None else pair
+    elems = hull_elements(ups.cert, ups.case)
+    if not elems:
+        return np.zeros((pair.n * pair.m, 0))
+    return np.column_stack([vec(pair.U @ H @ pair.V.T) for H in elems])
 
 
 def _rotated(rng, X, Gamma, W):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    dense_hull_basis,
     make_quadratic_spec,
     oracle_vector_prox_qp,
     projector_complement,
@@ -392,10 +393,8 @@ def test_acceptance_10_pair_invariance(capsys):
         ups = build_upsilon(spec)
         n, m = X.shape
         rotated = rotate_degenerate_blocks(ups.cert, rng_rot)
-        B = ups.hull_basis
-        B_rot = np.zeros_like(B)
-        for j, H in enumerate(tilt._hull_elements(ups.cert, ups.case, n, m)):
-            B_rot[:, j] = vec(rotated.U @ H @ rotated.V.T)
+        B = dense_hull_basis(ups)
+        B_rot = dense_hull_basis(ups, pair=rotated)
         span_worst = max(span_worst, _span_gap(B, B_rot), _span_gap(B_rot, B))
         if B.shape[1]:
             C = rng_rot.standard_normal((5, B.shape[1]))

@@ -270,6 +270,14 @@ def test_schema_errors_exit_three(tmp_path, capsys):
     assert code == 3
     assert json.loads(cap.out)["error"]["message"] == "X.data: entries must be finite"
 
+    # a boolean is no matrix dimension, although bool is an int subclass
+    # (it used to reach reshape, raise TypeError and exit 1)
+    d = problem_dict(X3, G3, 2)
+    d["X"] = {"rows": True, "cols": 9, "data": d["X"]["data"]}
+    code, cap = run(capsys, "analyze", write_json(tmp_path, "rows.json", d))
+    assert code == 3
+    assert json.loads(cap.out)["error"]["message"] == "X.rows/cols: must be nonnegative integers"
+
 
 @pytest.mark.parametrize(
     "command, flag",

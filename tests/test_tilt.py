@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_quadratic_spec, projector_complement, tilt_family
+from conftest import dense_hull_basis, make_quadratic_spec, projector_complement, tilt_family
 from kyfan_tilt.instances import (
     INTERIOR,
     ZERO_STRICT,
@@ -140,8 +140,8 @@ def test_hull_basis_orthonormal(seed, case):
     X, Gamma, kappa, _ = random_membership_instance(rng, case=case)
     spec = make_quadratic_spec(X, Gamma, kappa, np.eye(X.size))
     ups = build_upsilon(spec)
-    B = ups.hull_basis
-    assert B.shape[0] == X.size
+    B = dense_hull_basis(ups)
+    assert B.shape == (X.size, ups.hull.dim)
     if B.shape[1]:  # the strict zero case can have a trivial direction set
         assert np.max(np.abs(B.T @ B - np.eye(B.shape[1]))) < 1e-10
 
@@ -171,9 +171,101 @@ def test_hull_membership_residual(seed, case):
     X, Gamma, kappa, _ = random_membership_instance(rng, case=case)
     spec = make_quadratic_spec(X, Gamma, kappa, np.eye(X.size))
     ups = build_upsilon(spec)
-    coeff = rng.standard_normal(ups.hull_basis.shape[1])
-    W = (ups.hull_basis @ coeff).reshape(X.shape)
+    B = dense_hull_basis(ups)
+    coeff = rng.standard_normal(B.shape[1])
+    W = (B @ coeff).reshape(X.shape)
     assert upsilon_residuals(ups, W)["off_hull"] < 1e-9
+
+
+def _block_product_instances():
+    """Seeded instances of the three cases (n up to 6, m up to 8), plus the
+    zero matrix with Gamma = 0, whose hull is empty."""
+    out = []
+    for seed in range(90):
+        rng = np.random.default_rng(seed)
+        X, Gamma, kappa, _ = random_membership_instance(rng, case=CASES[seed % 3])
+        out.append((X, Gamma, kappa))
+    out.append((np.zeros((2, 3)), np.zeros((2, 3)), 1))
+    return out
+
+
+@pytest.mark.parametrize("banded", [False, True])
+def test_hull_blocks_match_the_dense_basis(monkeypatch, banded):
+    # every product with the block-held hull against the reference basis B:
+    # M @ B, B^T X (band by band, and summed over the bands), B @ C, the
+    # distance to the hull, and both restricted Hessians
+    if banded:  # one matrix row of G per band, one row of M per chunk
+        monkeypatch.setattr(tilt, "_STACK_FLOATS", 1)
+        monkeypatch.setattr(tilt, "_SUB_FLOATS", 1)
+    seen = {"beta_plus": 0, "no_beta_plus": 0, "m>n": 0, "no_free_block": 0, "empty_hull": 0}
+    for X, Gamma, kappa in _block_product_instances():
+        n, m = X.shape
+        nm = n * m
+        ups = build_upsilon(make_quadratic_spec(X, Gamma, kappa, np.eye(nm)))
+        hull, B = ups.hull, dense_hull_basis(ups)
+        assert B.shape == (nm, hull.dim)
+        rng = np.random.default_rng(nm + hull.dim)
+        M = rng.standard_normal((5, nm))
+        X2 = rng.standard_normal((nm, 4))
+        C = rng.standard_normal((hull.dim, 3))
+        tol = 1e-13 * nm
+        assert np.max(np.abs(hull.right(M) - M @ B), initial=0.0) <= tol
+        total = np.zeros((hull.dim, 4))
+        for lo, hi in hull.bands(m):
+            band = slice(lo * m, hi * m)
+            got = np.zeros((hull.dim, 4))
+            hull.left(X2[band], lo, hi, got)
+            assert np.max(np.abs(got - B[band].T @ X2[band]), initial=0.0) <= tol
+            hull.left(X2[band], lo, hi, total)
+        assert np.max(np.abs(total - B.T @ X2), initial=0.0) <= tol
+        assert hull.expand(C).shape == (nm, 3)
+        assert np.max(np.abs(hull.expand(C) - B @ C), initial=0.0) <= tol
+        for W in (rng.standard_normal((n, m)), unvec(B @ C[:, 0], n, m)):
+            w = vec(W)
+            want = np.linalg.norm(w - B @ (B.T @ w))
+            assert abs(upsilon_residuals(ups, W)["off_hull"] - want) <= tol * np.linalg.norm(w)
+        G = rng.standard_normal((nm, nm))
+        Q = G @ G.T
+        A = rng.standard_normal((nm + 2, nm))
+        R_q = QuadraticTheta(Q=Q, L=np.zeros((n, m))).restricted_hessian(hull)
+        R_ls = LeastSquaresTheta(A=A, b=np.zeros(nm + 2)).restricted_hessian(hull)
+        assert R_q.shape == R_ls.shape == (hull.dim, hull.dim)
+        assert np.max(np.abs(R_q - 0.5 * (B.T @ Q @ B + (B.T @ Q @ B).T)), initial=0.0) <= tol * np.linalg.norm(Q)
+        assert np.max(np.abs(R_ls - (A @ B).T @ (A @ B)), initial=0.0) <= tol * np.linalg.norm(A) ** 2
+        cert = ups.cert
+        seen["beta_plus" if len(cert.beta_plus) else "no_beta_plus"] += hull.dim > 0
+        seen["m>n"] += m > n and hull.dim > 0
+        seen["no_free_block"] += hull.dim > 0 and hull.dim == hull.free_at
+        seen["empty_hull"] += hull.dim == 0
+    assert all(seen.values()), seen
+
+
+def test_verdict_path_forms_no_dense_hull_basis():
+    # nm = 1024 with a 574-dimensional hull (45 symmetric pairs of alpha and
+    # beta1, a 23 x 23 free block) and the Hessian kernel spanned by a hull
+    # element: validation excluded, the hull, the restricted Hessian, its
+    # kernel and the witness never hold an nm x hull_dim array beside the
+    # contraction temporaries
+    n = 32
+    X = np.diag([3.0] + [2.0] * 16 + [1.0] * 15)
+    Gamma = np.diag([1.0] * 9 + [0.0] * 23)
+    ok, cert = subdiff_membership(X, Gamma, 9)
+    assert ok
+    W = np.zeros((n, n))
+    W[0, 0] = 1.0
+    spec = spec_with_kernel(X, Gamma, 9, cert.pair.U @ W @ cert.pair.V.T)
+    tracemalloc.start()
+    try:
+        ups = build_upsilon(spec, cert=cert)
+        v = tilt_check(spec, ups=ups)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    hull_dim = v.certificate["hull_dim"]
+    assert hull_dim == 45 + 23 * 23
+    assert v.status == UNSTABLE and v.certificate["intersection_dim"] == 1
+    dense = n * n * hull_dim * 8
+    assert peak < dense + 8 * tilt._STACK_FLOATS, (peak, dense)
 
 
 def test_build_upsilon_raises_off_stationarity():
@@ -398,7 +490,7 @@ def _compare_with_sequential_reference(monkeypatch, steps, seeds):
         if seed % 4 >= 2:
             U, V = random_orthogonal(rng, 6), random_orthogonal(rng, 6)
         ups = build_upsilon(make_quadratic_spec(U @ X6 @ V.T, U @ G6 @ V.T, K6, np.eye(36)))
-        B = ups.hull_basis
+        B = dense_hull_basis(ups)
         q = 2 + seed % 2
         N = B @ rng.standard_normal((B.shape[1], q))
         if seed % 3 == 0:
@@ -462,7 +554,7 @@ def test_stall_stop_keeps_every_search_decision(monkeypatch):
         ups = build_upsilon(make_quadratic_spec(X, Gamma, kappa, np.eye(X.size)))
         if ups.exact:
             continue
-        B = ups.hull_basis
+        B = dense_hull_basis(ups)
         q = min(2 + seed % 2, B.shape[1])
         N = B @ rng.standard_normal((B.shape[1], q))
         if seed % 8:
@@ -531,7 +623,8 @@ def test_witness_search_memory_stays_within_the_stack_cap(monkeypatch):
     rng = np.random.default_rng(0)
     q = 32
     N = np.linalg.qr(np.column_stack(elems) @ rng.standard_normal((len(elems), q)))[0]
-    assert np.max(np.abs(ups.hull_basis @ (ups.hull_basis.T @ N) - N)) < 1e-12
+    B = dense_hull_basis(ups)
+    assert np.max(np.abs(B @ (B.T @ N) - N)) < 1e-12
     tracemalloc.start()
     try:
         W, diag = tilt._search_witness(ups, N, np.random.default_rng(1), DEFAULT_TOLS)
