@@ -37,6 +37,7 @@ __all__ = [
     "d2_spectral",
     "d2_zero_set_membership",
     "fine_case",
+    "sandwich",
     "IN_CONE",
     "OUTSIDE",
     "ZERO_GROUP_STRICT",
@@ -76,10 +77,10 @@ class SecondSubderivValue:
 class CriticalConeCert:
     """Outcome of the critical-cone test with per-condition residuals.
 
-    varpi is the common diagonal value of the interior block (pinned when
-    beta_plus is nonempty, otherwise the midpoint of the feasible interval;
-    one-sided intervals report the finite endpoint).  residuals includes the
-    interval endpoints under "lower"/"upper".
+    varpi is the common diagonal value of the interior block: pinned when
+    beta_plus is nonempty, otherwise the midpoint of the feasible interval
+    with its infinite ends clipped to -+1e30; None in the strict case.
+    residuals includes the interval endpoints under "lower"/"upper".
     """
 
     member: bool
@@ -99,18 +100,36 @@ def _lam_min(M):
     return float(np.linalg.eigvalsh(sym(M))[0]) if M.size else math.inf
 
 
-def _lam_max(M):
-    return float(np.linalg.eigvalsh(sym(M))[-1]) if M.size else -math.inf
+def sandwich(cert: SubgradCertificate, H: np.ndarray):
+    """(lower, upper, varpi) of the critical block on a stack H of U^T G V
+    matrices, shape (k, n, m): lower and upper are length-k arrays, varpi
+    one too, or None without beta_plus.
 
+    upper is lambda_min(sym H_beta1) (+inf without beta1).  lower is
+    lambda_max(sym H_beta0) in the interior case (-inf without beta0), and
+    max(sigma_1([H_beta0,beta0  H_beta0,c]), 0) in the tight case, where the
+    negative-eigenvalue copies of beta1/beta_plus force varpi >= 0 even when
+    beta0 and c are empty.  varpi is the mean diagonal of H_beta_plus.  The
+    strict case bounds nothing: (-inf, +inf, None)."""
+    k, n = len(H), cert.pair.n
+    case = fine_case(cert)
+    if case == ZERO_GROUP_STRICT:
+        return np.full(k, -math.inf), np.full(k, math.inf), None
+    b1, bp, b0 = cert.beta1, cert.beta_plus, cert.beta0
 
-def _midpoint(lo, hi):
-    if math.isinf(lo) and math.isinf(hi):
-        return 0.0
-    if math.isinf(lo):
-        return hi
-    if math.isinf(hi):
-        return lo
-    return 0.5 * (lo + hi)
+    def block(idx):
+        return H[:, idx[:, None], idx]
+
+    upper = np.linalg.eigvalsh(sym(block(b1)))[:, 0] if len(b1) else np.full(k, math.inf)
+    if case == INTERIOR_GROUP:
+        lower = np.linalg.eigvalsh(sym(block(b0)))[:, -1] if len(b0) else np.full(k, -math.inf)
+    elif len(b0):
+        DE = np.concatenate([block(b0), H[:, b0, n:]], axis=2)
+        lower = np.maximum(np.linalg.svd(DE, compute_uv=False)[:, 0], 0.0)
+    else:
+        lower = np.zeros(k)
+    varpi = np.trace(block(bp), axis1=1, axis2=2) / len(bp) if len(bp) else None
+    return lower, upper, varpi
 
 
 def _h_blocks(cert: SubgradCertificate, G: np.ndarray):
@@ -127,108 +146,60 @@ def critical_cone_membership(
 
     The cone pins down the symmetric part of the critical block of U^T G V:
     block-diagonal over (beta1, beta_plus, beta0) with a scalar diagonal on
-    beta_plus, sandwiched between the extreme eigenvalues of the outer
-    blocks; in the zero-group cases whole rows of the critical block are
-    pinned instead.  G is a member iff the directional derivative of
-    Psi_kappa at X along G equals <Gamma, G>.  Residuals are compared with
+    beta_plus, sandwiched between the bounds of `sandwich`; in the
+    zero-group cases whole rows of the critical block are pinned instead.
+    G is a member iff the directional derivative of Psi_kappa at X along G
+    equals <Gamma, G>.  Residuals are compared with
     tols.cone * (1 + ||G||_F).
     """
     G = np.asarray(G, dtype=float)
     tol = tols.cone * (1.0 + float(np.linalg.norm(G)))
-    H1, Hc = _h_blocks(cert, G)
+    pair = cert.pair
+    H = pair.U.T @ G @ pair.V
     case = fine_case(cert)
-    res: dict = {}
     beta = cert.beta
-    b1 = cert.beta1
-    bp = cert.beta_plus
-    b0 = cert.beta0
-
+    loc = {int(i): k for k, i in enumerate(beta)}
+    i1, ip, i0 = ([loc[int(i)] for i in b] for b in (cert.beta1, cert.beta_plus, cert.beta0))
+    res: dict = {}
     if case == INTERIOR_GROUP:
-        S = sym(H1[np.ix_(beta, beta)])
-        loc = {int(i): k for k, i in enumerate(beta)}
-        i1 = [loc[int(i)] for i in b1]
-        ip = [loc[int(i)] for i in bp]
-        i0 = [loc[int(i)] for i in b0]
+        S = sym(H[np.ix_(beta, beta)])
         res["cross"] = float(
             np.linalg.norm(S[np.ix_(i1, ip)])
             + np.linalg.norm(S[np.ix_(i1, i0)])
             + np.linalg.norm(S[np.ix_(ip, i0)])
         )
-        upper = _lam_min(S[np.ix_(i1, i1)])
-        lower = _lam_max(S[np.ix_(i0, i0)])
-        if ip:
-            Spp = S[np.ix_(ip, ip)]
-            varpi = float(np.trace(Spp)) / len(ip)
-            res["scalar_block"] = float(np.linalg.norm(Spp - varpi * np.eye(len(ip))))
-            sandwich_ok = lower - tol <= varpi <= upper + tol
-        else:
-            res["scalar_block"] = 0.0
-            sandwich_ok = lower <= upper + 2 * tol
-            varpi = _midpoint(max(lower, -1e30), min(upper, 1e30))
-        res["lower"], res["upper"] = lower, upper
-        member = res["cross"] <= tol and res["scalar_block"] <= tol and sandwich_ok
-        return CriticalConeCert(member, varpi, case, res)
-
-    # zero-group cases: constraints act on whole rows of [H1_bb, Hc_b]
-    rows = np.hstack([H1[np.ix_(beta, beta)], Hc[beta, :]]) if len(beta) else np.zeros((0, 0))
-    loc = {int(i): k for k, i in enumerate(beta)}
-    i1 = [loc[int(i)] for i in b1]
-    ip = [loc[int(i)] for i in bp]
-    i0 = [loc[int(i)] for i in b0]
-    ic = list(range(len(beta), rows.shape[1])) if rows.size else []
-    S1 = rows[np.ix_(i1, i1)] if i1 else np.zeros((0, 0))
-    res["beta1_sym"] = float(np.linalg.norm(skew(S1))) if S1.size else 0.0
-
-    if case == ZERO_GROUP_STRICT:
-        mask = np.ones_like(rows, dtype=bool)
-        if i1:
-            mask[np.ix_(i1, i1)] = False
-        res["off_pattern"] = float(np.linalg.norm(rows[mask])) if rows.size else 0.0
-        res["beta1_psd"] = max(0.0, -_lam_min(sym(S1))) if S1.size else 0.0
-        member = (
-            res["beta1_sym"] <= tol
-            and res["off_pattern"] <= tol
-            and res["beta1_psd"] <= tol
-        )
-        res["lower"], res["upper"] = -math.inf, math.inf
-        return CriticalConeCert(member, None, case, res)
-
-    # tight case
-    mask = np.ones_like(rows, dtype=bool)
-    if i1:
-        mask[np.ix_(i1, i1)] = False
-    if ip:
-        mask[np.ix_(ip, ip)] = False
-    if i0:
-        mask[np.ix_(i0, i0)] = False
-        if ic:
-            mask[np.ix_(i0, ic)] = False
-    res["off_pattern"] = float(np.linalg.norm(rows[mask])) if rows.size else 0.0
-    DE = (
-        np.hstack([rows[np.ix_(i0, i0)], rows[np.ix_(i0, ic)] if ic else np.zeros((len(i0), 0))])
-        if i0
-        else np.zeros((0, 0))
+    else:
+        # zero-group cases: constraints act on whole rows [H_bb, H_bc]
+        S = np.hstack([H[np.ix_(beta, beta)], H[beta, pair.n :]])
+        ic = list(range(len(beta), S.shape[1]))
+        S1 = S[np.ix_(i1, i1)]
+        res["beta1_sym"] = float(np.linalg.norm(skew(S1))) if S1.size else 0.0
+        free = [(i1, i1)]
+        if case == ZERO_GROUP_TIGHT:
+            free += [(ip, ip), (i0, i0), (i0, ic)]
+        mask = np.ones_like(S, dtype=bool)
+        for rows, cols in free:
+            if rows and cols:
+                mask[np.ix_(rows, cols)] = False
+        res["off_pattern"] = float(np.linalg.norm(S[mask])) if S.size else 0.0
+        if case == ZERO_GROUP_STRICT:
+            res["beta1_psd"] = max(0.0, -_lam_min(S1))
+            member = all(v <= tol for v in res.values())
+            res["lower"], res["upper"] = -math.inf, math.inf
+            return CriticalConeCert(member, None, case, res)
+    lower, upper, varpi = (
+        None if a is None else float(a[0]) for a in sandwich(cert, H[None])
     )
-    # the negative-eigenvalue copies of beta1/beta_plus force varpi >= 0 in
-    # the tight case even when beta0 and c are empty
-    lower = max(float(np.linalg.svd(DE, compute_uv=False)[0]) if DE.size else 0.0, 0.0)
-    upper = _lam_min(sym(S1))
-    if ip:
-        Spp = rows[np.ix_(ip, ip)]
-        varpi = float(np.trace(Spp)) / len(ip)
+    if varpi is not None:
+        Spp = S[np.ix_(ip, ip)]
         res["scalar_block"] = float(np.linalg.norm(Spp - varpi * np.eye(len(ip))))
         sandwich_ok = lower - tol <= varpi <= upper + tol
     else:
         res["scalar_block"] = 0.0
         sandwich_ok = lower <= upper + 2 * tol
-        varpi = _midpoint(lower, min(upper, 1e30))
+        varpi = 0.5 * (max(lower, -1e30) + min(upper, 1e30))
+    member = all(v <= tol for v in res.values()) and sandwich_ok
     res["lower"], res["upper"] = lower, upper
-    member = (
-        res["beta1_sym"] <= tol
-        and res["off_pattern"] <= tol
-        and res["scalar_block"] <= tol
-        and sandwich_ok
-    )
     return CriticalConeCert(member, varpi, case, res)
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .io import unvec, vec
-from .secder import ZERO_GROUP_STRICT, ZERO_GROUP_TIGHT, fine_case
+from .secder import ZERO_GROUP_STRICT, ZERO_GROUP_TIGHT, fine_case, sandwich
 from .spectral import SvdPair, sym
 from .subgrad import INTERIOR_GROUP, SubgradCertificate, subdiff_membership
 
@@ -468,11 +468,11 @@ def _hull_blocks(cert: SubgradCertificate, case: str) -> HullBlocks:
     return HullBlocks(cert.pair, pairs, cert.beta_plus.astype(int), rows, cols)
 
 
-def _interior_vacuous(cert) -> bool:
-    has1, hasp, has0 = len(cert.beta1) > 0, len(cert.beta_plus) > 0, len(cert.beta0) > 0
-    if not hasp:
-        return (not has0) or (not has1)
-    return (not has0) and (not has1)
+# the recorded inequality of a non-exact set, per case
+_CONSTRAINTS = {
+    INTERIOR_GROUP: "lambda_max(S(D_beta0)) <= varpi <= lambda_min(C_beta1)",
+    ZERO_GROUP_TIGHT: "max(sigma_1([D E]), 0) <= varpi <= lambda_min(C_beta1)",
+}
 
 
 def build_upsilon(
@@ -494,23 +494,14 @@ def build_upsilon(
     pair = cert.pair
     n, m = pair.n, pair.m
     case = fine_case(cert)
-    if case == INTERIOR_GROUP:
-        exact = _interior_vacuous(cert)
-        constraint = (
-            "none"
-            if exact
-            else "lambda_max(S(D_beta0)) <= varpi <= lambda_min(C_beta1)"
-        )
-    elif case == ZERO_GROUP_STRICT:
-        exact = True
-        constraint = "none"
-    else:
-        exact = len(cert.beta_plus) == 0 and len(cert.beta1) == 0
-        constraint = (
-            "none"
-            if exact
-            else "max(sigma_1([D E]), 0) <= varpi <= lambda_min(C_beta1)"
-        )
+    # the set equals its hull iff the sandwich has at most one of its three
+    # terms: a lower side (beta0 in the interior case; always in the tight
+    # case), an upper side (beta1) and a varpi pin (beta_plus); the strict
+    # case has none
+    lower_side = case == ZERO_GROUP_TIGHT or len(cert.beta0) > 0
+    terms = lower_side + (len(cert.beta1) > 0) + (len(cert.beta_plus) > 0)
+    exact = case == ZERO_GROUP_STRICT or terms <= 1
+    constraint = "none" if exact else _CONSTRAINTS[case]
     block_dims = {
         "alpha": len(cert.alpha),
         "beta1": len(cert.beta1),
@@ -532,41 +523,21 @@ def build_upsilon(
 
 def _sandwich(ups: UpsilonSpec, H: np.ndarray):
     """(margin, lower, upper, varpi) of the recorded inequality on a stack H
-    of U^T W V matrices, shape (k, n, m): each a length-k array (varpi is
-    None without beta_plus).
+    of U^T W V matrices, shape (k, n, m): the bounds of secder.sandwich and
+    the margin, each a length-k array (varpi is None without beta_plus).
 
     margin >= 0 means W satisfies the constraint; +inf when vacuous.  With
     an empty beta_plus the scalar is existential and the margin is the
     interval length upper - lower."""
-    cert = ups.cert
-    n = ups.pair.n
-    H1, Hc = H[:, :, :n], H[:, :, n:]
-    b1, bp, b0 = cert.beta1, cert.beta_plus, cert.beta0
-    inf = np.full(len(H), math.inf)
-
-    def block(idx):
-        return H1[:, idx[:, None], idx]
-
-    upper = np.linalg.eigvalsh(sym(block(b1)))[:, 0] if len(b1) else inf
-    if ups.case == ZERO_GROUP_TIGHT:
-        if len(b0):
-            DE = np.concatenate([block(b0), Hc[:, b0, :]], axis=2)
-            lower = np.maximum(np.linalg.svd(DE, compute_uv=False)[:, 0], 0.0)
-        else:
-            lower = np.zeros(len(H))
-    elif ups.case == INTERIOR_GROUP:
-        lower = np.linalg.eigvalsh(sym(block(b0)))[:, -1] if len(b0) else -inf
-    else:  # strict zero case: no inequality
-        return inf, -inf, inf, None
+    lower, upper, varpi = sandwich(ups.cert, H)
     up_ok, lo_ok = np.isfinite(upper), np.isfinite(lower)
-    if len(bp):
-        varpi = np.trace(block(bp), axis1=1, axis2=2) / len(bp)
-        margin = np.minimum(
-            np.where(up_ok, upper - varpi, math.inf),
-            np.where(lo_ok, varpi - lower, math.inf),
-        )
-        return margin, lower, upper, varpi
-    return np.where(up_ok & lo_ok, upper - lower, math.inf), lower, upper, None
+    if varpi is None:
+        return np.where(up_ok & lo_ok, upper - lower, math.inf), lower, upper, None
+    margin = np.minimum(
+        np.where(up_ok, upper - varpi, math.inf),
+        np.where(lo_ok, varpi - lower, math.inf),
+    )
+    return margin, lower, upper, varpi
 
 
 def upsilon_residuals(ups: UpsilonSpec, W: np.ndarray) -> dict:
