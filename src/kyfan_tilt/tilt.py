@@ -2,9 +2,11 @@
 
 The decision object is a structured set of matrix directions built from the
 simultaneous SVD certificate of (Xbar, Gamma_bar := -nu * grad theta(Xbar)):
-a block-sparsity template whose linear hull and residual inequality (an
-eigenvalue / singular-value sandwich on the critical blocks) are recorded
-separately.  The verdict procedure, with H the (PSD) Hessian of theta at
+a block-sparsity template whose linear hull and residual inequality (the
+critical cone's sandwich, with its bounds from secder.sandwich) are
+recorded separately.  The set is exact, equal to its hull, when the
+sandwich has at most one of its three terms (lower side, upper side,
+varpi pin).  The verdict procedure, with H the (PSD) Hessian of theta at
 Xbar and B an orthonormal basis of the hull:
 
   1. R := B^T H B, the Hessian restricted to the hull; since H is PSD,
@@ -16,7 +18,8 @@ Xbar and B an orthonormal basis of the hull:
   2. N := B * (eigenvectors of R with eigenvalue <= the kernel cutoff),
      built for those q columns only,
   3. N = {0}                 -> Stable (sufficient certificate),
-  4. N != {0} and exact      -> Unstable with any unit element of N,
+  4. N != {0} and exact      -> Unstable with the unit element of N that
+                                depends on span N alone (see tilt_check),
   5. otherwise               -> maximize the (concave, 1-homogeneous)
                                 sandwich margin over the unit sphere of N;
                                 a feasible point is an Unstable witness,
@@ -333,8 +336,8 @@ class HullBlocks:
     block template in U^T G V coordinates, in this order:
       1. the symmetric pairs of `pairs` (alpha and beta1): E_kk, and
          (E_kl + E_lk) / sqrt 2 for k < l, row by row;
-      2. the beta_plus diagonal I / sqrt|beta_plus|, when beta_plus is
-         nonempty;
+      2. the beta_plus diagonal I / sqrt|beta_plus|, when `beta_plus` is
+         nonempty (always empty in the strict case);
       3. the free block: E_ij for i in `rows`, j in `cols`, row by row.
     So a product with B contracts one side with the V columns of the pairs
     and the free block at once and then each block with its U columns; the
@@ -457,6 +460,7 @@ def _hull_blocks(cert: SubgradCertificate, case: str) -> HullBlocks:
     """The block template of the case on the certificate's pair."""
     n, m = cert.pair.n, cert.pair.m
     pairs = np.concatenate([cert.alpha, cert.beta1]).astype(int)
+    bp = cert.beta_plus.astype(int)
     if case == INTERIOR_GROUP:
         rows = np.concatenate([cert.beta0, cert.gamma]).astype(int)
         cols = np.concatenate([cert.beta0, cert.gamma, np.arange(n, m)]).astype(int)
@@ -464,8 +468,10 @@ def _hull_blocks(cert: SubgradCertificate, case: str) -> HullBlocks:
         rows = cert.beta0.astype(int)
         cols = np.concatenate([cert.beta0, np.arange(n, m)]).astype(int)
     else:
-        rows = cols = np.array([], dtype=int)
-    return HullBlocks(cert.pair, pairs, cert.beta_plus.astype(int), rows, cols)
+        # the strict cone pins every beta row outside beta1 x beta1, so no
+        # free block and no beta_plus diagonal
+        rows = cols = bp = np.array([], dtype=int)
+    return HullBlocks(cert.pair, pairs, bp, rows, cols)
 
 
 # the recorded inequality of a non-exact set, per case
@@ -776,7 +782,11 @@ def tilt_check(
         )
 
     if ups.exact:
-        W = unvec(N[:, 0], spec.n, spec.m)
+        # P e_j / ||P e_j|| for P = N N^T and j the first row of N of
+        # largest norm: a function of span N alone, whatever basis eigh
+        # returns
+        w = (N * N[int(np.argmax((N * N).sum(axis=1)))]).sum(axis=1)
+        W = unvec(w, spec.n, spec.m)
         W /= np.linalg.norm(W)
         return unstable(W, 0)
     rng_rot = np.random.default_rng(options.seed)

@@ -21,7 +21,7 @@ from kyfan_tilt.instances import (
     random_orthogonal,
 )
 from kyfan_tilt.io import unvec, vec
-from kyfan_tilt.secder import ZERO_GROUP_TIGHT
+from kyfan_tilt.secder import ZERO_GROUP_STRICT, ZERO_GROUP_TIGHT
 from kyfan_tilt.spectral import SvdPair
 from kyfan_tilt.subgrad import INTERIOR_GROUP
 from kyfan_tilt.tilt import ProblemSpec, QuadraticTheta
@@ -164,10 +164,11 @@ def hull_elements(cert, case):
     """The hull's orthonormal block-template basis in U^T G V coordinates,
     one n x m matrix per element, in the library's column order: the
     symmetric pairs of alpha and beta1 (row by row), the beta_plus
-    diagonal, then the free block (row by row)."""
+    diagonal (interior and tight cases only: the strict cone pins it),
+    then the free block (row by row)."""
     n, m = cert.pair.n, cert.pair.m
     A = np.concatenate([cert.alpha, cert.beta1]).astype(int)
-    bp = cert.beta_plus
+    bp = cert.beta_plus if case != ZERO_GROUP_STRICT else []
     isq = 1.0 / np.sqrt(2.0)
     elems = []
     for ii in range(len(A)):

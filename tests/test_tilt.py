@@ -19,10 +19,11 @@ from kyfan_tilt.instances import (
     ZERO_TIGHT,
     random_membership_instance,
 )
-from kyfan_tilt import cli, tilt
+from kyfan_tilt import cli, io, tilt
 from kyfan_tilt.config import DEFAULT_TOLS
-from kyfan_tilt.instances import random_orthogonal
+from kyfan_tilt.instances import random_incone_direction, random_orthogonal
 from kyfan_tilt.io import matrix_from_json, matrix_to_json, unvec, vec
+from kyfan_tilt.secder import critical_cone_membership, d2_psi_general, sandwich
 from kyfan_tilt.subgrad import subdiff_membership
 from kyfan_tilt.tilt import (
     INCONCLUSIVE,
@@ -162,6 +163,44 @@ def test_exactness_matches_block_census(seed, case):
     else:
         want = npl == 0 and n1 == 0
     assert ups.exact == want, (case, n1, npl, n0)
+    # tight: kappa - kappa0 >= 1 puts a unit of Gamma's mass on beta1 or
+    # beta_plus, so the sandwich keeps two terms and the set is never exact
+    if case == ZERO_TIGHT:
+        assert not ups.exact and n1 + npl > 0, (n1, npl, n0)
+
+
+def test_hull_basis_lies_in_the_cone():
+    # every column of the hull basis, expanded densely by the library, is a
+    # critical-cone direction up to its
+    # sandwich: the pattern residuals vanish (cross in the interior case,
+    # beta1_sym and off_pattern in the zero cases).  The strict case has no
+    # beta_plus diagonal, which its cone pins to zero
+    keys = {INTERIOR: ("cross",), ZERO_STRICT: ("beta1_sym", "off_pattern"), ZERO_TIGHT: ("beta1_sym", "off_pattern")}
+    strict_with_plus = 0
+    for seed in range(900):
+        case = CASES[seed % 3]
+        rng = np.random.default_rng(seed)
+        X, Gamma, kappa, _ = random_membership_instance(rng, case=case)
+        ups = build_upsilon(make_quadratic_spec(X, Gamma, kappa, np.eye(X.size)))
+        strict_with_plus += case == ZERO_STRICT and len(ups.cert.beta_plus) > 0
+        for col in ups.hull.expand(np.eye(ups.hull.dim)).T:
+            res = critical_cone_membership(ups.cert, unvec(col, *X.shape)).residuals
+            assert max(res[k] for k in keys[case]) <= 1e-12, (seed, case, res)
+    assert strict_with_plus >= 150, strict_with_plus
+
+
+def test_strict_beta_plus_slide_is_stable():
+    # Xbar = diag(3,0,0), Gamma = diag(1,0.5,0.2), kappa = 2: the strict case
+    # with beta_plus = {1,2}.  The Hessian kernel diag(0,1,1)/sqrt 2 lies
+    # outside the critical cone (d2 Psi = +inf there), so it is no witness
+    X = np.diag([3.0, 0.0, 0.0])
+    Gamma = np.diag([1.0, 0.5, 0.2])
+    W = np.diag([0.0, 1.0, 1.0]) / np.sqrt(2)
+    spec = spec_with_kernel(X, Gamma, 2, W)
+    assert not d2_psi_general(X, Gamma, W, 2).is_finite
+    v = tilt_check(spec)
+    assert v.status == STABLE
+    assert v.certificate["case"] == "ZeroGroupStrict" and v.certificate["hull_dim"] == 1
 
 
 @settings(max_examples=30, deadline=None)
@@ -297,6 +336,51 @@ def test_sandwich_margin_on_engineered_directions():
     assert upsilon_residuals(ups, W2)["margin"] >= -1e-12
 
 
+def _bounds_instances():
+    """Seeded interior and tight instances with random and in-cone
+    directions."""
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        case = (INTERIOR, ZERO_TIGHT)[seed % 2]
+        X, Gamma, kappa, _ = random_membership_instance(rng, case=case)
+        ups = build_upsilon(make_quadratic_spec(X, Gamma, kappa, np.eye(X.size)))
+        yield ups, rng.standard_normal(X.shape)
+        yield ups, random_incone_direction(rng, ups.cert)
+
+
+def test_cone_and_margin_read_the_same_bounds():
+    seen = {"beta_plus": 0, "in_cone": 0, "outside": 0}
+    for ups, G in _bounds_instances():
+        cone = critical_cone_membership(ups.cert, G)
+        res = upsilon_residuals(ups, G)
+        assert cone.residuals["lower"] == res["lower"]
+        assert cone.residuals["upper"] == res["upper"]
+        if len(ups.cert.beta_plus):
+            assert cone.varpi == res["varpi"]
+            seen["beta_plus"] += 1
+        else:
+            assert res["varpi"] is None
+        seen["in_cone" if cone.member else "outside"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_stacked_sandwich_matches_single_calls(case):
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        X, Gamma, kappa, _ = random_membership_instance(rng, case=case)
+        ok, cert = subdiff_membership(X, Gamma, kappa)
+        assert ok
+        H = rng.standard_normal((64, *X.shape))
+        stacked = sandwich(cert, H)
+        singles = [sandwich(cert, H[i : i + 1]) for i in range(64)]
+        for k, got in enumerate(stacked):
+            if got is None:
+                assert all(one[k] is None for one in singles)
+            else:
+                assert np.array_equal(got, np.concatenate([one[k] for one in singles]))
+
+
 # ---------------------------------------------------------------- verdicts
 
 
@@ -338,6 +422,72 @@ def test_verdict_unstable_exact_case():
     assert np.linalg.norm(v.witness) == pytest.approx(1.0, abs=1e-12)
     assert v.certificate["witness_residuals"]["off_hull"] < 1e-9
     assert v.certificate["kernel_residual"] < 1e-9
+
+
+class _Namespace:
+    """`base` with some attributes replaced."""
+
+    def __init__(self, base, **replaced):
+        self.__dict__.update(replaced)
+        self._base = base
+
+    def __getattr__(self, name):
+        return getattr(self._base, name)
+
+
+def _exact_kernel_problems():
+    """Exact-case Unstable problems: the unstable_slide demo (q = 1), and
+    X3/G3 in random coordinates with the kernel along the beta1 slide alone
+    (q = 1) and along it and the gamma entry (q = 2), both hull elements."""
+    X3, G3 = np.diag([3.0, 2.0, 1.0]), np.diag([1.0, 1.0, 0.0])
+    problems = [json.loads((DEMO / "unstable_slide.json").read_text())]
+    rng = np.random.default_rng(5)
+    U, V = random_orthogonal(rng, 3), random_orthogonal(rng, 3)
+    slide, entry = np.zeros((3, 3)), np.zeros((3, 3))
+    slide[1, 1] = entry[2, 2] = 1.0
+    for kernel in ([slide], [slide, entry]):
+        Q = np.eye(9)
+        for E in kernel:
+            w = vec(U @ E @ V.T)
+            Q -= np.outer(w, w)
+        L = -(Q @ vec(U @ X3 @ V.T)).reshape(3, 3) - U @ G3 @ V.T
+        theta = {"type": "quadratic", "Q": matrix_to_json(Q), "L": matrix_to_json(L)}
+        problems.append(_problem(U @ X3 @ V.T, U @ G3 @ V.T, 2, theta))
+    return problems
+
+
+def test_exact_witness_does_not_depend_on_the_kernel_basis(monkeypatch):
+    # eigh, as tilt calls it, hands back its kernel eigenvectors negated,
+    # or for q = 2 turned by 90 degrees (a rotation that is exact in
+    # floating point): the span is the same, so the report is too, byte
+    # for byte
+    turns = {"negated": lambda Y: -Y, "rotated": lambda Y: np.column_stack([Y[:, 1], -Y[:, 0]])}
+    qs = []
+    for problem in _exact_kernel_problems():
+        report, code = cli.run_analyze(problem)
+        assert code == 1 and report["upsilon"]["exact"]
+        q = report["verdict"]["certificate"]["intersection_dim"]
+        qs.append(q)
+        for name, turn in turns.items():
+            if name == "rotated" and q != 2:
+                continue
+            turned = []
+
+            def eigh(a, _turn=turn, _turned=turned):
+                lam, Y = np.linalg.eigh(a)
+                kernel = lam <= 1e-9  # these kernels sit at rounding level
+                Y = Y.copy()
+                Y[:, kernel] = _turn(Y[:, kernel])
+                _turned.append(int(kernel.sum()))
+                return lam, Y
+
+            with monkeypatch.context() as mp:
+                mp.setattr(tilt, "np", _Namespace(np, linalg=_Namespace(np.linalg, eigh=eigh)))
+                again, code_again = cli.run_analyze(problem)
+            assert turned == [q], (name, turned)
+            assert code_again == code
+            assert io.canonical_dumps(again) == io.canonical_dumps(report), (name, q)
+    assert sorted(qs) == [1, 1, 2]
 
 
 def test_restricted_lambda_min_vanishes_when_the_kernel_meets_the_hull():
