@@ -8,12 +8,12 @@ Two independent evaluation routes are provided for d^2 Psi_kappa(X | Gamma):
   the symmetric/skew parts of U^T G V.
 
 Both are gated by the critical cone, whose membership test also ships with
-per-condition residuals.  The cone's inequality on the critical block,
-lower <= varpi <= upper, is computed by `sandwich` alone, on a stack of
-U^T G V matrices; tilt's direction set takes its margin on the same bounds.
-Specializations for the nuclear norm (kappa = n)
-and the spectral norm (kappa = 1) are written out independently so they can
-cross-check the general machinery.
+per-condition residuals.  The bounds of the cone's inequality on the
+critical block, lower <= varpi <= upper, come from `sandwich` alone, on a
+stack of U^T G V matrices; tilt's direction set takes its margin on them.
+Specializations for the nuclear norm (kappa = n) and the spectral norm
+(kappa = 1) are written out independently so they can cross-check the
+general machinery.
 """
 from __future__ import annotations
 

@@ -500,10 +500,8 @@ def build_upsilon(
     pair = cert.pair
     n, m = pair.n, pair.m
     case = fine_case(cert)
-    # the set equals its hull iff the sandwich has at most one of its three
-    # terms: a lower side (beta0 in the interior case; always in the tight
-    # case), an upper side (beta1) and a varpi pin (beta_plus); the strict
-    # case has none
+    # exact iff the sandwich has at most one term: a lower side, an upper
+    # side (beta1) and a varpi pin (beta_plus); the strict case has none
     lower_side = case == ZERO_GROUP_TIGHT or len(cert.beta0) > 0
     terms = lower_side + (len(cert.beta1) > 0) + (len(cert.beta_plus) > 0)
     exact = case == ZERO_GROUP_STRICT or terms <= 1
