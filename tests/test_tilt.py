@@ -171,11 +171,12 @@ def test_exactness_matches_block_census(seed, case):
 
 def test_hull_basis_lies_in_the_cone():
     # every column of the hull basis, expanded densely by the library, is a
-    # critical-cone direction up to its
-    # sandwich: the pattern residuals vanish (cross in the interior case,
-    # beta1_sym and off_pattern in the zero cases).  The strict case has no
-    # beta_plus diagonal, which its cone pins to zero
-    keys = {INTERIOR: ("cross",), ZERO_STRICT: ("beta1_sym", "off_pattern"), ZERO_TIGHT: ("beta1_sym", "off_pattern")}
+    # critical-cone direction up to its sandwich: the pattern residuals
+    # vanish (cross in the interior case, beta1_sym and off_pattern in the
+    # zero cases).  The strict case has no beta_plus diagonal, which its
+    # cone pins to zero
+    zero = ("beta1_sym", "off_pattern")
+    keys = {INTERIOR: ("cross",), ZERO_STRICT: zero, ZERO_TIGHT: zero}
     strict_with_plus = 0
     for seed in range(900):
         case = CASES[seed % 3]
