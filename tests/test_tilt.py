@@ -834,6 +834,17 @@ class _GramCounting(np.ndarray):
         return out
 
 
+def _quadratic_three_blocks():
+    """n = 20, m = 30 (nm = 600: three blocks of the PSD check) with a
+    generic Hessian kernel of dimension nm / 8."""
+    rng = np.random.default_rng(5)
+    X, Gamma, kappa, _ = random_membership_instance(rng, n=20, m=30, case=ZERO_STRICT)
+    W = np.linalg.qr(rng.standard_normal((600, 75)))[0]
+    Q = np.eye(600) - W @ W.T
+    L = -(Q @ vec(X)).reshape(X.shape) - Gamma
+    return _problem(X, Gamma, kappa, {"type": "quadratic", "Q": matrix_to_json(Q), "L": matrix_to_json(L)})
+
+
 def _demo(name):
     return lambda: json.loads((DEMO / f"{name}.json").read_text())
 
@@ -845,6 +856,7 @@ FACTOR_CASES = {
     "inconclusive_split": _demo("inconclusive_split"),
     "quadratic_kernel_in_hull": _quadratic_kernel_in_hull,
     "least_squares_generic_kernel": _least_squares_generic_kernel,
+    "quadratic_three_blocks": _quadratic_three_blocks,
 }
 
 
@@ -852,10 +864,12 @@ FACTOR_CASES = {
 def test_one_hessian_factorization_per_analysis(monkeypatch, name):
     # the verdict works on the Hessian restricted to the hull: no nm x nm
     # (or nm x hull_dim) eigendecomposition or SVD; the PSD check of a
-    # quadratic theta is the one Cholesky, and A^T A is never formed
+    # quadratic theta is one Cholesky factorization, of the whole sym(Q)
+    # when nm <= _TILE and else of its diagonal blocks in turn, with no
+    # nm x nm array handed to np.linalg; A^T A is never formed
     problem = FACTOR_CASES[name]()
     nm = problem["n"] * problem["m"]
-    shapes = {"eigh": [], "eigvalsh": [], "svd": [], "cholesky": []}
+    shapes = {"eigh": [], "eigvalsh": [], "svd": [], "cholesky": [], "inv": []}
     for fn in shapes:
         def counted(a, *args, _fn=fn, _orig=getattr(np.linalg, fn), **kwargs):
             shapes[_fn].append(np.shape(a))
@@ -880,8 +894,121 @@ def test_one_hessian_factorization_per_analysis(monkeypatch, name):
         assert shapes[fn].count((nm, nm)) == 0, fn
         assert shapes[fn].count((nm, hull_dim)) == 0, fn
     quadratic = problem["theta"]["type"] == "quadratic"
-    assert shapes["cholesky"] == ([(nm, nm)] if quadratic else [])
+    if nm <= tilt._TILE:
+        assert shapes["cholesky"] == ([(nm, nm)] if quadratic else [])
+        assert shapes["inv"] == []
+    else:
+        assert quadratic
+        sides = [a for a, b in shapes["cholesky"] if a == b]
+        assert len(sides) == len(shapes["cholesky"]) > 1
+        assert sum(sides) == nm and max(sides) <= tilt._TILE
+        assert all(shape != (nm, nm) for calls in shapes.values() for shape in calls)
     assert _GramCounting.grams == 0
+
+
+# ---------------------------------------------------------------- the PSD and symmetry check
+
+
+def _check_outcome(Q):
+    try:
+        QuadraticTheta(Q, np.zeros(len(Q))).check_hessian(len(Q), DEFAULT_TOLS)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _reference_outcome(Q):
+    """check_hessian's decision from its definition: ||Q - Q^T||_F against
+    orth * nm * max(1, ||Q||_F), then lambda_min(sym Q) from eigvalsh
+    against -psd_rel * max(1, ||Q||_F)."""
+    scale = max(1.0, np.linalg.norm(Q))
+    if np.linalg.norm(Q - Q.T) > DEFAULT_TOLS.orth * len(Q) * scale:
+        return "Hessian of theta must be symmetric"
+    lmin = np.linalg.eigvalsh(0.5 * (Q + Q.T))[0]
+    if lmin < -DEFAULT_TOLS.psd_rel * scale:
+        return f"Hessian of theta must be PSD at Xbar (lambda_min = {lmin:.3e})"
+    return None
+
+
+def test_psd_and_symmetry_decisions_match_the_eigenvalue_reference():
+    # sizes on both sides of the block edges at _TILE = 256 and 2 * 256;
+    # lambda_min(sym Q) = -t * psd_rel * max(1, ||Q||_F) along a unit
+    # vector v spread over every block, and skew parts at 0.5 and 2 times
+    # the symmetry bound, spread over every tile, or at 0.8 and 1.25 times
+    # it in the corner entries (0, nm-1), which lie in an off-diagonal tile
+    # once nm > _TILE and must count twice; scale 1e-3 puts ||Q||_F below 1
+    assert tilt._TILE == 256
+    rng = np.random.default_rng(22)
+    checked = 0
+    for nm in (36, 255, 256, 257, 513):
+        V = random_orthogonal(rng, nm)
+        lam = rng.uniform(0.5, 2.0, nm)
+        lam[0] = 0.0
+        base = (V * lam) @ V.T
+        base = 0.5 * (base + base.T)
+        v = V[:, 0]
+        spread = rng.standard_normal((nm, nm))
+        spread = (spread - spread.T) / np.linalg.norm(spread - spread.T)
+        corner = np.zeros((nm, nm))
+        corner[0, -1], corner[-1, 0] = 0.5**0.5, -(0.5**0.5)
+        for c in (1e-3, 1.0, 1e3):
+            scale = max(1.0, c * np.linalg.norm(lam))
+            for t in (0.0, 0.5, 0.9, 1.1, 2.0, 100.0):
+                Q = c * base - t * DEFAULT_TOLS.psd_rel * scale * np.outer(v, v)
+                expected = _reference_outcome(Q)
+                assert (expected is None) == (t < 1), (nm, c, t)
+                assert _check_outcome(Q) == expected, (nm, c, t)
+                checked += 1
+            for f, skew in ((0.5, spread), (2.0, spread), (0.8, corner), (1.25, corner)):
+                Q = c * base + 0.5 * f * DEFAULT_TOLS.orth * nm * scale * skew
+                expected = _reference_outcome(Q)
+                assert (expected is None) == (f < 1), (nm, c, f)
+                assert _check_outcome(Q) == expected, (nm, c, f)
+                checked += 1
+    assert checked == 5 * 3 * 10
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_psd_check_memory_stays_within_budget():
+    # nm = 1088 (n = 32, m = 34) with a kernel of dimension nm / 8: the
+    # lower block columns of sym(Q) + shift and the factorization's
+    # temporaries stay within 1.25 nm^2 floats besides Q, where a full copy
+    # of sym(Q) and a factor of the same size took 2 nm^2
+    nm = 32 * 34
+    rng = np.random.default_rng(7)
+    W = np.linalg.qr(rng.standard_normal((nm, nm // 8)))[0]
+    Q = np.eye(nm) - W @ W.T
+    theta = QuadraticTheta(Q, np.zeros(nm))
+    peak = _traced_peak(lambda: theta.check_hessian(nm, DEFAULT_TOLS))
+    assert peak <= 1.25 * nm * nm * 8, peak / (nm * nm * 8)
+    # the exit-3 path: curvature below -1 along a unit v on the last 200
+    # coordinates is met only in the last diagonal block; the columns are
+    # dropped before the eigenvalues of the message, so the peak stays
+    # within the same budget, and below that of holding an nm x nm
+    # sym(Q) + shift while they are computed
+    v = np.zeros(nm)
+    v[-200:] = rng.standard_normal(200)
+    v /= np.linalg.norm(v)
+    bad = QuadraticTheta(Q - 2.0 * np.outer(v, v), np.zeros(nm))
+    with pytest.raises(ValueError, match=r"must be PSD at Xbar \(lambda_min = -1"):
+        bad.check_hessian(nm, DEFAULT_TOLS)
+    reference = nm * nm * 8 + _traced_peak(lambda: np.linalg.eigvalsh(0.5 * (bad.Q + bad.Q.T)))
+
+    def failing():
+        with pytest.raises(ValueError):
+            bad.check_hessian(nm, DEFAULT_TOLS)
+
+    peak = _traced_peak(failing)
+    assert peak <= 1.25 * nm * nm * 8, peak / (nm * nm * 8)
+    assert peak <= reference
 
 
 @settings(max_examples=15, deadline=None)
