@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .instances import random_incone_direction, random_membership_instance
+from .instances import random_incone_direction
 from .io import SchemaError, canonical_dumps, matrix_from_json, matrix_to_json
 from .oracle import (
     ProbeConfig,
@@ -27,7 +27,6 @@ from .oracle import (
     SolverError,
     d2_quotient_oracle,
     kyfan_matrix_prox,
-    kyfan_vector_prox,
     probe_csv,
     tilt_probe,
 )
@@ -180,14 +179,19 @@ def problem_from_dict(d, tol_overrides=None):
     return spec, tols, options
 
 
-def load_problem_file(path):
+def load_problem_file(path, where="problem file"):
+    """Parse a JSON file; errors are schema errors that start with `where`."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as e:
-        raise SchemaError(f"problem file: {e}") from e
+        raise SchemaError(f"{where}: {e}") from e
     except json.JSONDecodeError as e:
-        raise SchemaError(f"problem file: invalid JSON ({e})") from e
+        raise SchemaError(f"{where}: invalid JSON ({e})") from e
+
+
+def _load_matrix(path, where):
+    return matrix_from_json(load_problem_file(path, f"{where} file"), where=where)
 
 
 def _parse_extra_tols(args):
@@ -433,15 +437,21 @@ def run_analyze(
     return report, _VERDICT_EXIT[verdict.status]
 
 
+def _gamma(spec, gamma):
+    """The subgradient candidate: `gamma` if given, else Gamma_bar."""
+    Gamma = spec.gamma_bar() if gamma is None else np.asarray(gamma, dtype=float)
+    if Gamma.shape != (spec.n, spec.m):
+        raise SchemaError(f"gamma: expected shape {(spec.n, spec.m)}, got {Gamma.shape}")
+    return Gamma
+
+
 def run_d2(problem: dict, G, gamma=None, cross_check=False, tol_overrides=None):
     """Second subderivative at (Xbar, Gamma) in direction G; (report, code)."""
     spec, tols, _ = problem_from_dict(problem, tol_overrides)
     G = np.asarray(G, dtype=float)
     if G.shape != (spec.n, spec.m):
         raise SchemaError(f"G: expected shape {(spec.n, spec.m)}, got {G.shape}")
-    Gamma = spec.gamma_bar() if gamma is None else np.asarray(gamma, dtype=float)
-    if Gamma.shape != (spec.n, spec.m):
-        raise SchemaError(f"gamma: expected shape {(spec.n, spec.m)}, got {Gamma.shape}")
+    Gamma = _gamma(spec, gamma)
     ok, cert = subdiff_membership(spec.Xbar, Gamma, spec.kappa, tols=tols)
     if not ok:
         return (
@@ -463,9 +473,7 @@ def run_d2(problem: dict, G, gamma=None, cross_check=False, tol_overrides=None):
 
 def run_subgrad_check(problem: dict, gamma=None, tol_overrides=None):
     spec, tols, options = problem_from_dict(problem, tol_overrides)
-    Gamma = spec.gamma_bar() if gamma is None else np.asarray(gamma, dtype=float)
-    if Gamma.shape != (spec.n, spec.m):
-        raise SchemaError(f"gamma: expected shape {(spec.n, spec.m)}, got {Gamma.shape}")
+    Gamma = _gamma(spec, gamma)
     ok, cert, why = subdiff_membership(
         spec.Xbar, Gamma, spec.kappa, tols=tols, with_diagnostics=True
     )
@@ -482,109 +490,6 @@ def run_tilt(problem: dict, seed=None, rotation_samples=None, tol_overrides=None
         problem, seed=seed, rotation_samples=rotation_samples, tol_overrides=tol_overrides
     )
     return (report if "error" in report else report["verdict"]), code
-
-
-# ---------------------------------------------------------------------------
-# oracle-validate suites
-# ---------------------------------------------------------------------------
-
-
-def _suite_formulas(seed, count):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(count):
-        X, Gamma, kappa, _ = random_membership_instance(rng)
-        ok, cert = subdiff_membership(X, Gamma, kappa)
-        if not ok:
-            return False, {"reason": "constructed instance failed membership"}
-        W = random_incone_direction(rng, cert)
-        ve = d2_psi_explicit(cert, W)
-        vg = d2_psi_general(X, Gamma, W, kappa, cert=cert)
-        if not (ve.is_finite and vg.is_finite):
-            return False, {"reason": "in-cone direction evaluated infinite"}
-        rel = abs(ve.value - vg.value) / (1 + abs(ve.value))
-        v2 = d2_psi_explicit(cert, 2.0 * W)
-        hom = abs(v2.value - 4.0 * ve.value) / (1 + abs(4.0 * ve.value))
-        worst = max(worst, rel, hom)
-        if worst > 1e-9:
-            return False, {"max_rel_gap": worst}
-    return True, {"instances": count, "max_rel_gap": worst}
-
-
-def _suite_prox(seed, count):
-    rng = np.random.default_rng(seed)
-    worst_nonexp = 0.0
-    for _ in range(count):
-        k = int(rng.integers(2, 9))
-        kervec = int(rng.integers(1, k + 1))
-        t = float(rng.uniform(0.1, 3.0))
-        x = rng.standard_normal(k) * 3
-        y = rng.standard_normal(k) * 3
-        px = kyfan_vector_prox(x, t, kervec)
-        py = kyfan_vector_prox(y, t, kervec)
-        # Moreau: the projection part x - prox must lie in t*B
-        proj = x - px
-        budget = t * kervec
-        if np.max(np.abs(proj)) > t * (1 + 1e-10) or np.sum(np.abs(proj)) > budget * (1 + 1e-12) + 1e-10:
-            return False, {"reason": "projection left the dual ball"}
-        # a binding l1 cap is met exactly, not to a stopping tolerance
-        if np.sum(np.minimum(np.abs(x), t)) > budget * (1 + 1e-12):
-            if abs(float(np.sum(np.abs(proj))) - budget) > 1e-13 * budget:
-                return False, {"reason": "projection missed the l1 budget"}
-        worst_nonexp = max(worst_nonexp, float(np.linalg.norm(px - py) - np.linalg.norm(x - y)))
-        n = int(rng.integers(2, 6))
-        m = int(rng.integers(n, 8))
-        Xr = rng.standard_normal((n, m)) * 2
-        kap = int(rng.integers(1, n + 1))
-        P = kyfan_matrix_prox(Xr, t, kap)
-        ok, _ = subdiff_membership(P, (Xr - P) / t, kap, tols=Tolerances(subdiff=1e-7))
-        if not ok:
-            return False, {"reason": "matrix prox optimality violated"}
-    if worst_nonexp > 1e-10:
-        return False, {"nonexpansiveness_slack": worst_nonexp}
-    return True, {"instances": count, "nonexpansiveness_slack": worst_nonexp}
-
-
-def _suite_quotient(seed, count):
-    rng = np.random.default_rng(seed)
-    count = min(count, 20)
-    worst = 0.0
-    done = 0
-    while done < count:
-        X, Gamma, kappa, _ = random_membership_instance(rng, well_separated=True)
-        ok, cert = subdiff_membership(X, Gamma, kappa)
-        if not ok:
-            return False, {"reason": "constructed instance failed membership"}
-        W = random_incone_direction(rng, cert)
-        if np.linalg.norm(W) < 1e-9:
-            continue  # cone is trivial for this instance; nothing to compare
-        done += 1
-        W /= np.linalg.norm(W)
-        _, rel = _quotient_check(X, Gamma, W, kappa, d2_psi_explicit(cert, W))
-        if rel is None:
-            return False, {"reason": "infinite value on an in-cone direction"}
-        worst = max(worst, rel)
-        if worst > 1e-2:
-            return False, {"max_rel_gap": worst}
-    return True, {"instances": count, "max_rel_gap": worst}
-
-
-_SUITES = {"formulas": _suite_formulas, "prox": _suite_prox, "quotient": _suite_quotient}
-
-
-def run_oracle_validate(suite="all", seed=0, count=50):
-    count = _as_int(count, "--count", lo=1)
-    names = list(_SUITES) if suite == "all" else [suite]
-    if any(nm not in _SUITES for nm in names):
-        raise SchemaError(f"--suite: unknown suite {suite!r} (all | formulas | prox | quotient)")
-    lines = []
-    all_ok = True
-    for nm in names:
-        ok, details = _SUITES[nm](seed, count)
-        all_ok = all_ok and ok
-        detail_str = ", ".join(f"{k}={v}" for k, v in sorted(details.items()))
-        lines.append(f"{nm}: {'PASS' if ok else 'FAIL'} ({detail_str})")
-    return lines, (0 if all_ok else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -605,9 +510,6 @@ def _guarded(fn):
         return fn()
     except SchemaError as e:
         _emit(_error_report("schema", str(e)), None)
-        return EXIT_ERROR
-    except SolverError as e:
-        _emit(_error_report("solver", str(e)), None)
         return EXIT_ERROR
     except ValueError as e:
         _emit(_error_report("precondition", str(e)), None)
@@ -664,10 +566,8 @@ def d2(ctx, problem_file, g_file, gamma_file, cross_check, out):
     def body():
         overrides = _parse_extra_tols(ctx.args)
         problem = load_problem_file(problem_file)
-        G = matrix_from_json(load_problem_file(g_file), where="G")
-        gamma = None
-        if gamma_file is not None:
-            gamma = matrix_from_json(load_problem_file(gamma_file), where="gamma")
+        G = _load_matrix(g_file, "G")
+        gamma = None if gamma_file is None else _load_matrix(gamma_file, "gamma")
         report, code = run_d2(
             problem, G, gamma=gamma, cross_check=cross_check, tol_overrides=overrides
         )
@@ -688,9 +588,7 @@ def subgrad_check(ctx, problem_file, gamma_file, out):
     def body():
         overrides = _parse_extra_tols(ctx.args)
         problem = load_problem_file(problem_file)
-        gamma = None
-        if gamma_file is not None:
-            gamma = matrix_from_json(load_problem_file(gamma_file), where="gamma")
+        gamma = None if gamma_file is None else _load_matrix(gamma_file, "gamma")
         report, code = run_subgrad_check(problem, gamma=gamma, tol_overrides=overrides)
         _emit(report, out)
         return code
@@ -714,22 +612,6 @@ def tilt(ctx, problem_file, out, seed, rotation_samples):
             problem, seed=seed, rotation_samples=rotation_samples, tol_overrides=overrides
         )
         _emit(report, out)
-        return code
-
-    return _guarded(body)
-
-
-@cli.command("oracle-validate")
-@click.option("--suite", type=str, default="all", help="all | formulas | prox | quotient")
-@click.option("--seed", type=int, default=0)
-@click.option("--count", type=int, default=50)
-def oracle_validate(suite, seed, count):
-    """Cross-validation suites; nonzero exit on any failure."""
-
-    def body():
-        lines, code = run_oracle_validate(suite=suite, seed=seed, count=count)
-        for line in lines:
-            click.echo(line)
         return code
 
     return _guarded(body)

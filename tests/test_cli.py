@@ -44,6 +44,22 @@ def run(capsys, *argv):
     return code, capsys.readouterr()
 
 
+def schema_error(capsys, *argv):
+    """The message of a command that must exit 3 with a schema error."""
+    code, cap = run(capsys, *argv)
+    assert code == 3
+    error = json.loads(cap.out)["error"]
+    assert error["kind"] == "schema"
+    return error["message"]
+
+
+def unreadable_files(tmp_path):
+    """A path that does not exist and a file that is not JSON."""
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    return str(tmp_path / "missing.json"), str(bad)
+
+
 def slide_kernel_Q():
     W = np.zeros((3, 3))
     W[1, 1] = 1.0
@@ -200,6 +216,20 @@ def test_d2_rejects_non_subgradient_gamma(tmp_path, capsys):
     assert json.loads(cap.out)["error"]["kind"] == "non_subgradient"
 
 
+def test_d2_names_the_file_that_failed_to_load(tmp_path, capsys):
+    pf = write_json(tmp_path, "p.json", problem_dict(X3, G3, 2))
+    gf = write_json(tmp_path, "g.json", matrix_to_json(np.eye(3)))
+    missing, bad = unreadable_files(tmp_path)
+    msg = schema_error(capsys, "d2", missing, gf)
+    assert msg.startswith("problem file: ") and "missing.json" in msg
+    msg = schema_error(capsys, "d2", pf, missing)
+    assert msg.startswith("G file: ") and "missing.json" in msg
+    assert schema_error(capsys, "d2", pf, bad).startswith("G file: invalid JSON")
+    msg = schema_error(capsys, "d2", pf, gf, "--gamma", missing)
+    assert msg.startswith("gamma file: ") and "missing.json" in msg
+    assert schema_error(capsys, "d2", pf, gf, "--gamma", bad).startswith("gamma file: invalid JSON")
+
+
 # ---------------------------------------------------------------- subgrad-check
 
 
@@ -216,6 +246,16 @@ def test_subgrad_check_member_and_not(tmp_path, capsys):
     report = json.loads(cap.out)
     assert report["member"] is False
     assert report["diagnostic"]
+
+
+def test_subgrad_check_names_the_file_that_failed_to_load(tmp_path, capsys):
+    pf = write_json(tmp_path, "p.json", problem_dict(X3, G3, 2))
+    missing, bad = unreadable_files(tmp_path)
+    msg = schema_error(capsys, "subgrad-check", missing)
+    assert msg.startswith("problem file: ") and "missing.json" in msg
+    msg = schema_error(capsys, "subgrad-check", pf, "--gamma", missing)
+    assert msg.startswith("gamma file: ") and "missing.json" in msg
+    assert schema_error(capsys, "subgrad-check", pf, "--gamma", bad).startswith("gamma file: invalid JSON")
 
 
 # ---------------------------------------------------------------- tilt
@@ -359,46 +399,7 @@ def test_unknown_flag_exits_three(tmp_path, capsys):
 def test_usage_error_exits_three(capsys):
     assert run(capsys, "analyze")[0] == 3  # missing argument
     assert run(capsys, "no-such-command")[0] == 3
-
-
-# ---------------------------------------------------------------- oracle-validate
-
-
-@pytest.mark.parametrize("suite", ["formulas", "quotient"])
-def test_oracle_validate_smoke(capsys, suite):
-    code, cap = run(capsys, "oracle-validate", "--suite", suite, "--count", "3")
-    assert code == 0
-    lines = cap.out.strip().split("\n")
-    assert lines and all("PASS" in l for l in lines)
-
-
-def test_oracle_validate_prox_suite_checks_the_l1_budget(capsys, monkeypatch):
-    code, cap = run(capsys, "oracle-validate", "--suite", "prox", "--count", "50")
-    assert code == 0
-    assert cap.out.startswith("prox: PASS")
-    # a projection that stops 1e-11 short of the binding l1 cap, as a
-    # bisection with a stopping tolerance does, fails the suite
-    exact = cli.kyfan_vector_prox
-
-    def approximate(x, t, kappa):
-        p = exact(x, t, kappa)
-        return p + 1e-11 * np.sign(p)
-
-    monkeypatch.setattr(cli, "kyfan_vector_prox", approximate)
-    code, cap = run(capsys, "oracle-validate", "--suite", "prox", "--count", "50")
-    assert code != 0
-    assert "prox: FAIL (reason=projection missed the l1 budget)" in cap.out
-
-
-def test_oracle_validate_unknown_suite(capsys):
-    assert run(capsys, "oracle-validate", "--suite", "bogus")[0] == 3
-
-
-@pytest.mark.parametrize("count", ["0", "-3"])
-def test_oracle_validate_rejects_vacuous_count(capsys, count):
-    # no instance checked is no pass
-    code, cap = run(capsys, "oracle-validate", "--count", count)
+    # oracle-validate is no command: exit 3, never click's 2
+    code, cap = run(capsys, "oracle-validate")
     assert code == 3
-    assert "PASS" not in cap.out
-    error = json.loads(cap.out)["error"]
-    assert error["message"] == f"--count: must be >= 1, got {count}"
+    assert "No such command 'oracle-validate'" in cap.err

@@ -110,19 +110,40 @@ def test_vector_prox_matches_enumeration():
         assert np.max(np.abs(kyfan_vector_prox(x, t, kappa) - ref)) <= 1e-10 * scale, (x, t, kappa)
 
 
-def test_vector_prox_meets_the_l1_budget_exactly():
-    # when the l1 cap of the dual ball binds, the projection x - prox has l1
-    # norm t * kappa up to rounding, not up to a stopping tolerance
+def l1_budget_misses(prox):
+    """Run `prox` on 2000 seeded cases; return the number of cases where the
+    l1 cap of the dual ball binds and the cases among them where the
+    projection x - prox misses l1 norm t * kappa by more than rounding."""
     rng = np.random.default_rng(99)
-    binding = 0
+    binding, misses = 0, []
     for i in range(2000):
         x, t, kappa, _ = prox_case(rng, i)
         if np.sum(np.minimum(np.abs(x), t)) <= t * kappa * (1 + 1e-12):
             continue
         binding += 1
-        l1 = float(np.sum(np.abs(x - kyfan_vector_prox(x, t, kappa))))
-        assert abs(l1 - t * kappa) <= 1e-13 * t * kappa, (x, t, kappa)
+        l1 = float(np.sum(np.abs(x - prox(x, t, kappa))))
+        if abs(l1 - t * kappa) > 1e-13 * t * kappa:
+            misses.append((x, t, kappa))
+    return binding, misses
+
+
+def test_vector_prox_meets_the_l1_budget_exactly():
+    # when the l1 cap of the dual ball binds, the projection x - prox has l1
+    # norm t * kappa up to rounding, not up to a stopping tolerance
+    binding, misses = l1_budget_misses(kyfan_vector_prox)
+    assert not misses, misses[0]
     assert binding > 500
+
+
+def test_l1_budget_check_catches_a_projection_short_of_the_cap():
+    # a projection that stops 1e-11 short of the binding l1 cap, as a
+    # bisection with a stopping tolerance does, fails the check above
+    def approximate(x, t, kappa):
+        p = kyfan_vector_prox(x, t, kappa)
+        return p + 1e-11 * np.sign(p)
+
+    _, misses = l1_budget_misses(approximate)
+    assert misses
 
 
 def test_vector_prox_long_vector_is_feasible():

@@ -31,7 +31,6 @@ def run_script(name, *args):
 @pytest.mark.parametrize(
     "name, args",
     [
-        ("formula_sweep.py", ["--per-case", "5", "--oracle-per-case", "1"]),
         ("probe_vs_verdict.py", ["--trials", "2"]),
     ],
 )
