@@ -1,7 +1,7 @@
 """Tilt-stability analysis of Ky-Fan kappa-norm regularized problems.
 
-Closed-form subdifferential tests, second-subderivative formulas, critical
-cones, and the kernel-intersection tilt criterion for
+Closed-form subdifferential tests, the closed form of the second
+subderivative, critical cones, and the kernel-intersection tilt criterion for
 
     min_X  nu * theta(X) + Psi_kappa(X),
 
@@ -26,13 +26,10 @@ from .secder import (
     CriticalConeCert,
     SecondSubderivValue,
     critical_cone_membership,
-    d2_nuclear,
     d2_psi_explicit,
-    d2_psi_general,
-    d2_spectral,
     d2_zero_set_membership,
 )
-from .spectral import bmap, build_frame, group_singular, svd_ordered
+from .spectral import group_singular, svd_ordered
 from .subgrad import SubgradCertificate, psi_value, subdiff_membership
 from .tilt import (
     INCONCLUSIVE,

@@ -30,7 +30,7 @@ from .oracle import (
     probe_csv,
     tilt_probe,
 )
-from .secder import d2_psi_explicit, d2_psi_general
+from .secder import d2_psi_explicit
 from .subgrad import psi_value, subdiff_membership
 from .tilt import (
     INCONCLUSIVE,
@@ -285,11 +285,14 @@ def _error_report(kind, message, **extra):
     return {"error": {"kind": kind, "message": message, **extra}}
 
 
-def _quotient_check(X, Gamma, W, kappa, closed):
-    """Quotient oracle for d2 Psi_kappa(X | Gamma)(W) and its
-    relative gap to the closed-form value `closed` (None unless both are
-    finite).  psi_value and kyfan_matrix_prox take the oracle's stacks as
-    they are.  Glue only: the oracle shares no code with the closed forms."""
+def _quotient_check(X, Gamma, W, kappa, closed, scale=1.0):
+    """Quotient oracle for d2 Psi_kappa(X | Gamma)(scale * W), W a unit
+    direction (the oracle's ball and tau grid assume one): scale**2 times
+    its value at W, d2 being 2-homogeneous.  Returns (value, divergent,
+    gap) with gap the relative gap to the closed-form value `closed` when
+    both are finite, +inf when exactly one is, 0.0 when both are +inf.
+    psi_value and kyfan_matrix_prox take the oracle's stacks as they are.
+    Glue only: the oracle shares no code with the closed forms."""
     q = d2_quotient_oracle(
         lambda Y: psi_value(Y, kappa),
         X,
@@ -297,10 +300,12 @@ def _quotient_check(X, Gamma, W, kappa, closed):
         W,
         prox_fn=lambda Y, t: kyfan_matrix_prox(Y, t, kappa),
     )
-    gap = None
-    if closed.is_finite and math.isfinite(q.value):
-        gap = abs(q.value - closed.value) / (1 + abs(closed.value))
-    return q, gap
+    value = q.value * scale**2
+    if math.isfinite(value) and closed.is_finite:
+        gap = abs(value - closed.value) / (1 + abs(closed.value))
+    else:
+        gap = 0.0 if value == closed.value else math.inf
+    return value, q.divergent, gap
 
 
 # ---------------------------------------------------------------------------
@@ -398,17 +403,15 @@ def run_analyze(
                 W = W / norm  # the oracle's ball and tau grid assume a unit direction
             Gamma = spec.gamma_bar()
             closed = d2_psi_explicit(cert, W, tols=tols)
-            general = d2_psi_general(spec.Xbar, Gamma, W, spec.kappa, tols=tols, cert=cert)
-            q, rel = _quotient_check(spec.Xbar, Gamma, W, spec.kappa, closed)
+            value, divergent, rel = _quotient_check(spec.Xbar, Gamma, W, spec.kappa, closed)
             if norm == 0:
                 rel = None  # the zero direction checks nothing
             oracle_section["quotient"] = {
                 "direction_norm": float(np.linalg.norm(W)),
                 "closed_form": closed.value,
-                "general_form": general.value,
-                "oracle": q.value,
+                "oracle": value,
                 "oracle_rel_gap": rel,
-                "divergent": q.divergent,
+                "divergent": divergent,
             }
             stamps["cross_check_s"] = time.perf_counter() - t0
         if probe:
@@ -461,13 +464,18 @@ def run_d2(problem: dict, G, gamma=None, cross_check=False, tol_overrides=None):
     v = d2_psi_explicit(cert, G, tols=tols)
     report = {"value": v.value, "reason": v.reason, "terms": v.terms}
     if cross_check:
-        general = d2_psi_general(spec.Xbar, Gamma, G, spec.kappa, tols=tols, cert=cert)
-        cc = {"general_form": general.value}
-        if v.is_finite:
-            q, cc["oracle_rel_gap"] = _quotient_check(spec.Xbar, Gamma, G, spec.kappa, v)
-            cc["oracle"] = q.value
-            cc["oracle_divergent"] = q.divergent
-        report["cross_check"] = cc
+        norm = float(np.linalg.norm(G))
+        if norm == 0:
+            value = divergent = gap = None  # the zero direction checks nothing
+        else:
+            value, divergent, gap = _quotient_check(
+                spec.Xbar, Gamma, G / norm, spec.kappa, v, scale=norm
+            )
+        report["cross_check"] = {
+            "oracle": value,
+            "oracle_divergent": divergent,
+            "oracle_rel_gap": gap,
+        }
     return report, 0
 
 
@@ -557,7 +565,7 @@ def analyze(ctx, problem_file, out, seed, rotation_samples, cross_check, probe, 
 @click.argument("problem_file", type=str)
 @click.argument("g_file", type=str)
 @click.option("--gamma", "gamma_file", type=str, default=None, help="matrix file overriding Gamma")
-@click.option("--cross-check", is_flag=True, help="attach general-formula and oracle values")
+@click.option("--cross-check", is_flag=True, help="attach the quotient oracle's value and its gap")
 @click.option("--out", type=str, default=None)
 @click.pass_context
 def d2(ctx, problem_file, g_file, gamma_file, cross_check, out):

@@ -14,9 +14,6 @@ import dataclasses
 class Tolerances:
     # grouping of singular values: group_rel * max(1, sigma_1)
     group_rel: float = 1e-8
-    # pseudo-inverse cutoff of the general d2 form: pinv_rel * max(1, |nu_l| +
-    # sigma_1), nu_l the grouped frame eigenvalue whose block is built
-    pinv_rel: float = 1e-10
     # classification of subgradient singular values against {0, 1}
     sigma_class: float = 1e-7
     # trace/sum conditions: sum_rel * kappa

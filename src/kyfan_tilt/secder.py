@@ -1,19 +1,13 @@
 """Critical cones and second subderivatives of the matrix Ky-Fan norm.
 
-Two independent evaluation routes are provided for d^2 Psi_kappa(X | Gamma):
-
-* a general route through the symmetric embedding (frame blocks and grouped
-  pseudo-inverses), and
-* an explicit route itemizing the closed-form summand families in terms of
-  the symmetric/skew parts of U^T G V.
-
-Both are gated by the critical cone, whose membership test also ships with
+d^2 Psi_kappa(X | Gamma) is evaluated from one closed form, which itemizes
+its summand families in terms of the symmetric/skew parts of U^T G V and is
+gated by the critical cone, whose membership test also ships with
 per-condition residuals.  The bounds of the cone's inequality on the
 critical block, lower <= varpi <= upper, come from `sandwich` alone, on a
 stack of U^T G V matrices; tilt's direction set takes its margin on them.
-Specializations for the nuclear norm (kappa = n) and the spectral norm
-(kappa = 1) are written out independently so they can cross-check the
-general machinery.
+The zero set of d^2 Psi_kappa has its own test, written from the pattern of
+the vanishing summands rather than from the value.
 """
 from __future__ import annotations
 
@@ -23,21 +17,14 @@ import math
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .spectral import bmap, build_frame, skew, sym
-from .subgrad import (
-    INTERIOR_GROUP,
-    SubgradCertificate,
-    subdiff_membership,
-)
+from .spectral import skew, sym
+from .subgrad import INTERIOR_GROUP, SubgradCertificate
 
 __all__ = [
     "CriticalConeCert",
     "SecondSubderivValue",
     "critical_cone_membership",
-    "d2_psi_general",
     "d2_psi_explicit",
-    "d2_nuclear",
-    "d2_spectral",
     "d2_zero_set_membership",
     "fine_case",
     "sandwich",
@@ -206,115 +193,8 @@ def critical_cone_membership(
     return CriticalConeCert(member, varpi, case, res)
 
 
-# ---------------------------------------------------------------------------
-# general route (embedded frame, grouped pseudo-inverse)
-# ---------------------------------------------------------------------------
-
-
-def _require_cert(X, Gamma, kappa, tols):
-    ok, cert = subdiff_membership(X, Gamma, kappa, tols=tols)
-    if not ok:
-        raise ValueError("Gamma is not a subgradient of Psi_kappa at X")
-    return cert
-
-
 def _outside(cone: CriticalConeCert) -> SecondSubderivValue:
     return SecondSubderivValue(math.inf, OUTSIDE, {"cone_residuals": cone.residuals})
-
-
-def d2_psi_general(
-    X: np.ndarray,
-    Gamma: np.ndarray,
-    G: np.ndarray,
-    kappa: int,
-    tols: Tolerances = DEFAULT_TOLS,
-    cert: SubgradCertificate | None = None,
-) -> SecondSubderivValue:
-    """d^2 Psi_kappa(X | Gamma)(G) through the symmetric embedding.
-
-    On the critical cone the value is
-
-      r <= s:   sum_{l<r} tr Xi_l  +  < U_r^T (Gamma - sum_{l<r} U_l V_l^T) V_r , Xi_r >
-      r = s+1:  sum_{l<=s} tr Xi_l - 2 < Gamma_b , G V_a Sigma_a^{-1} U_a^T G >
-
-    with Xi_l = 2 P_l^T B(G) (nu_l I - B(X))^+ B(G) P_l evaluated on the
-    grouped spectrum.  Outside the cone the value is +inf.
-    """
-    X = np.asarray(X, dtype=float)
-    Gamma = np.asarray(Gamma, dtype=float)
-    G = np.asarray(G, dtype=float)
-    if cert is None:
-        cert = _require_cert(X, Gamma, kappa, tols)
-    cone = critical_cone_membership(cert, G, tols=tols)
-    if not cone.member:
-        return _outside(cone)
-    grouping = cert.grouping
-    frame = build_frame(cert.pair, grouping)
-    T = frame.P.T @ bmap(G) @ frame.P
-    # frame column groups with grouped eigenvalues
-    fgroups = []
-    for l in range(grouping.s):
-        lo, hi = frame.column_blocks[("a", l + 1)]
-        fgroups.append((float(grouping.nu[l]), np.arange(lo, hi)))
-    lo, hi = frame.column_blocks["zero"]
-    if hi > lo:
-        fgroups.append((0.0, np.arange(lo, hi)))
-    for l in range(grouping.s):
-        lo, hi = frame.column_blocks[("-a", l + 1)]
-        fgroups.append((-float(grouping.nu[l]), np.arange(lo, hi)))
-    sig_scale = float(np.max(np.abs(frame.eigenvalues), initial=1.0))
-
-    def xi_block(l_idx):
-        """2 * sum_g T_{l,g} T_{l,g}^T / (nu_l - e_g) on the grouped spectrum."""
-        nu_l, cols_l = fgroups[l_idx]
-        cutoff = tols.pinv_rel * max(1.0, abs(nu_l) + sig_scale)
-        out = np.zeros((len(cols_l), len(cols_l)))
-        for g, (e_g, cols_g) in enumerate(fgroups):
-            d = nu_l - e_g
-            if abs(d) <= cutoff:
-                continue
-            blk = T[np.ix_(cols_l, cols_g)]
-            out += (blk @ blk.T) / d
-        return 2.0 * out
-
-    terms: dict = {}
-    total = 0.0
-    U, V = cert.pair.U, cert.pair.V
-    r, s = grouping.r, grouping.s
-    n_trace = (r - 1) if cert.case == INTERIOR_GROUP else s
-    trace_terms = []
-    for l in range(n_trace):
-        t = float(np.trace(xi_block(l)))
-        trace_terms.append(t)
-        total += t
-    terms["trace"] = trace_terms
-    if cert.case == INTERIOR_GROUP:
-        resid = Gamma.copy()
-        for l in range(r - 1):
-            g = grouping.groups[l]
-            resid = resid - U[:, g] @ V[:, g].T
-        ar = grouping.groups[r - 1]
-        Gblock = U[:, ar].T @ resid @ V[:, ar]
-        crit = float(np.sum(Gblock * xi_block(r - 1)))
-        terms["critical"] = crit
-        total += crit
-    else:
-        a = grouping.a
-        resid = Gamma.copy()
-        for l in range(s):
-            g = grouping.groups[l]
-            resid = resid - U[:, g] @ V[:, g].T
-        if len(a):
-            sig_rep = np.concatenate(
-                [np.full(len(g), grouping.nu[l]) for l, g in enumerate(grouping.groups)]
-            )
-            core = G @ V[:, a] @ np.diag(1.0 / sig_rep) @ U[:, a].T @ G
-            zb = -2.0 * float(np.sum(resid * core))
-        else:
-            zb = 0.0
-        terms["zero_block"] = zb
-        total += zb
-    return SecondSubderivValue(total, IN_CONE, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -425,86 +305,6 @@ def d2_psi_explicit(
         )
         g4 = sum((1.0 / nl) * _sq(Hc[g, :]) for nl, g in pos)
         terms.update(g1=g1, g2=g2, g3=g3, g4=g4, g5=g5)
-    total = float(sum(terms.values()))
-    return SecondSubderivValue(total, IN_CONE, terms)
-
-
-# ---------------------------------------------------------------------------
-# independent specializations
-# ---------------------------------------------------------------------------
-
-
-def d2_nuclear(
-    X: np.ndarray, Gamma: np.ndarray, G: np.ndarray, tols: Tolerances = DEFAULT_TOLS
-) -> SecondSubderivValue:
-    """Second subderivative of the nuclear norm (kappa = n), written out
-    directly from its two-branch closed form."""
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    cert = _require_cert(X, Gamma, n, tols)
-    G = np.asarray(G, dtype=float)
-    cone = critical_cone_membership(cert, G, tols=tols)
-    if not cone.member:
-        return _outside(cone)
-    S, T, Hc = _st_blocks(cert, G)
-    grouping = cert.grouping
-    nu, groups = grouping.nu, grouping.groups
-    pos = [(float(nu[l]), groups[l]) for l in range(grouping.s)]
-    terms: dict = {}
-    terms["skew_pairs"] = sum(
-        2.0 * _sq(T[np.ix_(g, gp)]) / (nl + nlp) for nl, g in pos for nlp, gp in pos
-    )
-    terms["kernel_cols"] = sum((1.0 / nl) * _sq(Hc[g, :]) for nl, g in pos)
-    if len(grouping.b):
-        fams = _beta_families(cert)
-        terms["rank_deficient"] = sum(
-            2.0 * (1.0 - z) / nl * _sq(S[np.ix_(g, bj)])
-            + 2.0 * (1.0 + z) / nl * _sq(T[np.ix_(g, bj)])
-            for nl, g in pos
-            for z, bj in fams
-            if len(bj)
-        )
-    total = float(sum(terms.values()))
-    return SecondSubderivValue(total, IN_CONE, terms)
-
-
-def d2_spectral(
-    X: np.ndarray, Gamma: np.ndarray, G: np.ndarray, tols: Tolerances = DEFAULT_TOLS
-) -> SecondSubderivValue:
-    """Second subderivative of the spectral norm (kappa = 1), written out
-    directly; zero matrix -> 0 on the critical cone."""
-    X = np.asarray(X, dtype=float)
-    cert = _require_cert(X, Gamma, 1, tols)
-    G = np.asarray(G, dtype=float)
-    cone = critical_cone_membership(cert, G, tols=tols)
-    if not cone.member:
-        return _outside(cone)
-    grouping = cert.grouping
-    if grouping.s == 0:
-        return SecondSubderivValue(0.0, IN_CONE, {"zero_matrix": 0.0})
-    S, T, Hc = _st_blocks(cert, G)
-    nu, groups, b = grouping.nu, grouping.groups, grouping.b
-    nu1 = float(nu[0])
-    lower_groups = [(float(nu[l]), groups[l]) for l in range(1, grouping.s)]
-    if len(b):
-        lower_groups.append((0.0, b))
-    tneg_groups = [(float(nu[l]), groups[l]) for l in range(grouping.s)]
-    if len(b):
-        tneg_groups.append((0.0, b))
-    fams = [(z, bj) for z, bj in _beta_families(cert) if z > 0.0]
-    terms = {
-        "sym_lower": sum(
-            2.0 * z * _sq(S[np.ix_(bj, gp)]) / (nu1 - nlp)
-            for z, bj in fams
-            for nlp, gp in lower_groups
-        ),
-        "skew_all": sum(
-            2.0 * z * _sq(T[np.ix_(bj, gp)]) / (nu1 + nlp)
-            for z, bj in fams
-            for nlp, gp in tneg_groups
-        ),
-        "kernel_cols": sum((z / nu1) * _sq(Hc[bj, :]) for z, bj in fams),
-    }
     total = float(sum(terms.values()))
     return SecondSubderivValue(total, IN_CONE, terms)
 

@@ -1,14 +1,9 @@
-"""Ordered spectral decompositions and the symmetric embedding.
+"""Ordered spectral decompositions of rectangular matrices.
 
-A rectangular matrix X in R^{n x m} (n <= m) is studied through the
-symmetric embedding
-
-    B(X) = [[0, X], [X^T, 0]]  in  S^{n+m},
-
-whose eigenvalues are +/- the singular values of X plus m - n zeros.  This
-module provides deterministic full SVDs, tolerance-based grouping of equal
-singular values, and the orthogonal frame that diagonalizes B(X) with
-eigenvalues in nonincreasing order.
+A rectangular matrix X in R^{n x m} (n <= m) is handled through its full
+ordered SVD.  This module provides deterministic full SVDs, tolerance-based
+grouping of equal singular values, and the symmetric and skew parts of
+square blocks.
 """
 from __future__ import annotations
 
@@ -21,11 +16,8 @@ from .config import DEFAULT_TOLS, Tolerances
 __all__ = [
     "SvdPair",
     "SingularGrouping",
-    "EmbeddingFrame",
     "svd_ordered",
     "group_singular",
-    "bmap",
-    "build_frame",
     "sym",
     "skew",
 ]
@@ -187,87 +179,4 @@ def group_singular(pair: SvdPair, kappa: int,
         raise AssertionError("kappa not covered by the partition")
     return SingularGrouping(
         nu=nu, groups=pos_runs, b=b, c=np.arange(n, m), s=s, r=r, kappa=kappa
-    )
-
-
-# ---------------------------------------------------------------------------
-# embedding
-# ---------------------------------------------------------------------------
-
-
-def bmap(X: np.ndarray) -> np.ndarray:
-    """Symmetric embedding B(X) = [[0, X], [X^T, 0]]."""
-    X = np.asarray(X, dtype=float)
-    n, m = X.shape
-    Z = np.zeros((n + m, n + m))
-    Z[:n, n:] = X
-    Z[n:, :n] = X.T
-    return Z
-
-
-@dataclasses.dataclass
-class EmbeddingFrame:
-    """Orthogonal frame diagonalizing B(X) with nonincreasing eigenvalues.
-
-    Column layout: [a_1 .. a_s | b(+) | c | b(-) | -a_s .. -a_1], i.e. the
-    positive singular groups, the 2|b| + (m-n) dimensional zero eigenspace,
-    then the negative groups in ascending magnitude.  column_blocks maps
-    each block key (("a", l), "b+", "c", "b-", "zero", ("-a", l)) to its
-    half-open column range in P.
-    """
-
-    P: np.ndarray
-    column_blocks: dict
-    eigenvalues: np.ndarray  # grouped representatives, one per column
-    n: int
-    m: int
-
-
-def build_frame(pair: SvdPair, grouping: SingularGrouping) -> EmbeddingFrame:
-    """Assemble the (n+m) x (n+m) frame P with P^T B(X) P diagonal.
-
-    Raises ValueError if the grouping does not partition range(n).
-    """
-    n, m = pair.n, pair.m
-    idx_all = sorted(
-        [int(i) for g in grouping.groups for i in g] + [int(i) for i in grouping.b]
-    )
-    if idx_all != list(range(n)):
-        raise ValueError("grouping does not partition the row indices")
-    U, V = pair.U, pair.V
-    isq = 1.0 / np.sqrt(2.0)
-    cols = []
-    eigs = []
-    blocks = {}
-    pos = 0
-
-    def push(name, block_cols, vals):
-        nonlocal pos
-        k = block_cols.shape[1]
-        cols.append(block_cols)
-        eigs.extend(vals)
-        blocks[name] = (pos, pos + k)
-        pos += k
-
-    for l, g in enumerate(grouping.groups):
-        Pg = np.vstack([U[:, g] * isq, V[:, g] * isq])
-        push(("a", l + 1), Pg, [grouping.nu[l]] * len(g))
-    zero_start = pos
-    bidx = grouping.b
-    if len(bidx):
-        push("b+", np.vstack([U[:, bidx] * isq, V[:, bidx] * isq]), [0.0] * len(bidx))
-    cidx = grouping.c
-    if len(cidx):
-        Pc = np.vstack([np.zeros((n, len(cidx))), V[:, cidx]])
-        push("c", Pc, [0.0] * len(cidx))
-    if len(bidx):
-        push("b-", np.vstack([U[:, bidx] * isq, -V[:, bidx] * isq]), [0.0] * len(bidx))
-    blocks["zero"] = (zero_start, pos)
-    for l in range(grouping.s - 1, -1, -1):
-        g = grouping.groups[l][::-1]  # reversed inside the group
-        Pg = np.vstack([U[:, g] * isq, -V[:, g] * isq])
-        push(("-a", l + 1), Pg, [-grouping.nu[l]] * len(g))
-    P = np.hstack(cols) if cols else np.zeros((n + m, 0))
-    return EmbeddingFrame(
-        P=P, column_blocks=blocks, eigenvalues=np.array(eigs), n=n, m=m
     )

@@ -39,15 +39,13 @@ from kyfan_tilt.oracle import (
 )
 from kyfan_tilt.secder import (
     critical_cone_membership,
-    d2_nuclear,
     d2_psi_explicit,
-    d2_psi_general,
-    d2_spectral,
     d2_zero_set_membership,
 )
-from kyfan_tilt.spectral import bmap, build_frame, group_singular, svd_ordered
+from kyfan_tilt.spectral import group_singular, svd_ordered
 from kyfan_tilt.subgrad import psi_value, subdiff_membership
 from kyfan_tilt.tilt import TiltOptions, build_upsilon, tilt_check
+from reference import bmap, build_frame, d2_nuclear, d2_psi_general, d2_spectral
 
 CASES = [INTERIOR, ZERO_STRICT, ZERO_TIGHT]
 
@@ -217,7 +215,19 @@ def test_acceptance_05_zero_set(capsys):
 # ---------------------------------------------------------------- 6
 
 
+def _quotient(X, Gamma, W, kappa):
+    return d2_quotient_oracle(
+        lambda Y, k=kappa: psi_value(Y, k),
+        X,
+        Gamma,
+        W,
+        prox_fn=lambda Y, t, k=kappa: kyfan_matrix_prox(Y, t, k),
+    )
+
+
 def test_acceptance_06_quotient_oracle(capsys):
+    """The quotient oracle agrees with the shipped closed form in the cone
+    and reads divergent at unit directions outside it."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(606)
     worst, done = 0.0, 0
@@ -230,20 +240,29 @@ def test_acceptance_06_quotient_oracle(capsys):
         if nw < 1e-9:
             continue
         W = W / nw
-        closed = d2_psi_general(X, Gamma, W, kappa, cert=cert)
-        res = d2_quotient_oracle(
-            lambda Y, k=kappa: psi_value(Y, k),
-            X,
-            Gamma,
-            W,
-            prox_fn=lambda Y, t, k=kappa: kyfan_matrix_prox(Y, t, k),
-        )
+        closed = d2_psi_explicit(cert, W)
+        res = _quotient(X, Gamma, W, kappa)
         assert not res.divergent, done
         worst = max(worst, rel_gap(closed.value, res.value))
         done += 1
+    rng = np.random.default_rng(612)
+    outside, divergent = 0, 0
+    while outside < 30:
+        X, Gamma, kappa, cert = member_with_cert(
+            rng, case=CASES[outside % 3], well_separated=True
+        )
+        W = rng.standard_normal(X.shape)
+        W = W / np.linalg.norm(W)
+        if d2_psi_explicit(cert, W).is_finite:
+            continue
+        divergent += int(_quotient(X, Gamma, W, kappa).divergent)
+        outside += 1
     dt = time.perf_counter() - t0
-    ok = worst <= 1e-2 and dt < 300.0
-    emit(capsys, 6, "quotient-oracle-agreement", ok, f"n=100 max_rel={worst:.2e} time={dt:.1f}s")
+    ok = worst <= 1e-2 and divergent == outside and dt < 300.0
+    emit(
+        capsys, 6, "quotient-oracle-agreement", ok,
+        f"n=100 max_rel={worst:.2e} outside={outside} divergent={divergent} time={dt:.1f}s",
+    )
 
 
 # ---------------------------------------------------------------- 7

@@ -9,8 +9,9 @@ import pytest
 from conftest import projector_complement
 from kyfan_tilt import cli
 from kyfan_tilt.cli import main
-from kyfan_tilt.instances import random_membership_instance
+from kyfan_tilt.instances import ZERO_STRICT, random_incone_direction, random_membership_instance
 from kyfan_tilt.io import matrix_to_json, unvec, vec
+from kyfan_tilt.subgrad import subdiff_membership
 
 X3 = np.diag([3.0, 2.0, 1.0])
 G3 = np.diag([1.0, 1.0, 0.0])
@@ -195,8 +196,34 @@ def test_d2_frozen_value(tmp_path, capsys):
     assert code == 0
     report = json.loads(cap.out)
     assert report["value"] == pytest.approx(1.0, abs=1e-10)
-    assert report["cross_check"]["general_form"] == pytest.approx(1.0, abs=1e-10)
     assert report["cross_check"]["oracle_rel_gap"] <= 1e-2
+
+
+def test_d2_cross_check_scales_a_long_direction(tmp_path, capsys):
+    # the oracle's ball and tau grid assume a unit direction: taken along
+    # G = 4 W/||W|| itself, its quotient misses the closed form 14.62 by half
+    rng = np.random.default_rng(0)
+    X, Gamma, kappa, _ = random_membership_instance(rng, n=3, case=ZERO_STRICT, well_separated=True)
+    ok, cert = subdiff_membership(X, Gamma, kappa)
+    assert ok
+    W = random_incone_direction(rng, cert)
+    pf = write_json(tmp_path, "p.json", problem_dict(X, Gamma, kappa))
+    gf = write_json(tmp_path, "g.json", matrix_to_json(4.0 * W / np.linalg.norm(W)))
+    code, cap = run(capsys, "d2", pf, gf, "--cross-check")
+    assert code == 0
+    report = json.loads(cap.out)
+    assert report["value"] == pytest.approx(14.62, abs=1e-2)
+    assert report["cross_check"]["oracle_rel_gap"] <= 1e-2
+
+
+def test_d2_cross_check_zero_direction_skips_the_oracle(tmp_path, capsys):
+    pf = write_json(tmp_path, "p.json", problem_dict(X3, G3, 2))
+    gf = write_json(tmp_path, "g.json", matrix_to_json(np.zeros((3, 3))))
+    code, cap = run(capsys, "d2", pf, gf, "--cross-check")
+    assert code == 0
+    report = json.loads(cap.out)
+    assert report["value"] == 0.0
+    assert report["cross_check"] == {"oracle": None, "oracle_divergent": None, "oracle_rel_gap": None}
 
 
 def test_d2_outside_cone_reports_infinity(tmp_path, capsys):
@@ -205,6 +232,27 @@ def test_d2_outside_cone_reports_infinity(tmp_path, capsys):
     code, cap = run(capsys, "d2", pf, gf)
     assert code == 0
     assert json.loads(cap.out)["value"] == "+inf"
+    # the oracle diverges too: both sides +inf is no gap
+    code, cap = run(capsys, "d2", pf, gf, "--cross-check")
+    assert code == 0
+    cc = json.loads(cap.out)["cross_check"]
+    assert cc == {"oracle": "+inf", "oracle_divergent": True, "oracle_rel_gap": 0.0}
+
+
+def test_d2_cross_check_one_sided_divergence_is_an_infinite_gap(tmp_path, capsys):
+    # a finite closed form (1e4) across a 1e-4 singular-value gap: the gap
+    # is +inf exactly when the oracle diverges, whatever the oracle reads
+    X = np.diag([3.0, 1e-4, 0.0])
+    pf = write_json(tmp_path, "p.json", problem_dict(X, np.diag([1.0, 1.0, 0.0]), 2))
+    G = np.zeros((3, 3))
+    G[1, 2] = G[2, 1] = 1.0 / np.sqrt(2.0)
+    gf = write_json(tmp_path, "g.json", matrix_to_json(G))
+    code, cap = run(capsys, "d2", pf, gf, "--cross-check")
+    assert code == 0
+    report = json.loads(cap.out)
+    assert report["value"] == pytest.approx(1e4, rel=1e-9)
+    cc = report["cross_check"]
+    assert (cc["oracle_rel_gap"] == "+inf") == cc["oracle_divergent"]
 
 
 def test_d2_rejects_non_subgradient_gamma(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Second subderivative of the Ky-Fan norm: cone, closed forms, zero set."""
+"""Second subderivative of the Ky-Fan norm: cone, closed form against the
+reference forms of tests/reference.py, zero set."""
 from __future__ import annotations
 
 import math
@@ -19,13 +20,11 @@ from kyfan_tilt.oracle import d2_quotient_oracle, kyfan_matrix_prox
 from kyfan_tilt.secder import (
     IN_CONE,
     critical_cone_membership,
-    d2_nuclear,
     d2_psi_explicit,
-    d2_psi_general,
-    d2_spectral,
     d2_zero_set_membership,
 )
 from kyfan_tilt.subgrad import psi_value, subdiff_membership
+from reference import d2_nuclear, d2_psi_general, d2_spectral
 
 seeds = st.integers(0, 2**31 - 1)
 CASES = [INTERIOR, ZERO_STRICT, ZERO_TIGHT]

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kyfan_tilt.spectral import bmap, build_frame, group_singular, svd_ordered
+from kyfan_tilt.spectral import group_singular, svd_ordered
+from reference import bmap, build_frame
 
 seeds = st.integers(0, 2**31 - 1)
 

@@ -23,7 +23,7 @@ from kyfan_tilt import cli, io, tilt
 from kyfan_tilt.config import DEFAULT_TOLS
 from kyfan_tilt.instances import random_incone_direction, random_orthogonal
 from kyfan_tilt.io import matrix_from_json, matrix_to_json, unvec, vec
-from kyfan_tilt.secder import critical_cone_membership, d2_psi_general, sandwich
+from kyfan_tilt.secder import critical_cone_membership, sandwich
 from kyfan_tilt.subgrad import subdiff_membership
 from kyfan_tilt.tilt import (
     INCONCLUSIVE,
@@ -39,6 +39,7 @@ from kyfan_tilt.tilt import (
     tilt_check,
     upsilon_residuals,
 )
+from reference import d2_psi_general
 
 seeds = st.integers(0, 2**31 - 1)
 CASES = [INTERIOR, ZERO_STRICT, ZERO_TIGHT]

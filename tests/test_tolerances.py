@@ -16,7 +16,9 @@ import pytest
 from kyfan_tilt.cli import main
 from kyfan_tilt.config import Tolerances
 from kyfan_tilt.io import matrix_to_json, unvec, vec
+from kyfan_tilt.secder import d2_psi_explicit
 from kyfan_tilt.subgrad import subdiff_membership
+from reference import d2_psi_general
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SPLIT = str(ROOT / "demo" / "inconclusive_split.json")
@@ -166,21 +168,20 @@ def test_cone_knob_moves_the_critical_cone_test(tmp_path, capsys):
     assert code == 0 and np.isfinite(report["value"])
 
 
-def test_pinv_rel_knob_moves_the_general_form(tmp_path, capsys):
+def test_pinv_rel_knob_moves_the_general_form():
     # X's singular value 1e-6 sits 1e-6 from the zero block of the frame;
     # against the default cutoff pinv_rel * (3 + 1e-6) ~ 3e-10 that gap is
     # inverted, and its term carries the whole value 1e6 of G, which couples
     # the two; at 1e-5 (cutoff 3e-5) the general form drops it and reads 0,
     # while the explicit form, which has no pseudo-inverse, stays
-    pf = write_json(tmp_path, problem_dict(np.diag([3.0, 1e-6, 0.0]), np.diag([1.0, 1.0, 0.0]), 2))
-    G = tmp_path / "g.json"
-    G.write_text(json.dumps(matrix_to_json(np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]]) / np.sqrt(2))))
-    code, report = run(capsys, "d2", pf, str(G), "--cross-check")
-    assert code == 0 and report["value"] == pytest.approx(1e6, rel=1e-9)
-    assert report["cross_check"]["general_form"] == pytest.approx(1e6, rel=1e-9)
-    code, wide = run(capsys, "d2", pf, str(G), "--cross-check", "--tol.pinv_rel=1e-5")
-    assert code == 0 and wide["value"] == report["value"]
-    assert wide["cross_check"]["general_form"] == 0.0
+    X = np.diag([3.0, 1e-6, 0.0])
+    Gamma = np.diag([1.0, 1.0, 0.0])
+    G = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]]) / np.sqrt(2)
+    ok, cert = subdiff_membership(X, Gamma, 2)
+    assert ok
+    assert d2_psi_explicit(cert, G).value == pytest.approx(1e6, rel=1e-9)
+    assert d2_psi_general(X, Gamma, G, 2, cert=cert).value == pytest.approx(1e6, rel=1e-9)
+    assert d2_psi_general(X, Gamma, G, 2, cert=cert, pinv_rel=1e-5).value == 0.0
 
 
 def test_orth_knob_moves_the_symmetry_check(tmp_path, capsys):
@@ -196,7 +197,7 @@ def test_orth_knob_moves_the_symmetry_check(tmp_path, capsys):
     assert code == 0 and report["verdict"]["status"] == "Stable"
 
 
-@pytest.mark.parametrize("name", ["angle", "cond_rel"])
+@pytest.mark.parametrize("name", ["angle", "cond_rel", "pinv_rel"])
 def test_removed_angle_tolerance_is_unknown(tmp_path, capsys, name):
     d = slide_problem(1.0)
     code, report = run(capsys, "analyze", write_json(tmp_path, d), f"--tol.{name}=1e-9")
