@@ -18,7 +18,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from kyfan_tilt.io import vec, unvec  # noqa: E402
 from kyfan_tilt.subgrad import subdiff_membership  # noqa: E402
 from kyfan_tilt.tilt import ProblemSpec, QuadraticTheta, tilt_check  # noqa: E402
-from kyfan_tilt.oracle import ProbeConfig, tilt_probe  # noqa: E402
+from kyfan_tilt.oracle import tilt_probe  # noqa: E402
 
 
 def quadratic_spec(X, Gamma, kappa, Q, nu=1.0):
@@ -59,7 +59,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=25)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--directions", type=int, default=3)
     args = ap.parse_args()
     rng = np.random.default_rng(args.seed)
 
@@ -92,7 +91,7 @@ def main():
     t0 = time.time()
     for name, spec in specs:
         verdict = tilt_check(spec)
-        probe = tilt_probe(spec, ProbeConfig(directions=args.directions, seed=args.seed))
+        probe = tilt_probe(spec, args.seed)
         ratio = probe.data["max_displacement_ratio"]
         mark = ""
         if verdict.status == "Inconclusive":

@@ -12,14 +12,10 @@ cross-validated by independent brute-force oracles.
 from .config import DEFAULT_TOLS, Tolerances
 from .io import SchemaError, canonical_dumps, matrix_from_json, matrix_to_json, unvec, vec
 from .oracle import (
-    ProbeConfig,
-    QuotientConfig,
-    SolverConfig,
     SolverError,
     d2_quotient_oracle,
     kyfan_matrix_prox,
     kyfan_vector_prox,
-    solve_tilted,
     tilt_probe,
 )
 from .secder import (

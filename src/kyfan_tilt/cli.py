@@ -21,15 +21,7 @@ import numpy as np
 from .config import DEFAULT_TOLS, Tolerances
 from .instances import random_incone_direction
 from .io import SchemaError, canonical_dumps, matrix_from_json, matrix_to_json
-from .oracle import (
-    ProbeConfig,
-    ProbeResult,
-    SolverError,
-    d2_quotient_oracle,
-    kyfan_matrix_prox,
-    probe_csv,
-    tilt_probe,
-)
+from .oracle import SolverError, d2_quotient_oracle, kyfan_matrix_prox, probe_csv, tilt_probe
 from .secder import d2_psi_explicit
 from .subgrad import psi_value, subdiff_membership
 from .tilt import (
@@ -417,7 +409,7 @@ def run_analyze(
         if probe:
             t0 = time.perf_counter()
             try:
-                pres = tilt_probe(spec, ProbeConfig(seed=seed))
+                pres = tilt_probe(spec, seed)
             except SolverError as e:
                 oracle_section["probe"] = {"error": str(e)}
             else:
@@ -555,7 +547,7 @@ def analyze(ctx, problem_file, out, seed, rotation_samples, cross_check, probe, 
             section = report["oracle"]["probe"]
             if section.get("rows"):
                 with open(out + ".probe.csv", "w") as fh:
-                    fh.write(probe_csv(ProbeResult(section["consistent_with"], section)))
+                    fh.write(probe_csv(section["rows"]))
         return code
 
     return _guarded(body)

@@ -190,11 +190,11 @@ def _shifted_sym(rng, k, floor=None, ceil=None):
     return S
 
 
-def random_incone_direction(rng, cert, scale: float = 1.0) -> np.ndarray:
+def random_incone_direction(rng, cert) -> np.ndarray:
     """Random W in the critical cone of the certificate's (X, Gamma)."""
     pair = cert.pair
     n, m = pair.n, pair.m
-    H = scale * rng.standard_normal((n, m))
+    H = rng.standard_normal((n, m))
     b1, bp, b0 = cert.beta1, cert.beta_plus, cert.beta0
     beta = cert.beta
     if cert.case == INTERIOR_GROUP:

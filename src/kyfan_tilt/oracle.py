@@ -17,15 +17,11 @@ import math
 import numpy as np
 
 __all__ = [
-    "QuotientConfig",
     "QuotientResult",
     "d2_quotient_oracle",
     "kyfan_vector_prox",
     "kyfan_matrix_prox",
-    "SolverConfig",
     "SolverError",
-    "solve_tilted",
-    "ProbeConfig",
     "ProbeResult",
     "tilt_probe",
     "probe_csv",
@@ -37,26 +33,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _default_tau_grid():
-    return tuple(np.geomspace(1e-1, 1e-5, 9))
-
-
-@dataclasses.dataclass
-class QuotientConfig:
-    """tau_grid must be strictly decreasing; the candidate ball around the
-    base direction has radius ball_factor * tau.  descent_steps caps each
-    tau's Davis-Yin descent, which stops earlier at its fixed point."""
-
-    tau_grid: tuple = dataclasses.field(default_factory=_default_tau_grid)
-    ball_factor: float = 2.0
-    descent_steps: int = 200
-
-    def __post_init__(self):
-        taus = np.asarray(self.tau_grid, dtype=float)
-        if taus.size == 0 or np.any(taus <= 0) or np.any(np.diff(taus) >= 0):
-            raise ValueError("tau_grid must be nonempty, positive, strictly decreasing")
-        if self.ball_factor <= 0:
-            raise ValueError("ball_factor must be positive")
+# the quotient oracle's strictly decreasing tau grid; the candidate ball
+# around the base direction has radius _BALL_FACTOR * tau, and
+# _DESCENT_STEPS caps each tau's Davis-Yin descent, which stops earlier at
+# its fixed point.  The oracles read their constants at call time
+_TAU_GRID = tuple(np.geomspace(1e-1, 1e-5, 9))
+_BALL_FACTOR = 2.0
+_DESCENT_STEPS = 200
 
 
 @dataclasses.dataclass
@@ -98,32 +81,30 @@ def _proj_ball(Y, centre, radius):
     return np.where(out[:, None, None], centre + D * scale[:, None, None], Y)
 
 
-def d2_quotient_oracle(
-    value_fn, x, v, w, cfg: QuotientConfig | None = None, *, prox_fn
-) -> QuotientResult:
+def d2_quotient_oracle(value_fn, x, v, w, *, prox_fn) -> QuotientResult:
     """Shrinking-ball second-order difference quotient of a convex value_fn.
 
     For each tau the quotient
 
         2 * (value_fn(x + tau*w') - value_fn(x) - tau*<v, w'>) / tau**2
 
-    is minimized over w' in the ball of radius ball_factor*tau around w,
+    is minimized over w' in the ball of radius _BALL_FACTOR*tau around w,
     and the two smallest taus are Richardson-extrapolated.  The shrinking
     ball is what makes the minimum track the second subderivative instead
     of collapsing to the global minimizer of the tilted function.
 
     The per-tau subproblem is the convex program
 
-        min value_fn(Y) - <v, Y>   over  Y in ball(x + tau*w, ball_factor*tau**2),
+        min value_fn(Y) - <v, Y>   over  Y in ball(x + tau*w, _BALL_FACTOR*tau**2),
 
     solved by three-operator (Davis-Yin) splitting from the ball centre,
-    with step ball_factor*tau (the radius over tau) and prox_fn(Y, t) ~
+    with step _BALL_FACTOR*tau (the radius over tau) and prox_fn(Y, t) ~
     prox of t*value_fn.  In the coordinates w' = (Y - x)/tau the quotient
-    has O(1) slope and the ball radius ball_factor*tau, so that step is a
+    has O(1) slope and the ball radius _BALL_FACTOR*tau, so that step is a
     fixed fraction of the ball at every tau.  A tau's descent stops at its
     fixed point, once the residual ||Yf - Yg|| is at or below
     max(1e-6 * radius, 16 * eps * ||centre||) (the second term is the
-    rounding floor of the small balls), or after descent_steps steps.  The
+    rounding floor of the small balls), or after _DESCENT_STEPS steps.  The
     centre and every iterate are scored through value_fn alone, so a bad
     prox can only weaken the minimum, never fake agreement.  Nothing is
     sampled: the result is a function of the inputs.
@@ -136,15 +117,14 @@ def d2_quotient_oracle(
     over the taus still descending.  A tau leaves the stack when it stops,
     so each row's result is the one its tau gives alone.
     """
-    cfg = cfg or QuotientConfig()
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
     h0 = float(np.asarray(value_fn(x[None]), dtype=float)[0])
-    tau = np.array(cfg.tau_grid, dtype=float)
+    tau = np.array(_TAU_GRID, dtype=float)
     # squared one scalar at a time: np.float64 ** 2 and the array square
     # round differently on some values
-    tau2 = np.array([t**2 for t in cfg.tau_grid], dtype=float)
+    tau2 = np.array([t**2 for t in _TAU_GRID], dtype=float)
     T = tau[:, None, None]
 
     def quotient(rows, wp):
@@ -153,13 +133,13 @@ def d2_quotient_oracle(
         return 2.0 * (val - h0 - tau[rows] * lin) / tau2[rows]
 
     center = x + T * w
-    step = cfg.ball_factor * tau
+    step = _BALL_FACTOR * tau
     radius = tau * step
     stop = np.maximum(_STOP_REL * radius, _STOP_ULPS * _EPS * _norms(center))
     live = np.arange(len(tau))
     best = quotient(live, np.broadcast_to(w, center.shape))
     Z = center
-    for _ in range(cfg.descent_steps):
+    for _ in range(_DESCENT_STEPS):
         Yg = _proj_ball(Z, center[live], radius[live])
         Yf = prox_fn(2.0 * Yg - Z + step[live, None, None] * v, step[live])
         Z = Z + Yf - Yg
@@ -275,26 +255,17 @@ class SolverError(RuntimeError):
     pass
 
 
-@dataclasses.dataclass
-class SolverConfig:
-    max_iters: int = 5000
-    stop_tol: float = 1e-10
-
-
-@dataclasses.dataclass
-class ProbeConfig:
-    delta: float = 1.0
-    tilt_magnitudes: tuple = (1e-4, 1e-3, 1e-2)
-    solver: SolverConfig = dataclasses.field(default_factory=SolverConfig)
-    lipschitz_threshold: float = 100.0
-    directions: int = 3
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.delta <= 0 or any(m <= 0 for m in self.tilt_magnitudes):
-            raise ValueError("delta and tilt magnitudes must be positive")
-        if self.lipschitz_threshold <= 0:
-            raise ValueError("lipschitz_threshold must be positive")
+# the probe's tilted solves: FISTA iterates stay in the _DELTA-ball around
+# Xbar and stop at a fixed-point residual of _STOP_TOL * (1 + ||Xbar||), or
+# fail after _MAX_ITERS iterations.  The probe tilts along _DIRECTIONS
+# antipodal pairs of unit directions at each of _TILT_MAGNITUDES; a
+# displacement ratio above _LIPSCHITZ_THRESHOLD reads as Unstable
+_DELTA = 1.0
+_MAX_ITERS = 5000
+_STOP_TOL = 1e-10
+_DIRECTIONS = 3
+_TILT_MAGNITUDES = (1e-4, 1e-3, 1e-2)
+_LIPSCHITZ_THRESHOLD = 100.0
 
 
 def _hessian_lmax(spec) -> float:
@@ -303,17 +274,17 @@ def _hessian_lmax(spec) -> float:
     return float(np.linalg.eigvalsh(0.5 * (H + H.T))[-1]) if H.size else 0.0
 
 
-def _solve_tilted(spec, V, delta, solver: SolverConfig, lmax: float):
+def _solve_tilted(spec, V, lmax: float):
     """FISTA with function restarts on nu*theta(X) - <V_r,X> + Psi_kappa(X)
     for each tilt V_r of the stack V (k, n, m), iterates projected into the
-    delta-ball around Xbar; lmax is _hessian_lmax(spec), passed in so that
+    _DELTA-ball around Xbar; lmax is _hessian_lmax(spec), passed in so that
     a probe computes it once.
 
     The solves advance in lockstep, one stack row each, with momentum,
     restarts and the fixed-point stop kept per row; a row leaves the stack
     when it stops.  Returns the points and their prox-gradient residuals,
     one per tilt.  SolverError names the first tilt, in stack order, that
-    exhausts max_iters."""
+    exhausts _MAX_ITERS."""
     from .subgrad import psi_value
 
     Xbar = np.asarray(spec.Xbar, dtype=float)
@@ -331,7 +302,7 @@ def _solve_tilted(spec, V, delta, solver: SolverConfig, lmax: float):
 
     def T(X, V):
         G = nu * spec.grad_theta(X) - V
-        return _proj_ball(kyfan_matrix_prox(X - step * G, step, kappa), Xbar, delta)
+        return _proj_ball(kyfan_matrix_prox(X - step * G, step, kappa), Xbar, _DELTA)
 
     k = len(V)
     X_out, res_out = np.empty_like(V), np.empty(k)
@@ -341,8 +312,8 @@ def _solve_tilted(spec, V, delta, solver: SolverConfig, lmax: float):
     tk = np.ones(k)
     f_prev = composite(X, V)
     res = np.full(k, math.inf)
-    tol = solver.stop_tol * (1.0 + float(np.linalg.norm(Xbar)))
-    for _ in range(solver.max_iters):
+    tol = _STOP_TOL * (1.0 + float(np.linalg.norm(Xbar)))
+    for _ in range(_MAX_ITERS):
         Xn = T(Z, V)
         res = _norms(Xn - Z) / step
         fn = composite(Xn, V)
@@ -366,17 +337,9 @@ def _solve_tilted(spec, V, delta, solver: SolverConfig, lmax: float):
             if not live.size:
                 return X_out, res_out
     raise SolverError(
-        f"proximal gradient did not reach stop_tol={solver.stop_tol:.1e} in "
-        f"{solver.max_iters} iterations (residual {float(res[0]):.3e})"
+        f"proximal gradient did not reach stop_tol={_STOP_TOL:.1e} in "
+        f"{_MAX_ITERS} iterations (residual {float(res[0]):.3e})"
     )
-
-
-def solve_tilted(spec, V, cfg: ProbeConfig | None = None) -> np.ndarray:
-    """argmin of nu*theta(X) - <V,X> + Psi_kappa(X) over the delta-ball."""
-    cfg = cfg or ProbeConfig()
-    V = np.asarray(V, dtype=float)[None]
-    X, _ = _solve_tilted(spec, V, cfg.delta, cfg.solver, _hessian_lmax(spec))
-    return X[0]
 
 
 @dataclasses.dataclass
@@ -385,31 +348,30 @@ class ProbeResult:
     data: dict
 
 
-def tilt_probe(spec, cfg: ProbeConfig | None = None) -> ProbeResult:
+def tilt_probe(spec, seed=0) -> ProbeResult:
     """Empirical single-valued-Lipschitz probe of the local solution map.
 
     Solves the untilted problem and a grid of tilted ones (antipodal
     direction pairs x magnitudes), then reports the max pairwise ratio of
     solution displacement to tilt displacement.  Ratio below
-    lipschitz_threshold is consistent with Stable, above with Unstable.
+    _LIPSCHITZ_THRESHOLD is consistent with Stable, above with Unstable.
     Sampling +/-D together matters: a solution that slides only one way
     along a flat direction is missed when every tilt happens to point away
-    from it.
+    from it.  seed draws the directions.
     """
-    cfg = cfg or ProbeConfig()
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     n, m = spec.Xbar.shape
     dirs = []
-    for _ in range(cfg.directions):
+    for _ in range(_DIRECTIONS):
         D = rng.standard_normal((n, m))
         D /= np.linalg.norm(D)
         dirs.extend([D, -D])
     tilts = [("untilted", np.zeros((n, m)))]
     for di, D in enumerate(dirs):
-        for mi, mag in enumerate(cfg.tilt_magnitudes):
+        for mi, mag in enumerate(_TILT_MAGNITUDES):
             tilts.append((f"d{di}_m{mi}", mag * D))
     Vs = np.stack([V for _, V in tilts])
-    Xs, res = _solve_tilted(spec, Vs, cfg.delta, cfg.solver, _hessian_lmax(spec))
+    Xs, res = _solve_tilted(spec, Vs, _hessian_lmax(spec))
     solves = [(tid, V, X, r) for (tid, V), X, r in zip(tilts, Xs, res)]
     rows = []
     for tilt_id, V, X, res in solves:
@@ -432,21 +394,22 @@ def tilt_probe(spec, cfg: ProbeConfig | None = None) -> ProbeResult:
             if dx / dv > max_ratio:
                 max_ratio = dx / dv
                 worst_pair = (solves[i][0], solves[j][0])
-    verdict = "Stable" if max_ratio <= cfg.lipschitz_threshold else "Unstable"
+    verdict = "Stable" if max_ratio <= _LIPSCHITZ_THRESHOLD else "Unstable"
     return ProbeResult(
         consistent_with=verdict,
         data={
             "max_displacement_ratio": max_ratio,
             "worst_pair": worst_pair,
-            "lipschitz_threshold": cfg.lipschitz_threshold,
+            "lipschitz_threshold": _LIPSCHITZ_THRESHOLD,
             "rows": rows,
         },
     )
 
 
-def probe_csv(result: ProbeResult) -> str:
+def probe_csv(rows) -> str:
+    """The probe's rows (ProbeResult.data["rows"]) as CSV text."""
     lines = ["tilt_id,V_norm,solution_displacement,residual"]
-    for row in result.data["rows"]:
+    for row in rows:
         lines.append(
             f"{row['tilt_id']},{row['V_norm']:.17g},"
             f"{row['solution_displacement']:.17g},{row['residual']:.17g}"

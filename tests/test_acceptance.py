@@ -30,13 +30,7 @@ from kyfan_tilt.instances import (
     random_orthogonal,
 )
 from kyfan_tilt.io import canonical_dumps, matrix_to_json, unvec, vec
-from kyfan_tilt.oracle import (
-    ProbeConfig,
-    d2_quotient_oracle,
-    kyfan_matrix_prox,
-    kyfan_vector_prox,
-    tilt_probe,
-)
+from kyfan_tilt.oracle import d2_quotient_oracle, kyfan_matrix_prox, kyfan_vector_prox, tilt_probe
 from kyfan_tilt.secder import (
     critical_cone_membership,
     d2_psi_explicit,
@@ -342,7 +336,7 @@ def test_acceptance_09_verdict_vs_probe(capsys):
     mism, worst_res = [], 0.0
     for label, spec, expected in fam:
         verdict = tilt_check(spec, options=TiltOptions(seed=5))
-        probe = tilt_probe(spec, ProbeConfig(seed=11))
+        probe = tilt_probe(spec, seed=11)
         if verdict.status != expected or probe.consistent_with != expected:
             mism.append((label, expected, verdict.status, probe.consistent_with))
         if verdict.status == "Unstable":

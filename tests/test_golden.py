@@ -8,12 +8,16 @@ kernel direction and its negative certify the same thing).
 After an intended change to the reports, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which rewrites only the cases that compare() rejects, so that a last-bit
+change of a float leaves the committed file as it is.
 """
 from __future__ import annotations
 
 import json
 import math
 import pathlib
+import shutil
 import sys
 
 import pytest
@@ -101,12 +105,36 @@ def test_compare_accepts_flipped_witness_only():
     assert compare({"witness": {"rows": 1, "cols": 2, "data": [0.6, 0.8]}, "x": 1.0}, want)
 
 
+def regenerate(golden):
+    """Write golden/<case>.json for every case whose file is missing or
+    mismatches the fresh report; keep the files that compare() accepts.
+    Returns the names of the cases written."""
+    golden = pathlib.Path(golden)
+    golden.mkdir(exist_ok=True)
+    tmp = golden / ".tmp.json"
+    written = []
+    try:
+        for case in sorted(CASES):
+            report, _ = run_case(case, tmp)
+            path = golden / f"{case}.json"
+            if path.exists() and not compare(report, json.loads(path.read_text())):
+                continue
+            path.write_text(canonical_dumps(report))
+            written.append(case)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return written
+
+
+def test_regenerate_keeps_the_committed_files(tmp_path):
+    golden = tmp_path / "golden"
+    shutil.copytree(GOLDEN, golden)
+    before = {p.name: p.read_bytes() for p in golden.iterdir()}
+    assert regenerate(golden) == []
+    assert {p.name: p.read_bytes() for p in golden.iterdir()} == before
+
+
 if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
-    tmp = GOLDEN / ".tmp.json"
-    for case in sorted(CASES):
-        report, _ = run_case(case, tmp)
-        (GOLDEN / f"{case}.json").write_text(canonical_dumps(report))
+    for case in regenerate(GOLDEN):
         print(f"wrote tests/golden/{case}.json")
-    tmp.unlink()
     sys.exit(0)

@@ -13,6 +13,7 @@ from conftest import (
     oracle_vector_prox_qp,
     projector_complement,
 )
+from kyfan_tilt import oracle
 from kyfan_tilt.instances import (
     INTERIOR,
     ZERO_STRICT,
@@ -22,16 +23,14 @@ from kyfan_tilt.instances import (
     random_orthogonal,
 )
 from kyfan_tilt.oracle import (
-    ProbeConfig,
-    QuotientConfig,
-    SolverConfig,
     SolverError,
+    _hessian_lmax,
     _proj_capped_l1,
+    _solve_tilted,
     d2_quotient_oracle,
     kyfan_matrix_prox,
     kyfan_vector_prox,
     probe_csv,
-    solve_tilted,
     tilt_probe,
 )
 from kyfan_tilt.subgrad import psi_value, subdiff_membership
@@ -304,11 +303,12 @@ def test_quotient_oracle_draws_no_random_numbers(monkeypatch):
     assert abs(res.value - 1.0) < 1e-2
 
 
-def test_quotient_oracle_value_calls_are_one_per_iterate():
+def test_quotient_oracle_value_calls_are_one_per_iterate(monkeypatch):
     # value_fn(x) once, then the centres, then one call per Davis-Yin step
     # carrying one row per tau still descending; a tau that stops never
-    # comes back, and descent_steps caps the steps
-    cfg = QuotientConfig(tau_grid=(1e-1, 1e-2, 1e-3), descent_steps=7)
+    # comes back, and _DESCENT_STEPS caps the steps
+    monkeypatch.setattr(oracle, "_TAU_GRID", (1e-1, 1e-2, 1e-3))
+    monkeypatch.setattr(oracle, "_DESCENT_STEPS", 7)
     rows = []
 
     def value_fn(Y):
@@ -316,14 +316,14 @@ def test_quotient_oracle_value_calls_are_one_per_iterate():
         return psi_value(Y, 1)
 
     X, Gamma, W = frozen_spectral_problem()
-    d2_quotient_oracle(value_fn, X, Gamma, W, cfg, prox_fn=lambda Y, t: kyfan_matrix_prox(Y, t, 1))
-    assert rows[:2] == [1, len(cfg.tau_grid)]
-    assert 2 < len(rows) <= 2 + cfg.descent_steps
+    d2_quotient_oracle(value_fn, X, Gamma, W, prox_fn=lambda Y, t: kyfan_matrix_prox(Y, t, 1))
+    assert rows[:2] == [1, 3]
+    assert 2 < len(rows) <= 2 + 7
     steps = rows[1:]
     assert all(0 < b <= a for a, b in zip(steps, steps[1:])), rows
 
 
-def test_quotient_oracle_rows_stop_before_the_cap():
+def test_quotient_oracle_rows_stop_before_the_cap(monkeypatch):
     # every tau row stops at its fixed point before the 200-step default
     # cap: a 10,000-step cap gives the same per_tau bit for bit, on the
     # instance family of acceptance criterion 06
@@ -342,21 +342,23 @@ def test_quotient_oracle_rows_stop_before_the_cap():
             continue
         W = W / nw
 
-        def per_tau(cfg, k=kappa):
+        def per_tau(k=kappa):
             return d2_quotient_oracle(
                 lambda Y: psi_value(Y, k),
                 X,
                 Gamma,
                 W,
-                cfg,
                 prox_fn=lambda Y, t: kyfan_matrix_prox(Y, t, k),
             ).per_tau
 
-        assert per_tau(None) == per_tau(QuotientConfig(descent_steps=10_000)), done
+        capped = per_tau()
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_DESCENT_STEPS", 10_000)
+            assert capped == per_tau(), done
         done += 1
 
 
-def test_quotient_lockstep_matches_sub_grid_runs():
+def test_quotient_lockstep_matches_sub_grid_runs(monkeypatch):
     # each tau's row of the lockstep descent is independent of the others:
     # the 9-tau per_tau equals the entries of 2-tau runs, bit for bit
     rng = np.random.default_rng(3)
@@ -364,16 +366,16 @@ def test_quotient_lockstep_matches_sub_grid_runs():
     Gamma = np.diag([1.0, 0.5, 0.5])
     W = rng.standard_normal((3, 3))
     W /= np.linalg.norm(W)
-    cfg = QuotientConfig(descent_steps=40)
-    taus = cfg.tau_grid
+    monkeypatch.setattr(oracle, "_DESCENT_STEPS", 40)
+    taus = oracle._TAU_GRID
 
     def run(grid):
+        monkeypatch.setattr(oracle, "_TAU_GRID", grid)
         return d2_quotient_oracle(
             lambda Y: psi_value(Y, 2),
             X,
             Gamma,
             W,
-            QuotientConfig(tau_grid=grid, descent_steps=cfg.descent_steps),
             prox_fn=lambda Y, t: kyfan_matrix_prox(Y, t, 2),
         ).per_tau
 
@@ -385,13 +387,6 @@ def test_quotient_lockstep_matches_sub_grid_runs():
         for tau, q in full:
             if tau in sub:
                 assert sub[tau] == q, (tau, sub[tau], q)
-
-
-def test_quotient_config_validation():
-    with pytest.raises(ValueError):
-        QuotientConfig(tau_grid=np.array([]))
-    with pytest.raises(ValueError):
-        QuotientConfig(ball_factor=-1.0)
 
 
 # ---------------------------------------------------------------- tilt solver + probe
@@ -411,31 +406,37 @@ def sliding_spec():
     return make_quadratic_spec(X, Gamma, 2, projector_complement(W))
 
 
+def solve_untilted(spec):
+    """The probe's untilted solve on its own."""
+    X, _ = _solve_tilted(spec, np.zeros((1,) + spec.Xbar.shape), _hessian_lmax(spec))
+    return X[0]
+
+
 def test_solve_tilted_untilted_recovers_stationary_point():
     spec = stable_spec()
-    X = solve_tilted(spec, np.zeros((3, 3)))
+    X = solve_untilted(spec)
     assert np.max(np.abs(X - spec.Xbar)) < 1e-7
 
 
-def test_solve_tilted_raises_without_budget():
+def test_probe_raises_without_budget(monkeypatch):
     # ill-conditioned curvature: two iterations cannot reach the fixed point
     X = np.diag([3.0, 2.0, 1.0])
     Gamma = np.diag([1.0, 1.0, 0.0])
     Q = np.diag(np.linspace(0.05, 1.0, 9))
     spec = make_quadratic_spec(X, Gamma, 2, Q)
-    V = np.full((3, 3), 0.1)
+    monkeypatch.setattr(oracle, "_MAX_ITERS", 2)
     with pytest.raises(SolverError):
-        solve_tilted(spec, V, ProbeConfig(solver=SolverConfig(max_iters=2)))
+        tilt_probe(spec)
 
 
 def test_probe_classifies_stable_and_unstable():
-    cfg = ProbeConfig(seed=0)
-    stable = tilt_probe(stable_spec(), cfg)
+    stable = tilt_probe(stable_spec(), seed=0)
     assert stable.consistent_with == "Stable"
     assert stable.data["max_displacement_ratio"] < 10.0
-    sliding = tilt_probe(sliding_spec(), cfg)
+    sliding = tilt_probe(sliding_spec(), seed=0)
     assert sliding.consistent_with == "Unstable"
-    assert sliding.data["max_displacement_ratio"] > cfg.lipschitz_threshold
+    assert sliding.data["lipschitz_threshold"] == oracle._LIPSCHITZ_THRESHOLD
+    assert sliding.data["max_displacement_ratio"] > oracle._LIPSCHITZ_THRESHOLD
 
 
 def test_probe_takes_one_hessian_eigenvalue_solve(monkeypatch):
@@ -448,44 +449,46 @@ def test_probe_takes_one_hessian_eigenvalue_solve(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     spec = stable_spec()
-    result = tilt_probe(spec, ProbeConfig(seed=0))
+    result = tilt_probe(spec, seed=0)
     assert calls == [(9, 9)]
     assert len(result.data["rows"]) == 19
-    # solve_tilted computes its own step, the same one
-    X = solve_tilted(spec, np.zeros((3, 3)))
+    # the untilted solve alone computes its own step, the same one
+    X = solve_untilted(spec)
     assert result.data["rows"][0]["solution_displacement"] == float(np.linalg.norm(X - spec.Xbar))
 
 
-def test_probe_rows_match_single_magnitude_probes():
+def test_probe_rows_match_single_magnitude_probes(monkeypatch):
     # each solve of the lockstep stack is independent of the others: a
     # probe's rows equal the rows of the probes with one magnitude each
     spec = stable_spec()
-    cfg = ProbeConfig(seed=4, tilt_magnitudes=(1e-4, 1e-3, 1e-2))
-    full = {row["tilt_id"]: row for row in tilt_probe(spec, cfg).data["rows"]}
-    for mi, mag in enumerate(cfg.tilt_magnitudes):
-        single = tilt_probe(spec, ProbeConfig(seed=4, tilt_magnitudes=(mag,))).data["rows"]
+    magnitudes = oracle._TILT_MAGNITUDES
+    assert magnitudes == (1e-4, 1e-3, 1e-2)
+    full = {row["tilt_id"]: row for row in tilt_probe(spec, seed=4).data["rows"]}
+    for mi, mag in enumerate(magnitudes):
+        monkeypatch.setattr(oracle, "_TILT_MAGNITUDES", (mag,))
+        single = tilt_probe(spec, seed=4).data["rows"]
         assert single[0] == full["untilted"]
         for row in single[1:]:
             di = row["tilt_id"].split("_")[0]
             assert row == {**full[f"{di}_m{mi}"], "tilt_id": row["tilt_id"]}
 
 
-def test_probe_raises_for_the_first_solve_in_order():
+def test_probe_raises_for_the_first_solve_in_order(monkeypatch):
     # the untilted solve comes first: its error is the probe's
     X = np.diag([3.0, 2.0, 1.0])
     Gamma = np.diag([1.0, 1.0, 0.0])
     spec = make_quadratic_spec(X, Gamma, 2, np.diag(np.linspace(0.05, 1.0, 9)))
     spec.Xbar = spec.Xbar + 1e-3  # start off the minimizer so no solve stops at once
-    cfg = ProbeConfig(seed=0, solver=SolverConfig(max_iters=3))
+    monkeypatch.setattr(oracle, "_MAX_ITERS", 3)
     with pytest.raises(SolverError) as alone:
-        solve_tilted(spec, np.zeros((3, 3)), cfg)
+        solve_untilted(spec)
     with pytest.raises(SolverError) as probe:
-        tilt_probe(spec, cfg)
+        tilt_probe(spec, seed=0)
     assert str(probe.value) == str(alone.value)
 
 
 def test_probe_csv_layout():
-    out = probe_csv(tilt_probe(stable_spec(), ProbeConfig(seed=1)))
+    out = probe_csv(tilt_probe(stable_spec(), seed=1).data["rows"])
     lines = out.strip().split("\n")
     assert lines[0] == "tilt_id,V_norm,solution_displacement,residual"
     assert len(lines) > 3
