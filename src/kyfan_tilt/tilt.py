@@ -16,7 +16,11 @@ Xbar and B an orthonormal basis of the hull:
      factor (Q, or A for least squares) and column blocks of U and V, a
      band of the factor's rows at a time; B itself is never formed,
   2. N := B * (eigenvectors of R with eigenvalue <= the kernel cutoff),
-     built for those q columns only,
+     built for those q columns only: R's eigenvalues alone give q and
+     lambda_min, so q = 0 computes no vector; for q = 1 with a clear gap
+     the vector comes from shifted inverse iteration, checked by its
+     residual, and otherwise (q >= 2, a narrow gap, a failed check) from
+     the full eigendecomposition,
   3. N = {0}                 -> Stable (sufficient certificate),
   4. N != {0} and exact      -> Unstable with the unit element of N that
                                 depends on span N alone (see tilt_check),
@@ -614,6 +618,12 @@ _SUB_FLOATS = 1 << 16
 # widest block of a quadratic theta's Hessian check: the tiles of its
 # symmetry pass and the diagonal blocks of its Cholesky factorization
 _TILE = 256
+# inverse iteration for a lone kernel vector of the restricted Hessian
+# (_lone_kernel_vector): the smallest relative eigenvalue gap it takes, its
+# shift below lambda_min as a share of the gap, and the seed of its start
+_INVIT_GAP_REL = 1e-6
+_INVIT_SHIFT_REL = 1e-8
+_INVIT_SEED = 0
 
 
 def _lower_inv(L):
@@ -657,19 +667,90 @@ def _block_cholesky_ok(cols) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=None)
+def _invit_start(d):
+    """The fixed Gaussian start of _lone_kernel_vector for side d (not the
+    ones vector, to which a structured kernel can be orthogonal).  Shared,
+    so never written to."""
+    return np.random.default_rng(_INVIT_SEED).standard_normal(d)
+
+
+def _lone_kernel_vector(R, lam):
+    """The unit eigenvector of the symmetric d x d R for its smallest
+    eigenvalue lam[0] (lam: R's eigenvalues, ascending), as a (d, 1) array,
+    or None where the shortcut does not apply.
+
+    With a clear gap, lam[1] - lam[0] > _INVIT_GAP_REL * max|lam|, it takes
+    two steps of inverse iteration y <- (R - sigma I)^-1 y, by the inverse
+    of the Cholesky factor, from a fixed Gaussian start, with sigma =
+    lam[0] - max(_INVIT_SHIFT_REL * gap, 4 d eps max|lam|): each step
+    shrinks every other eigencomponent by (lam[0] - sigma) / (lam[j] -
+    sigma) <= max(_INVIT_SHIFT_REL, 4 d eps / _INVIT_GAP_REL).  The vector is
+    kept only if ||R y - lam[0] y|| <= d eps max|lam|.  None on a narrow gap
+    or a failed factorization or residual check.  R's diagonal is shifted in
+    place and restored."""
+    d = len(R)
+    if d == 1:
+        return np.ones((1, 1))
+    eps = np.finfo(float).eps
+    scale = max(abs(lam[0]), abs(lam[-1]))
+    gap = lam[1] - lam[0]
+    if not gap > _INVIT_GAP_REL * scale:
+        return None
+    sigma = lam[0] - max(_INVIT_SHIFT_REL * gap, 4 * d * eps * scale)
+    diag = R.diagonal().copy()
+    R.flat[:: d + 1] -= sigma
+    try:
+        Li = _lower_inv(np.linalg.cholesky(R))
+    except np.linalg.LinAlgError:
+        return None
+    finally:
+        R.flat[:: d + 1] = diag
+    y = _invit_start(d)
+    for _ in range(2):
+        y = Li.T @ (Li @ y)
+        y /= np.linalg.norm(y)
+    if not np.linalg.norm(R @ y - lam[0] * y) <= d * eps * scale:
+        return None
+    return y[:, None]
+
+
+def _restricted_kernel(R, cutoff: float):
+    """(Y, lambda_min) of the symmetric R: the orthonormal eigenvectors of R
+    with eigenvalue <= cutoff as the q columns of Y, and R's smallest
+    eigenvalue.
+
+    The spectrum comes from eigvalsh; q = 0 needs no vectors.  A lone
+    vector (q = 1) comes from _lone_kernel_vector; eigh gives the vectors
+    when q >= 2 or the shortcut does not apply.  For q >= 2 the basis itself
+    matters, not only its span: the witness search starts from its unit
+    axes."""
+    lam = np.linalg.eigvalsh(R)
+    q = int(np.count_nonzero(lam <= cutoff))
+    if q == 0:
+        return np.zeros((len(R), 0)), float(lam[0])
+    Y = _lone_kernel_vector(R, lam) if q == 1 else None
+    if Y is None:
+        Y = np.linalg.eigh(R)[1][:, :q]
+    return Y, float(lam[0])
+
+
 def _kernel_in_hull(theta, hull: HullBlocks, cutoff: float):
     """Orthonormal basis of ker H  intersect  span B, and lambda_min(B^T H B)
     (+inf on an empty hull).
 
     For PSD H and orthonormal B the intersection is B ker(B^T H B): the basis
     is B times the eigenvectors of B^T H B with eigenvalue <= cutoff, built
-    only for those columns."""
+    only for those columns.  The eigenvalues come first (eigvalsh), and
+    eigenvectors only for the q at or below the cutoff (_restricted_kernel):
+    none on a Stable verdict, one by shifted inverse iteration with a
+    residual check when q = 1 and the gap is clear, and otherwise the
+    eigh fallback."""
     if hull.dim == 0:
         return np.zeros((hull.n * hull.m, 0)), math.inf
-    lam, Y = np.linalg.eigh(theta.restricted_hessian(hull))
-    keep = lam <= cutoff
-    N = hull.expand(Y[:, keep]) if keep.any() else np.zeros((hull.n * hull.m, 0))
-    return N, float(lam[0])
+    Y, lam_min = _restricted_kernel(theta.restricted_hessian(hull), cutoff)
+    N = hull.expand(Y) if Y.shape[1] else np.zeros((hull.n * hull.m, 0))
+    return N, lam_min
 
 
 def _rowdot(A, B):
@@ -829,8 +910,8 @@ def tilt_check(
 
     if ups.exact:
         # P e_j / ||P e_j|| for P = N N^T and j the first row of N of
-        # largest norm: a function of span N alone, whatever basis eigh
-        # returns
+        # largest norm: a function of span N alone, whatever basis the
+        # kernel step returns
         w = (N * N[int(np.argmax((N * N).sum(axis=1)))]).sum(axis=1)
         W = unvec(w, spec.n, spec.m)
         W /= np.linalg.norm(W)

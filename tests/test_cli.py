@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -112,8 +113,8 @@ def test_analyze_byte_identical_reports(tmp_path, capsys):
     c1, _ = run(capsys, "analyze", pf, "--out", f1)
     c2, _ = run(capsys, "analyze", pf, "--out", f2)
     assert c1 == c2 == 1
-    b1 = open(f1, "rb").read()
-    assert b1 == open(f2, "rb").read()
+    b1 = pathlib.Path(f1).read_bytes()
+    assert b1 == pathlib.Path(f2).read_bytes()
     assert b1.endswith(b"\n")
 
 
@@ -129,9 +130,9 @@ def test_analyze_probe_writes_csv(tmp_path, capsys):
     out = str(tmp_path / "r.json")
     code, _ = run(capsys, "analyze", pf, "--probe", "--out", out)
     assert code == 0
-    csv = open(out + ".probe.csv").read()
+    csv = pathlib.Path(out + ".probe.csv").read_text()
     assert csv.startswith("tilt_id,V_norm,solution_displacement,residual")
-    report = json.load(open(out))
+    report = json.loads(pathlib.Path(out).read_text())
     assert report["oracle"]["probe"]["agrees_with_verdict"] is True
 
 

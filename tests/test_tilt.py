@@ -459,11 +459,12 @@ def _exact_kernel_problems():
 
 
 def test_exact_witness_does_not_depend_on_the_kernel_basis(monkeypatch):
-    # eigh, as tilt calls it, hands back its kernel eigenvectors negated,
-    # or for q = 2 turned by 90 degrees (a rotation that is exact in
-    # floating point): the span is the same, so the report is too, byte
-    # for byte
+    # the kernel basis comes back negated (for q = 1 the inverse-iteration
+    # vector, for q = 2 eigh's eigenvectors), or for q = 2 turned by 90
+    # degrees (a rotation that is exact in floating point): the span is the
+    # same, so the report is too, byte for byte
     turns = {"negated": lambda Y: -Y, "rotated": lambda Y: np.column_stack([Y[:, 1], -Y[:, 0]])}
+    lone = tilt._lone_kernel_vector
     qs = []
     for problem in _exact_kernel_problems():
         report, code = cli.run_analyze(problem)
@@ -475,6 +476,11 @@ def test_exact_witness_does_not_depend_on_the_kernel_basis(monkeypatch):
                 continue
             turned = []
 
+            def lone_vector(R, lam, _turn=turn, _turned=turned):
+                y = lone(R, lam)
+                _turned.append(y.shape[1])
+                return _turn(y)
+
             def eigh(a, _turn=turn, _turned=turned):
                 lam, Y = np.linalg.eigh(a)
                 kernel = lam <= 1e-9  # these kernels sit at rounding level
@@ -484,7 +490,10 @@ def test_exact_witness_does_not_depend_on_the_kernel_basis(monkeypatch):
                 return lam, Y
 
             with monkeypatch.context() as mp:
-                mp.setattr(tilt, "np", _Namespace(np, linalg=_Namespace(np.linalg, eigh=eigh)))
+                if q == 1:
+                    mp.setattr(tilt, "_lone_kernel_vector", lone_vector)
+                else:
+                    mp.setattr(tilt, "np", _Namespace(np, linalg=_Namespace(np.linalg, eigh=eigh)))
                 again, code_again = cli.run_analyze(problem)
             assert turned == [q], (name, turned)
             assert code_again == code
@@ -507,6 +516,53 @@ def test_restricted_lambda_min_vanishes_when_the_kernel_meets_the_hull():
         cert = v.certificate
         assert cert["restricted_lambda_min"] <= cert["restricted_cutoff"], seed
         assert cert["intersection_dim"] == 1, seed
+
+
+def _planted_psd(rng, d, q, gap, off_ones=False):
+    """Symmetric PSD d x d with q zero eigenvalues (its planted kernel), then
+    gap, then eigenvalues in [gap, 1], 1 among them, in random eigenvectors.
+    With off_ones the kernel is orthogonal to the all-ones vector."""
+    M = rng.standard_normal((d, d))
+    if off_ones:
+        M[:, :q] -= M[:, :q].mean(axis=0)
+    V = np.linalg.qr(M)[0]
+    lam = np.concatenate([np.zeros(q), [gap, 1.0], rng.uniform(gap, 1.0, d - q - 2)])
+    R = (V * lam) @ V.T
+    return 0.5 * (R + R.T)
+
+
+def test_restricted_kernel_matches_the_eigh_reference(monkeypatch):
+    # q from the eigenvalues, and for q = 1 with a clear gap the inverse-
+    # iteration vector: the same q, lambda_min and kernel span as eigh's,
+    # which is called only for q >= 2 and the narrow gap
+    cutoff, eps = 1e-9, np.finfo(float).eps
+    eigh_calls = []
+
+    def eigh(a):
+        eigh_calls.append(a.shape)
+        return np.linalg.eigh(a)
+
+    monkeypatch.setattr(tilt, "np", _Namespace(np, linalg=_Namespace(np.linalg, eigh=eigh)))
+    rng = np.random.default_rng(31)
+    cases = [(d, q, gap, False) for d in (7, 120) for q in (0, 1, 2) for gap in (1.0, 1e-2, 1e-4, 1e-5, 1e-7)]
+    cases += [(120, 1, gap, True) for gap in (1.0, 1e-4)]
+    for d, q, gap, off_ones in cases:
+        R = _planted_psd(rng, d, q, gap, off_ones)
+        lam_ref, Y_ref = np.linalg.eigh(R)
+        N_ref = Y_ref[:, lam_ref <= cutoff]
+        before = R.copy()
+        eigh_calls.clear()
+        Y, lam_min = tilt._restricted_kernel(R, cutoff)
+        assert np.array_equal(R, before)
+        assert Y.shape == (d, q) == N_ref.shape, (d, q, gap)
+        assert abs(lam_min - lam_ref[0]) <= 4 * d * eps * np.linalg.norm(R, 2)
+        if q:
+            assert np.allclose(Y.T @ Y, np.eye(q), atol=1e-12)
+            sin = np.linalg.norm(Y - N_ref @ (N_ref.T @ Y), 2)
+            assert sin <= 1e-10, (d, q, gap, sin)
+        narrow = q == 1 and gap <= tilt._INVIT_GAP_REL
+        assert eigh_calls == ([(d, d)] if q >= 2 or narrow else []), (d, q, gap)
+    assert np.array_equal(tilt._restricted_kernel(np.zeros((1, 1)), cutoff)[0], np.ones((1, 1)))
 
 
 def test_verdict_unstable_inexact_case_needs_search():
@@ -864,7 +920,10 @@ FACTOR_CASES = {
 @pytest.mark.parametrize("name", sorted(FACTOR_CASES))
 def test_one_hessian_factorization_per_analysis(monkeypatch, name):
     # the verdict works on the Hessian restricted to the hull: no nm x nm
-    # (or nm x hull_dim) eigendecomposition or SVD; the PSD check of a
+    # (or nm x hull_dim) eigendecomposition or SVD, and no eigenvectors of
+    # the restricted Hessian when the intersection has q <= 1 columns (a
+    # lone kernel vector comes from one hull_dim x hull_dim Cholesky
+    # factorization and the inverse of its factor); the PSD check of a
     # quadratic theta is one Cholesky factorization, of the whole sym(Q)
     # when nm <= _TILE and else of its diagonal blocks in turn, with no
     # nm x nm array handed to np.linalg; A^T A is never formed
@@ -894,14 +953,23 @@ def test_one_hessian_factorization_per_analysis(monkeypatch, name):
     for fn in ("eigh", "eigvalsh", "svd"):
         assert shapes[fn].count((nm, nm)) == 0, fn
         assert shapes[fn].count((nm, hull_dim)) == 0, fn
+    q = report["verdict"]["certificate"].get("intersection_dim", 0)
+    if q <= 1:
+        assert shapes["eigh"].count((hull_dim, hull_dim)) == 0
+    cholesky = list(shapes["cholesky"])
+    if q == 1:
+        cholesky.remove((hull_dim, hull_dim))
+    # the inverse of the lone kernel vector's factor: LAPACK inverses of the
+    # leaves of the halving, whose sides add up to hull_dim
+    kernel_inv = hull_dim if q == 1 else 0
     quadratic = problem["theta"]["type"] == "quadratic"
     if nm <= tilt._TILE:
-        assert shapes["cholesky"] == ([(nm, nm)] if quadratic else [])
-        assert shapes["inv"] == []
+        assert cholesky == ([(nm, nm)] if quadratic else [])
+        assert sum(a for a, _ in shapes["inv"]) == kernel_inv
     else:
         assert quadratic
-        sides = [a for a, b in shapes["cholesky"] if a == b]
-        assert len(sides) == len(shapes["cholesky"]) > 1
+        sides = [a for a, b in cholesky if a == b]
+        assert len(sides) == len(cholesky) > 1
         assert sum(sides) == nm and max(sides) <= tilt._TILE
         assert all(shape != (nm, nm) for calls in shapes.values() for shape in calls)
     assert _GramCounting.grams == 0
