@@ -221,12 +221,12 @@ def _parse_extra_tols(args):
 
 def _index_sets(cert):
     return {
-        "alpha": [int(i) for i in cert.alpha],
-        "beta": [int(i) for i in cert.beta],
-        "gamma": [int(i) for i in cert.gamma],
-        "beta1": [int(i) for i in cert.beta1],
-        "beta_plus": [int(i) for i in cert.beta_plus],
-        "beta0": [int(i) for i in cert.beta0],
+        "alpha": cert.alpha.tolist(),
+        "beta": cert.beta.tolist(),
+        "gamma": cert.gamma.tolist(),
+        "beta1": cert.beta1.tolist(),
+        "beta_plus": cert.beta_plus.tolist(),
+        "beta0": cert.beta0.tolist(),
     }
 
 
@@ -238,9 +238,9 @@ def _cert_summary(cert):
         "kappa": int(cert.kappa),
         "kappa0": int(cert.kappa0),
         "kappa1": int(cert.kappa1),
-        "zeta": [float(z) for z in cert.zeta],
-        "sigma": [float(s) for s in cert.pair.sigma],
-        "sigma_gamma": [float(s) for s in cert.sigma_gamma_vals],
+        "zeta": cert.zeta.tolist(),
+        "sigma": cert.pair.sigma.tolist(),
+        "sigma_gamma": cert.sigma_gamma_vals.tolist(),
         "warnings": list(cert.warnings),
     }
 

@@ -2,15 +2,28 @@
 report dumps.
 
 Matrices travel as {"rows": n, "cols": m, "data": [...]} with row-major
-data.  Reports are emitted as canonical JSON — sorted keys, two-space
-indent, trailing newline, plain Python floats — so identical analyses
-produce byte-identical files.  Infinities are encoded as the strings
-"+inf"/"-inf" (strict JSON has no Infinity literal).
+data.  Reports are emitted as canonical JSON, so identical analyses produce
+byte-identical files.  The bytes of canonical_dumps:
+
+* object keys sorted, as strings (a non-string key becomes str(key));
+* two-space indent: every member and element on its own line, members as
+  "key": value, a "," at the end of every line but a container's last;
+  empty containers as {} and [];
+* finite floats, numpy ones as Python floats, in their shortest round-trip
+  form (float.__repr__); Python and numpy integers in decimal, booleans as
+  true/false, None as null;
+* the non-finite floats as the strings "+inf", "-inf" and "nan" (strict
+  JSON has no Infinity or NaN literal);
+* strings and keys with every non-ASCII or control character escaped
+  (json.encoder.encode_basestring_ascii);
+* one trailing newline.
+
+Those are the bytes json.dumps(..., sort_keys=True, indent=2) writes once
+numpy values are Python values and non-finite floats are those strings.
 """
 from __future__ import annotations
 
-import json
-import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -46,7 +59,7 @@ def matrix_to_json(X: np.ndarray) -> dict:
     return {
         "rows": int(X.shape[0]),
         "cols": int(X.shape[1]),
-        "data": [float(v) for v in X.ravel(order="C")],
+        "data": X.ravel(order="C").tolist(),
     }
 
 
@@ -83,27 +96,101 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
     return flat.reshape((rows, cols))
 
 
-def _canon(x):
+_NONFINITE = {float("inf"): '"+inf"', float("-inf"): '"-inf"'}
+
+# Each writer takes (value, nl) and returns the value's text; nl is the
+# newline and indent that the lines of a container value start with.
+
+
+def _float(v, nl):
+    if v - v == 0.0:
+        return float.__repr__(v)
+    return _NONFINITE.get(v, '"nan"')
+
+
+def _str(v, nl):
+    return encode_basestring_ascii(v)
+
+
+def _int(v, nl):
+    return int.__repr__(v)
+
+
+def _bool(v, nl):
+    return "true" if v else "false"
+
+
+def _null(v, nl):
+    return "null"
+
+
+def _seq(items, nl):
+    if not items:
+        return "[]"
+    inner = nl + "  "
+    get = _WRITERS.get
+    return "[" + inner + ("," + inner).join(
+        [get(type(v), _other)(v, inner) for v in items]
+    ) + nl + "]"
+
+
+def _dict(x, nl):
+    if not x:
+        return "{}"
+    if any(type(k) is not str for k in x):
+        x = {str(k): v for k, v in x.items()}
+    inner = nl + "  "
+    get = _WRITERS.get
+    return "{" + inner + ("," + inner).join(
+        [encode_basestring_ascii(k) + ": " + get(type(v), _other)(v, inner)
+         for k, v in sorted(x.items())]
+    ) + nl + "}"
+
+
+def _array(x, nl):
+    if x.ndim == 0:
+        raise TypeError("a 0-d array is not a JSON array")
+    return _seq(x.tolist(), nl)
+
+
+def _other(x, nl):
+    """Subclasses of the types in _WRITERS and the other numpy scalars, in
+    the order of their precedence (bool before int)."""
     if isinstance(x, dict):
-        return {str(k): _canon(v) for k, v in x.items()}
+        return _dict(x, nl)
     if isinstance(x, (list, tuple)):
-        return [_canon(v) for v in x]
+        return _seq(x, nl)
     if isinstance(x, np.ndarray):
-        return [_canon(v) for v in x.tolist()]
+        return _array(x, nl)
     if isinstance(x, (np.bool_, bool)):
-        return bool(x)
+        return _bool(x, nl)
     if isinstance(x, (np.integer, int)):
-        return int(x)
+        return int.__repr__(int(x))
     if isinstance(x, (np.floating, float)):
-        v = float(x)
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "+inf" if v > 0 else "-inf"
-        return v
-    return x
+        return _float(float(x), nl)
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+_WRITERS = {
+    float: _float,
+    int: _int,
+    str: _str,
+    bool: _bool,
+    type(None): _null,
+    list: _seq,
+    tuple: _seq,
+    dict: _dict,
+    np.ndarray: _array,
+    np.float64: lambda v, nl: _float(float(v), nl),
+    np.int64: lambda v, nl: int.__repr__(int(v)),
+    np.bool_: _bool,
+}
 
 
 def canonical_dumps(obj) -> str:
-    """Deterministic JSON encoding (sorted keys, 2-space indent, newline)."""
-    return json.dumps(_canon(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Canonical JSON text of obj (the byte contract is in the module
+    docstring): dicts, lists, tuples, numpy arrays, str, None and Python or
+    numpy bools, integers and floats; TypeError on anything else."""
+    return _WRITERS.get(type(obj), _other)(obj, "\n") + "\n"

@@ -67,18 +67,24 @@ class SvdPair:
         return self.U @ (self.sigma[:, None] * self.V1.T)
 
 
+def _signs(A):
+    """+1 or -1 per column of A: the sign of its largest-magnitude entry
+    (first index wins ties; +1 for a zero)."""
+    picked = A[np.abs(A).argmax(axis=0), np.arange(A.shape[1])]
+    return np.where(picked < 0, -1.0, 1.0)
+
+
 def _fix_signs(U, V):
-    """Flip matched column pairs so each U column has its largest-magnitude
-    entry positive (first index wins ties)."""
+    """Flip matched column pairs, in place, so each U column has its
+    largest-magnitude entry positive; the trailing V columns have no U
+    partner and follow the rule themselves."""
     n = U.shape[1]
-
-    def signs(A):
-        cols = np.arange(A.shape[1])
-        return np.where(A[np.argmax(np.abs(A), axis=0), cols] < 0, -1.0, 1.0)
-
-    s = signs(U)
-    # trailing V columns have no U partner; apply the rule to themselves
-    return U * s, V * np.concatenate([s, signs(V[:, n:])])
+    s = _signs(U)
+    U *= s
+    V[:, :n] *= s
+    if len(V) > n:
+        T = V[:, n:]
+        T *= _signs(T)
 
 
 def svd_ordered(X: np.ndarray) -> SvdPair:
@@ -96,7 +102,7 @@ def svd_ordered(X: np.ndarray) -> SvdPair:
         raise ValueError(f"rows must not exceed columns, got {n} x {m}")
     U, s, Vt = np.linalg.svd(X, full_matrices=True)
     V = Vt.T
-    U, V = _fix_signs(U, V)
+    _fix_signs(U, V)
     return SvdPair(U=U, V=V, sigma=s)
 
 
@@ -130,19 +136,24 @@ class SingularGrouping:
             return np.concatenate(self.groups)
         return np.array([], dtype=int)
 
+    def at(self, kappa: int) -> "SingularGrouping":
+        """The same partition with kappa located in it (r and kappa set)."""
+        n = sum(len(g) for g in self.groups) + len(self.b)
+        if not (1 <= kappa <= n):
+            raise ValueError(f"kappa must be in [1, {n}], got {kappa}")
+        return SingularGrouping(nu=self.nu, groups=self.groups, b=self.b, c=self.c,
+                                s=self.s, r=_group_of(self.groups, kappa), kappa=kappa)
 
-def _chain_groups(values: np.ndarray, gap: float) -> list:
-    """Split a nonincreasing vector into maximal transitively-chained runs:
-    consecutive entries at most gap apart stay in one group."""
-    groups = []
-    start = 0
-    for i in range(1, len(values)):
-        if abs(values[i - 1] - values[i]) > gap:
-            groups.append(np.arange(start, i))
-            start = i
-    if len(values):
-        groups.append(np.arange(start, len(values)))
-    return groups
+
+def _group_of(groups, kappa: int) -> int:
+    """1-based index of the group holding position kappa (1-based);
+    len(groups) + 1 past the positive groups, in the zero block."""
+    count = 0
+    for l, g in enumerate(groups):
+        count += len(g)
+        if kappa <= count:
+            return l + 1
+    return len(groups) + 1
 
 
 def group_singular(pair: SvdPair, kappa: int,
@@ -150,33 +161,23 @@ def group_singular(pair: SvdPair, kappa: int,
     """Group the singular values of an ordered SVD and locate kappa.
 
     The tolerance is tols.group_rel * max(1, sigma_1).  Grouping is
-    transitive: a chain of gaps each below the tolerance forms one group.
+    transitive: a chain of gaps each below the tolerance forms one group,
+    so groups are maximal runs of consecutive positions.  A group's
+    representative nu is its mean, rounded as np.mean rounds it.
     """
-    sigma = pair.sigma
     n, m = pair.n, pair.m
     if not (1 <= kappa <= n):
         raise ValueError(f"kappa must be in [1, {n}], got {kappa}")
-    group_tol = tols.group_rel * max(1.0, sigma[0] if len(sigma) else 0.0)
-    runs = _chain_groups(sigma, group_tol)
+    sigma = pair.sigma.tolist()
+    group_tol = tols.group_rel * max(1.0, sigma[0])
+    # runs end where consecutive values lie more than group_tol apart
+    ends = [i for i in range(1, n) if abs(sigma[i - 1] - sigma[i]) > group_tol] + [n]
+    runs = list(zip([0] + ends[:-1], ends))
     # the trailing run is the zero block iff everything in it is ~0
-    if runs and sigma[runs[-1][0]] <= group_tol:
-        b = runs[-1]
-        pos_runs = runs[:-1]
-    else:
-        b = np.array([], dtype=int)
-        pos_runs = runs
-    s = len(pos_runs)
-    nu = np.array([float(np.mean(sigma[g])) for g in pos_runs])
-    # locate kappa (1-based position) in the partition
-    r = s + 1
-    count = 0
-    for l, g in enumerate(pos_runs):
-        count += len(g)
-        if kappa <= count:
-            r = l + 1
-            break
-    if r == s + 1 and kappa > count + len(b):
-        raise AssertionError("kappa not covered by the partition")
-    return SingularGrouping(
-        nu=nu, groups=pos_runs, b=b, c=np.arange(n, m), s=s, r=r, kappa=kappa
-    )
+    zero = sigma[runs[-1][0]] <= group_tol
+    b = np.arange(*runs.pop()) if zero else np.array([], dtype=int)
+    nu = np.array([sigma[lo] if hi - lo == 1 else float(pair.sigma[lo:hi].sum()) / (hi - lo)
+                   for lo, hi in runs])
+    groups = [np.arange(lo, hi) for lo, hi in runs]
+    return SingularGrouping(nu=nu, groups=groups, b=b, c=np.arange(n, m), s=len(groups),
+                            r=_group_of(groups, kappa), kappa=kappa)

@@ -96,13 +96,25 @@ def simultaneous_svd(X: np.ndarray, Gamma: np.ndarray, tols: Tolerances = DEFAUL
     coupling blocks of Gamma must already vanish, and the assembled
     diagonal must be globally nonincreasing.
     """
+    X, Gamma, gtol = _operands(X, Gamma, tols)
+    return _simultaneous_pair(X, Gamma, gtol, tols)[0]
+
+
+def _operands(X, Gamma, tols: Tolerances):
+    """X and Gamma as float arrays of equal shape, and the membership
+    tolerance gtol = tols.subdiff * max(1, ||Gamma||_F)."""
     X = np.asarray(X, dtype=float)
     Gamma = np.asarray(Gamma, dtype=float)
     if X.shape != Gamma.shape:
         raise ValueError("X and Gamma must have equal shapes")
+    return X, Gamma, tols.subdiff * max(1.0, float(np.linalg.norm(Gamma)))
+
+
+def _simultaneous_pair(X, Gamma, gtol: float, tols: Tolerances):
+    """simultaneous_svd's (pair or None), with the grouping of X's singular
+    values that built it (located at kappa = 1)."""
     pair = svd_ordered(X)
     n, m = pair.n, pair.m
-    gtol = tols.subdiff * max(1.0, float(np.linalg.norm(Gamma)))
     grouping = group_singular(pair, kappa=1, tols=tols)
     U = pair.U.copy()
     V = pair.V.copy()
@@ -119,15 +131,16 @@ def simultaneous_svd(X: np.ndarray, Gamma: np.ndarray, tols: Tolerances = DEFAUL
             w = B[0]
         else:
             if np.linalg.norm(B - B.T) > gtol:
-                return None
+                return None, grouping
             w, R = np.linalg.eigh(0.5 * (B + B.T))
             w = w[::-1]
             R = R[:, ::-1]
             U[:, g] = np.asfortranarray(U[:, g]) @ R
             V[:, g] = np.asfortranarray(V[:, g]) @ R
         if w[-1] < -gtol:
-            return None
-        d[g] = np.clip(w, 0.0, None)
+            return None, grouping
+        d[g] = w
+    np.maximum(d, 0.0, out=d)  # the groups' eigenvalues clipped at 0
     # zero block of X (the trailing rows b): independent rotations over rows
     # b and columns b + c, the trailing columns
     b = grouping.b
@@ -137,22 +150,26 @@ def simultaneous_svd(X: np.ndarray, Gamma: np.ndarray, tols: Tolerances = DEFAUL
         U[:, b] = np.asfortranarray(U[:, b]) @ L
         V[:, cols] = np.asfortranarray(V[:, cols]) @ Rt.T
         d[b] = s[: n - b.start]
-    # all coupling blocks must vanish (recheck on the rotated pair)
+    # all coupling blocks must vanish (recheck on the rotated pair): K2 - D
+    # with D = [Diag(d) 0], formed in place
     K2 = U.T @ Gamma @ V
-    D = np.zeros((n, m))
-    D[:, :n] = np.diag(d)
-    if np.linalg.norm(K2 - D) > 10 * gtol * max(1.0, np.sqrt(n)):
-        return None
+    K2.flat[:: m + 1] -= d
+    if np.linalg.norm(K2) > 10 * gtol * max(1.0, np.sqrt(n)):
+        return None, grouping
     # global ordering across groups
-    if np.any(np.diff(d) > gtol):
-        return None
+    d = d.tolist()
+    if any(y - x > gtol for x, y in zip(d, d[1:])):
+        return None, grouping
     out = SvdPair(U=U, V=V, sigma=pair.sigma)
     if np.linalg.norm(out.reconstruct() - X) > tols.subdiff * max(1.0, np.linalg.norm(X)) * 10:
-        return None
-    return out
+        return None, grouping
+    return out, grouping
 
 
 def _classify_beta(vals, beta, sigma_class):
+    """Split beta by vals[i] (vals: a list of floats) into beta1 (= 1),
+    beta_plus (in (0, 1)) and beta0 (= 0) at the classification tolerance,
+    with a warning for each value within 10x of a boundary."""
     beta1, beta_plus, beta0, warn = [], [], [], []
     for i in beta:
         v = vals[i]
@@ -193,9 +210,10 @@ def _zeta_groups(vals, beta1, beta_plus, sigma_class):
             zeta.append(v)
             beta_js.append(np.array([i], dtype=int))
         prev = v
-    # representative = mean over the group (except the clamped 1-group)
+    # representative = mean over the group (except the clamped 1-group),
+    # rounded as np.mean rounds it
     for j in range(n_fixed, len(zeta)):
-        zeta[j] = float(np.mean(vals[beta_js[j]]))
+        zeta[j] = float(vals[beta_js[j]].sum()) / len(beta_js[j])
     return np.array(zeta), beta_js
 
 
@@ -211,65 +229,55 @@ def subdiff_membership(
     With with_diagnostics=True a third element describes the first failed
     condition (useful for reporting why a membership check failed).
     """
-    X = np.asarray(X, dtype=float)
-    Gamma = np.asarray(Gamma, dtype=float)
-
     def out(ok, cert, why):
         if with_diagnostics:
             return ok, cert, why
         return ok, cert
 
-    pair = simultaneous_svd(X, Gamma, tols=tols)
+    X, Gamma, gtol = _operands(X, Gamma, tols)
+    pair, grouping = _simultaneous_pair(X, Gamma, gtol, tols)
     if pair is None:
         return out(False, None, "no simultaneous ordered SVD pair exists")
-    grouping = group_singular(pair, kappa, tols=tols)
-    n = pair.n
-    vals = np.array([float(pair.U[:, i] @ Gamma @ pair.V[:, i]) for i in range(n)])
-    r, s = grouping.r, grouping.s
-    gtol = tols.subdiff * max(1.0, float(np.linalg.norm(Gamma)))
+    # pair has X's singular values, so their partition is the one that
+    # built it; only kappa moves
+    grouping = grouping.at(kappa)
+    U, V = pair.U, pair.V
+    vals = np.array([float(U[:, i] @ Gamma @ V[:, i]) for i in range(pair.n)])
+    r, s, n = grouping.r, grouping.s, pair.n
     sum_tol = tols.sum_rel * kappa
+    # the index sets are runs of consecutive positions: alpha = [0, lo),
+    # beta = [lo, hi), gamma = [hi, n)
     if r <= s:
-        alpha = (
-            np.concatenate([grouping.groups[l] for l in range(r - 1)]).astype(int)
-            if r > 1
-            else np.array([], dtype=int)
-        )
-        beta = grouping.groups[r - 1].astype(int)
-        after = [grouping.groups[l] for l in range(r, s)] + ([grouping.b] if len(grouping.b) else [])
-        gamma_idx = np.concatenate(after).astype(int) if after else np.array([], dtype=int)
+        lo, hi = int(grouping.groups[r - 1][0]), int(grouping.groups[r - 1][-1]) + 1
         case = INTERIOR_GROUP
     else:
-        alpha = grouping.a.astype(int)
-        beta = grouping.b.astype(int)
-        gamma_idx = np.array([], dtype=int)
+        lo, hi = n - len(grouping.b), n
         case = ZERO_GROUP
-    kappa0 = len(alpha)
-    if np.any(np.abs(vals[alpha] - 1.0) > max(gtol, tols.sigma_class)):
+    alpha, beta, gamma_idx = np.arange(lo), np.arange(lo, hi), np.arange(hi, n)
+    kappa0 = lo
+    tol = max(gtol, tols.sigma_class)
+    if np.any(np.abs(vals[:lo] - 1.0) > tol):
         return out(False, None, "a leading subgradient singular value differs from 1")
-    if len(beta) and (
-        np.min(vals[beta]) < -max(gtol, tols.sigma_class)
-        or np.max(vals[beta]) > 1 + max(gtol, tols.sigma_class)
-    ):
+    vals_beta = vals[lo:hi]
+    if hi > lo and (vals_beta.min() < -tol or vals_beta.max() > 1 + tol):
         return out(False, None, "a critical-block subgradient singular value leaves [0, 1]")
-    if len(gamma_idx) and np.max(np.abs(vals[gamma_idx])) > max(gtol, tols.sigma_class):
+    if hi < n and np.abs(vals[hi:]).max() > tol:
         return out(False, None, "a trailing subgradient singular value is nonzero")
-    beta_sum = float(np.sum(vals[beta])) if len(beta) else 0.0
+    beta_sum = float(vals_beta.sum())
     if case == INTERIOR_GROUP:
         if abs(beta_sum - (kappa - kappa0)) > sum_tol:
             return out(False, None, "critical-block singular values do not sum to kappa - kappa0")
     else:
         if beta_sum > (kappa - kappa0) + sum_tol:
             return out(False, None, "critical-block singular values exceed kappa - kappa0")
-    vals = vals.copy()
-    vals[alpha] = 1.0
-    if len(gamma_idx):
-        vals[gamma_idx] = 0.0
-    beta1, beta_plus, beta0, warn = _classify_beta(vals, beta, tols.sigma_class)
+    vals[:lo] = 1.0
+    vals[hi:] = 0.0
+    beta1, beta_plus, beta0, warn = _classify_beta(vals.tolist(), range(lo, hi), tols.sigma_class)
     vals[beta1] = 1.0
     vals[beta0] = 0.0
     zeta, beta_js = _zeta_groups(vals, beta1, beta_plus, tols.sigma_class)
     tight = case == INTERIOR_GROUP or (
-        abs(float(np.sum(vals[beta])) - (kappa - kappa0)) <= tols.sum_rel * max(1, kappa)
+        abs(float(vals_beta.sum()) - (kappa - kappa0)) <= tols.sum_rel * max(1, kappa)
     )
     cert = SubgradCertificate(
         case=case,

@@ -17,10 +17,11 @@ Xbar and B an orthonormal basis of the hull:
      band of the factor's rows at a time; B itself is never formed,
   2. N := B * (eigenvectors of R with eigenvalue <= the kernel cutoff),
      built for those q columns only: R's eigenvalues alone give q and
-     lambda_min, so q = 0 computes no vector; for q = 1 with a clear gap
-     the vector comes from shifted inverse iteration, checked by its
-     residual, and otherwise (q >= 2, a narrow gap, a failed check) from
-     the full eigendecomposition,
+     lambda_min, so q = 0 computes no vector; for q = 1 on a hull wider
+     than _EIGH_MAX_SIDE with a clear gap the vector comes from shifted
+     inverse iteration, checked by its residual, and otherwise (q >= 2, a
+     small hull, a narrow gap, a failed check) from the full
+     eigendecomposition,
   3. N = {0}                 -> Stable (sufficient certificate),
   4. N != {0} and exact      -> Unstable with the unit element of N that
                                 depends on span N alone (see tilt_check),
@@ -117,21 +118,29 @@ class QuadraticTheta:
         hscale = max(1.0, self.hessian_bound())
         shift = tols.psd_rel * hscale
         K = -(-nm // _TILE)
-        e = [k * nm // K for k in range(K + 1)]
-        cols = [np.empty((nm - e[k], e[k + 1] - e[k])) for k in range(K)]
-        skew_sq = 0.0
-        for k, C in enumerate(cols):
-            J = slice(e[k], e[k + 1])
-            for i in range(k, K):
-                I = slice(e[i], e[i + 1])
-                A, Bt = Q[I, J], Q[J, I].T
-                D = A - Bt
-                skew_sq += (1.0 if i == k else 2.0) * float(np.vdot(D, D))
-                tile = C[e[i] - e[k] : e[i + 1] - e[k]]
-                np.add(A, Bt, out=tile)
-                tile *= 0.5
-            w = C.shape[1]
-            C[:w].flat[:: w + 1] += shift
+        if K == 1:  # one tile, the whole of S, in the same floating-point steps
+            D = Q - Q.T
+            skew_sq = float(np.vdot(D, D))
+            S = np.add(Q, Q.T)
+            S *= 0.5
+            S.flat[:: nm + 1] += shift
+            cols = [S]
+        else:
+            e = [k * nm // K for k in range(K + 1)]
+            cols = [np.empty((nm - e[k], e[k + 1] - e[k])) for k in range(K)]
+            skew_sq = 0.0
+            for k, C in enumerate(cols):
+                J = slice(e[k], e[k + 1])
+                for i in range(k, K):
+                    I = slice(e[i], e[i + 1])
+                    A, Bt = Q[I, J], Q[J, I].T
+                    D = A - Bt
+                    skew_sq += (1.0 if i == k else 2.0) * float(np.vdot(D, D))
+                    tile = C[e[i] - e[k] : e[i + 1] - e[k]]
+                    np.add(A, Bt, out=tile)
+                    tile *= 0.5
+                w = C.shape[1]
+                C[:w].flat[:: w + 1] += shift
         if math.sqrt(skew_sq) > tols.orth * hscale * nm:
             raise ValueError("Hessian of theta must be symmetric")
         if not _block_cholesky_ok(cols):
@@ -624,6 +633,11 @@ _TILE = 256
 _INVIT_GAP_REL = 1e-6
 _INVIT_SHIFT_REL = 1e-8
 _INVIT_SEED = 0
+# up to this side the lone kernel vector comes from eigh instead: there the
+# LAPACK call costs less than the Python steps of inverse iteration (eigh
+# 31 against 34 us at side 16, 37 against 36 us at side 17, timeit minima
+# with OpenBLAS on 2 vCPUs)
+_EIGH_MAX_SIDE = 16
 
 
 def _lower_inv(L):
@@ -688,10 +702,8 @@ def _lone_kernel_vector(R, lam):
     sigma) <= max(_INVIT_SHIFT_REL, 4 d eps / _INVIT_GAP_REL).  The vector is
     kept only if ||R y - lam[0] y|| <= d eps max|lam|.  None on a narrow gap
     or a failed factorization or residual check.  R's diagonal is shifted in
-    place and restored."""
+    place and restored.  Meant for d > _EIGH_MAX_SIDE (d >= 2)."""
     d = len(R)
-    if d == 1:
-        return np.ones((1, 1))
     eps = np.finfo(float).eps
     scale = max(abs(lam[0]), abs(lam[-1]))
     gap = lam[1] - lam[0]
@@ -721,15 +733,16 @@ def _restricted_kernel(R, cutoff: float):
     eigenvalue.
 
     The spectrum comes from eigvalsh; q = 0 needs no vectors.  A lone
-    vector (q = 1) comes from _lone_kernel_vector; eigh gives the vectors
-    when q >= 2 or the shortcut does not apply.  For q >= 2 the basis itself
-    matters, not only its span: the witness search starts from its unit
-    axes."""
+    vector (q = 1) of a side above _EIGH_MAX_SIDE comes from
+    _lone_kernel_vector; eigh gives the vectors when q >= 2, on the small
+    sides, or where the shortcut does not apply.  For q >= 2 the basis
+    itself matters, not only its span: the witness search starts from its
+    unit axes."""
     lam = np.linalg.eigvalsh(R)
     q = int(np.count_nonzero(lam <= cutoff))
     if q == 0:
         return np.zeros((len(R), 0)), float(lam[0])
-    Y = _lone_kernel_vector(R, lam) if q == 1 else None
+    Y = _lone_kernel_vector(R, lam) if q == 1 and len(R) > _EIGH_MAX_SIDE else None
     if Y is None:
         Y = np.linalg.eigh(R)[1][:, :q]
     return Y, float(lam[0])
@@ -744,8 +757,8 @@ def _kernel_in_hull(theta, hull: HullBlocks, cutoff: float):
     only for those columns.  The eigenvalues come first (eigvalsh), and
     eigenvectors only for the q at or below the cutoff (_restricted_kernel):
     none on a Stable verdict, one by shifted inverse iteration with a
-    residual check when q = 1 and the gap is clear, and otherwise the
-    eigh fallback."""
+    residual check when q = 1, the hull is wider than _EIGH_MAX_SIDE and
+    the gap is clear, and otherwise from eigh."""
     if hull.dim == 0:
         return np.zeros((hull.n * hull.m, 0)), math.inf
     Y, lam_min = _restricted_kernel(theta.restricted_hessian(hull), cutoff)

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from kyfan_tilt.io import (
     SchemaError,
@@ -106,3 +108,78 @@ def test_canonical_dumps_encodes_nonfinite_as_strings():
 def test_canonical_dumps_handles_numpy_scalars_and_arrays():
     obj = json.loads(canonical_dumps({"v": np.arange(3.0), "flag": np.bool_(True)}))
     assert obj == {"v": [0.0, 1.0, 2.0], "flag": True}
+
+
+def _canon(x):
+    """Plain JSON values for x: numpy values as Python ones, non-finite
+    floats as strings, keys through str()."""
+    if isinstance(x, dict):
+        return {str(k): _canon(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_canon(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return [_canon(v) for v in x.tolist()]
+    if isinstance(x, (np.bool_, bool)):
+        return bool(x)
+    if isinstance(x, (np.integer, int)):
+        return int(x)
+    if isinstance(x, (np.floating, float)):
+        v = float(x)
+        if math.isnan(v):
+            return "nan"
+        if math.isinf(v):
+            return "+inf" if v > 0 else "-inf"
+        return v
+    return x
+
+
+def _reference_dumps(obj):
+    """The canonical text by the json module: the definition that
+    canonical_dumps must reproduce byte for byte."""
+    return json.dumps(_canon(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+_floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, 1e300, 0.1]
+)
+_texts = st.text(max_size=8) | st.sampled_from(["", "\x00\x1f\"\\/", "caf\u00e9 \u6f22 \u2028", "\U0001f600"])
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**300), max_value=2**300),
+    _floats,
+    _texts,
+    _floats.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+_arrays = arrays(
+    st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+    array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=3),
+)
+_keys = _texts | st.integers(min_value=-5, max_value=12)
+_values = st.recursive(
+    _scalars | _arrays,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_keys, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values)
+def test_canonical_dumps_matches_the_json_module(obj):
+    assert canonical_dumps(obj) == _reference_dumps(obj)
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, frozenset(), object(), 1j, np.complex128(1)])
+def test_canonical_dumps_rejects_what_json_cannot_write(bad):
+    with pytest.raises(TypeError):
+        _reference_dumps({"a": [bad]})
+    with pytest.raises(TypeError):
+        canonical_dumps({"a": [bad]})

@@ -50,3 +50,18 @@ def test_make_demo_problems_gives_the_committed_verdicts(tmp_path):
         want, want_code = run_analyze(json.loads((ROOT / "demo" / f"{name}.json").read_text()))
         assert got_code == want_code, name
         assert got["verdict"]["status"] == want["verdict"]["status"], name
+
+
+def test_report_digests_on_degenerate():
+    # every operation of the degenerate workload at seed 1 with its exit code
+    # and report digest, the same in two runs
+    runs = []
+    for _ in range(2):
+        proc = run_script("report_digests.py", "--workload", "degenerate", "--seed", "1")
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    assert runs[0] == runs[1]
+    assert len(runs[0]) == 51
+    for name, (code, digest) in runs[0].items():
+        assert code in (0, 1, 2), name
+        assert len(digest) == 64 and int(digest, 16) >= 0, name

@@ -17,6 +17,7 @@ from kyfan_tilt.instances import (
     random_membership_instance,
     random_orthogonal,
 )
+from kyfan_tilt.spectral import group_singular
 from kyfan_tilt.subgrad import (
     INTERIOR_GROUP,
     ZERO_GROUP,
@@ -86,6 +87,18 @@ def test_membership_true_on_constructed_members(seed, case):
     assert ok, f"closed-form route rejected a constructed member ({info})"
     assert oracle_psi_membership(X, Gamma, kappa), "support-function oracle disagrees"
     assert cert is not None and cert.kappa == kappa
+    # the certificate reuses the partition that built the pair, with kappa
+    # located in it: the grouping of the pair's singular values afresh,
+    # field by field, with each representative np.mean's, bit for bit
+    got, fresh = cert.grouping, group_singular(cert.pair, kappa)
+    assert got.nu.dtype == fresh.nu.dtype and got.nu.tobytes() == fresh.nu.tobytes()
+    means = [np.mean(cert.pair.sigma[g]) for g in fresh.groups]
+    assert fresh.nu.tobytes() == np.array(means, dtype=float).tobytes()
+    assert len(got.groups) == len(fresh.groups)
+    assert all(np.array_equal(a, b) for a, b in zip(got.groups, fresh.groups))
+    for name in ("b", "c"):
+        assert np.array_equal(getattr(got, name), getattr(fresh, name)), name
+    assert (got.s, got.r, got.kappa) == (fresh.s, fresh.r, fresh.kappa)
 
 
 @settings(max_examples=60, deadline=None)

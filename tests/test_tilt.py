@@ -437,10 +437,23 @@ class _Namespace:
         return getattr(self._base, name)
 
 
+def _wide_slide():
+    """diag(7, ..., 1) with Gamma = diag(1, ..., 1, 0), kappa = 6, and the
+    Hessian kernel span{E_00}, a hull element: exact Unstable with q = 1 on
+    a hull of dimension 22, above tilt._EIGH_MAX_SIDE."""
+    X, G = np.diag(np.arange(7.0, 0.0, -1.0)), np.diag([1.0] * 6 + [0.0])
+    W = np.zeros((7, 7))
+    W[0, 0] = 1.0
+    Q = projector_complement(W)
+    L = -(Q @ vec(X)).reshape(7, 7) - G
+    return _problem(X, G, 6, {"type": "quadratic", "Q": matrix_to_json(Q), "L": matrix_to_json(L)})
+
+
 def _exact_kernel_problems():
-    """Exact-case Unstable problems: the unstable_slide demo (q = 1), and
-    X3/G3 in random coordinates with the kernel along the beta1 slide alone
-    (q = 1) and along it and the gamma entry (q = 2), both hull elements."""
+    """Exact-case Unstable problems: the unstable_slide demo (q = 1), X3/G3
+    in random coordinates with the kernel along the beta1 slide alone
+    (q = 1) and along it and the gamma entry (q = 2), both hull elements,
+    and _wide_slide (q = 1 on a wider hull)."""
     X3, G3 = np.diag([3.0, 2.0, 1.0]), np.diag([1.0, 1.0, 0.0])
     problems = [json.loads((DEMO / "unstable_slide.json").read_text())]
     rng = np.random.default_rng(5)
@@ -455,14 +468,15 @@ def _exact_kernel_problems():
         L = -(Q @ vec(U @ X3 @ V.T)).reshape(3, 3) - U @ G3 @ V.T
         theta = {"type": "quadratic", "Q": matrix_to_json(Q), "L": matrix_to_json(L)}
         problems.append(_problem(U @ X3 @ V.T, U @ G3 @ V.T, 2, theta))
-    return problems
+    return problems + [_wide_slide()]
 
 
 def test_exact_witness_does_not_depend_on_the_kernel_basis(monkeypatch):
-    # the kernel basis comes back negated (for q = 1 the inverse-iteration
-    # vector, for q = 2 eigh's eigenvectors), or for q = 2 turned by 90
-    # degrees (a rotation that is exact in floating point): the span is the
-    # same, so the report is too, byte for byte
+    # the kernel basis comes back negated (for q = 1 on a hull wider than
+    # tilt._EIGH_MAX_SIDE the inverse-iteration vector, otherwise eigh's
+    # eigenvectors), or for q = 2 turned by 90 degrees (a rotation that is
+    # exact in floating point): the span is the same, so the report is too,
+    # byte for byte
     turns = {"negated": lambda Y: -Y, "rotated": lambda Y: np.column_stack([Y[:, 1], -Y[:, 0]])}
     lone = tilt._lone_kernel_vector
     qs = []
@@ -470,7 +484,8 @@ def test_exact_witness_does_not_depend_on_the_kernel_basis(monkeypatch):
         report, code = cli.run_analyze(problem)
         assert code == 1 and report["upsilon"]["exact"]
         q = report["verdict"]["certificate"]["intersection_dim"]
-        qs.append(q)
+        inverse_iteration = q == 1 and report["upsilon"]["hull_dim"] > tilt._EIGH_MAX_SIDE
+        qs.append((q, inverse_iteration))
         for name, turn in turns.items():
             if name == "rotated" and q != 2:
                 continue
@@ -490,7 +505,7 @@ def test_exact_witness_does_not_depend_on_the_kernel_basis(monkeypatch):
                 return lam, Y
 
             with monkeypatch.context() as mp:
-                if q == 1:
+                if inverse_iteration:
                     mp.setattr(tilt, "_lone_kernel_vector", lone_vector)
                 else:
                     mp.setattr(tilt, "np", _Namespace(np, linalg=_Namespace(np.linalg, eigh=eigh)))
@@ -498,7 +513,7 @@ def test_exact_witness_does_not_depend_on_the_kernel_basis(monkeypatch):
             assert turned == [q], (name, turned)
             assert code_again == code
             assert io.canonical_dumps(again) == io.canonical_dumps(report), (name, q)
-    assert sorted(qs) == [1, 1, 2]
+    assert sorted(qs) == [(1, False), (1, False), (1, True), (2, False)]
 
 
 def test_restricted_lambda_min_vanishes_when_the_kernel_meets_the_hull():
@@ -532,9 +547,10 @@ def _planted_psd(rng, d, q, gap, off_ones=False):
 
 
 def test_restricted_kernel_matches_the_eigh_reference(monkeypatch):
-    # q from the eigenvalues, and for q = 1 with a clear gap the inverse-
-    # iteration vector: the same q, lambda_min and kernel span as eigh's,
-    # which is called only for q >= 2 and the narrow gap
+    # q from the eigenvalues, and for q = 1 with a clear gap on a side above
+    # tilt._EIGH_MAX_SIDE the inverse-iteration vector: the same q,
+    # lambda_min and kernel span as eigh's, which is called only for q >= 2,
+    # the narrow gap and the small side
     cutoff, eps = 1e-9, np.finfo(float).eps
     eigh_calls = []
 
@@ -560,9 +576,45 @@ def test_restricted_kernel_matches_the_eigh_reference(monkeypatch):
             assert np.allclose(Y.T @ Y, np.eye(q), atol=1e-12)
             sin = np.linalg.norm(Y - N_ref @ (N_ref.T @ Y), 2)
             assert sin <= 1e-10, (d, q, gap, sin)
-        narrow = q == 1 and gap <= tilt._INVIT_GAP_REL
-        assert eigh_calls == ([(d, d)] if q >= 2 or narrow else []), (d, q, gap)
+        by_eigh = q >= 2 or q == 1 and (gap <= tilt._INVIT_GAP_REL or d <= tilt._EIGH_MAX_SIDE)
+        assert eigh_calls == ([(d, d)] if by_eigh else []), (d, q, gap)
     assert np.array_equal(tilt._restricted_kernel(np.zeros((1, 1)), cutoff)[0], np.ones((1, 1)))
+
+
+def test_kernel_step_on_both_sides_of_the_eigh_side(monkeypatch):
+    # the lone kernel vector of side tilt._EIGH_MAX_SIDE comes from eigh;
+    # one side above, inverse iteration runs, and eigh only where it refuses
+    # its vector.  On both sides the vector spans eigh's line and meets the
+    # residual bound of _lone_kernel_vector
+    eps, cutoff, side = np.finfo(float).eps, 1e-9, tilt._EIGH_MAX_SIDE
+    eigh_calls, lone_results = [], []
+    lone = tilt._lone_kernel_vector
+
+    def eigh(a):
+        eigh_calls.append(a.shape)
+        return np.linalg.eigh(a)
+
+    def lone_vector(R, lam):
+        lone_results.append(lone(R, lam))
+        return lone_results[-1]
+
+    monkeypatch.setattr(tilt, "np", _Namespace(np, linalg=_Namespace(np.linalg, eigh=eigh)))
+    monkeypatch.setattr(tilt, "_lone_kernel_vector", lone_vector)
+    rng = np.random.default_rng(32)
+    for d in (side, side + 1):
+        for gap in (1.0, 1e-2, 1e-4, 1e-5):
+            R = _planted_psd(rng, d, 1, gap)
+            lam, Y_ref = np.linalg.eigh(R)
+            eigh_calls.clear()
+            lone_results.clear()
+            Y, lam_min = tilt._restricted_kernel(R, cutoff)
+            assert len(lone_results) == (d > side), (d, gap)
+            refused = d <= side or lone_results[0] is None
+            assert eigh_calls == ([(d, d)] if refused else []), (d, gap)
+            y = Y[:, 0]
+            assert abs(y @ Y_ref[:, 0]) >= 1 - 1e-12, (d, gap)
+            scale = max(abs(lam[0]), abs(lam[-1]))
+            assert np.linalg.norm(R @ y - lam_min * y) <= d * eps * scale, (d, gap)
 
 
 def test_verdict_unstable_inexact_case_needs_search():
@@ -912,6 +964,7 @@ FACTOR_CASES = {
     "unstable_slide": _demo("unstable_slide"),
     "inconclusive_split": _demo("inconclusive_split"),
     "quadratic_kernel_in_hull": _quadratic_kernel_in_hull,
+    "quadratic_wide_slide": _wide_slide,
     "least_squares_generic_kernel": _least_squares_generic_kernel,
     "quadratic_three_blocks": _quadratic_three_blocks,
 }
@@ -921,9 +974,10 @@ FACTOR_CASES = {
 def test_one_hessian_factorization_per_analysis(monkeypatch, name):
     # the verdict works on the Hessian restricted to the hull: no nm x nm
     # (or nm x hull_dim) eigendecomposition or SVD, and no eigenvectors of
-    # the restricted Hessian when the intersection has q <= 1 columns (a
-    # lone kernel vector comes from one hull_dim x hull_dim Cholesky
-    # factorization and the inverse of its factor); the PSD check of a
+    # the restricted Hessian when the intersection has q = 0 columns.  A
+    # lone kernel vector (q = 1) comes from one hull_dim x hull_dim eigh up
+    # to tilt._EIGH_MAX_SIDE, and above it from one Cholesky factorization
+    # of that side and the inverse of its factor; the PSD check of a
     # quadratic theta is one Cholesky factorization, of the whole sym(Q)
     # when nm <= _TILE and else of its diagonal blocks in turn, with no
     # nm x nm array handed to np.linalg; A^T A is never formed
@@ -954,14 +1008,15 @@ def test_one_hessian_factorization_per_analysis(monkeypatch, name):
         assert shapes[fn].count((nm, nm)) == 0, fn
         assert shapes[fn].count((nm, hull_dim)) == 0, fn
     q = report["verdict"]["certificate"].get("intersection_dim", 0)
+    inverse_iteration = q == 1 and hull_dim > tilt._EIGH_MAX_SIDE
     if q <= 1:
-        assert shapes["eigh"].count((hull_dim, hull_dim)) == 0
+        assert shapes["eigh"].count((hull_dim, hull_dim)) == (q == 1 and not inverse_iteration)
     cholesky = list(shapes["cholesky"])
-    if q == 1:
+    if inverse_iteration:
         cholesky.remove((hull_dim, hull_dim))
     # the inverse of the lone kernel vector's factor: LAPACK inverses of the
     # leaves of the halving, whose sides add up to hull_dim
-    kernel_inv = hull_dim if q == 1 else 0
+    kernel_inv = hull_dim if inverse_iteration else 0
     quadratic = problem["theta"]["type"] == "quadratic"
     if nm <= tilt._TILE:
         assert cholesky == ([(nm, nm)] if quadratic else [])
