@@ -3,7 +3,9 @@ report dumps.
 
 Matrices travel as {"rows": n, "cols": m, "data": [...]} with row-major
 data.  Reports are emitted as canonical JSON, so identical analyses produce
-byte-identical files.  The bytes of canonical_dumps:
+byte-identical files (at a fixed seed and a fixed BLAS thread count: a
+threaded BLAS call may round differently with another thread count).  The
+bytes of canonical_dumps:
 
 * object keys sorted, as strings (a non-string key becomes str(key));
 * two-space indent: every member and element on its own line, members as

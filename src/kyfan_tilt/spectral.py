@@ -176,8 +176,7 @@ def group_singular(pair: SvdPair, kappa: int,
     # the trailing run is the zero block iff everything in it is ~0
     zero = sigma[runs[-1][0]] <= group_tol
     b = np.arange(*runs.pop()) if zero else np.array([], dtype=int)
-    nu = np.array([sigma[lo] if hi - lo == 1 else float(pair.sigma[lo:hi].sum()) / (hi - lo)
-                   for lo, hi in runs])
+    nu = np.array([float(pair.sigma[lo:hi].sum()) / (hi - lo) for lo, hi in runs])
     groups = [np.arange(lo, hi) for lo, hi in runs]
     return SingularGrouping(nu=nu, groups=groups, b=b, c=np.arange(n, m), s=len(groups),
                             r=_group_of(groups, kappa), kappa=kappa)

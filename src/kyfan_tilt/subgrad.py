@@ -276,8 +276,9 @@ def subdiff_membership(
     vals[beta1] = 1.0
     vals[beta0] = 0.0
     zeta, beta_js = _zeta_groups(vals, beta1, beta_plus, tols.sigma_class)
+    # the critical block's values after the clamps to 1 and 0 above
     tight = case == INTERIOR_GROUP or (
-        abs(float(vals_beta.sum()) - (kappa - kappa0)) <= tols.sum_rel * max(1, kappa)
+        abs(float(vals[lo:hi].sum()) - (kappa - kappa0)) <= tols.sum_rel * max(1, kappa)
     )
     cert = SubgradCertificate(
         case=case,

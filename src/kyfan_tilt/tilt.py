@@ -118,29 +118,21 @@ class QuadraticTheta:
         hscale = max(1.0, self.hessian_bound())
         shift = tols.psd_rel * hscale
         K = -(-nm // _TILE)
-        if K == 1:  # one tile, the whole of S, in the same floating-point steps
-            D = Q - Q.T
-            skew_sq = float(np.vdot(D, D))
-            S = np.add(Q, Q.T)
-            S *= 0.5
-            S.flat[:: nm + 1] += shift
-            cols = [S]
-        else:
-            e = [k * nm // K for k in range(K + 1)]
-            cols = [np.empty((nm - e[k], e[k + 1] - e[k])) for k in range(K)]
-            skew_sq = 0.0
-            for k, C in enumerate(cols):
-                J = slice(e[k], e[k + 1])
-                for i in range(k, K):
-                    I = slice(e[i], e[i + 1])
-                    A, Bt = Q[I, J], Q[J, I].T
-                    D = A - Bt
-                    skew_sq += (1.0 if i == k else 2.0) * float(np.vdot(D, D))
-                    tile = C[e[i] - e[k] : e[i + 1] - e[k]]
-                    np.add(A, Bt, out=tile)
-                    tile *= 0.5
-                w = C.shape[1]
-                C[:w].flat[:: w + 1] += shift
+        e = [k * nm // K for k in range(K + 1)]
+        cols = [np.empty((nm - e[k], e[k + 1] - e[k])) for k in range(K)]
+        skew_sq = 0.0
+        for k, C in enumerate(cols):
+            J = slice(e[k], e[k + 1])
+            for i in range(k, K):
+                I = slice(e[i], e[i + 1])
+                A, Bt = Q[I, J], Q[J, I].T
+                D = A - Bt
+                skew_sq += (1.0 if i == k else 2.0) * float(np.vdot(D, D))
+                tile = C[e[i] - e[k] : e[i + 1] - e[k]]
+                np.add(A, Bt, out=tile)
+                tile *= 0.5
+            w = C.shape[1]
+            C[:w].flat[:: w + 1] += shift
         if math.sqrt(skew_sq) > tols.orth * hscale * nm:
             raise ValueError("Hessian of theta must be symmetric")
         if not _block_cholesky_ok(cols):
