@@ -9,6 +9,11 @@ operation as the benchmark does (`cli.run_analyze` on the problem dict, then
 {op name: [exit code, sha256 of the canonical report]}.  Two checkouts that
 print the same object give the same reports, byte for byte, on that
 workload: the parity check of a change that must not move a report.
+
+Reports depend on the BLAS thread count, so one line on standard error
+gives the count the loaded OpenBLAS reports (perfbench/run.py's
+_blas_threads; None when it cannot be read) and the numpy version, for a
+parity claim to quote.
 """
 import argparse
 import hashlib
@@ -20,7 +25,9 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
+import numpy as np  # noqa: E402
 from kyfan_tilt import cli, io  # noqa: E402
+from run import _blas_threads  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
@@ -38,6 +45,7 @@ def main():
     ap.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
+    print(f"blas_threads={_blas_threads()} numpy={np.__version__}", file=sys.stderr)
     print(json.dumps(digests(args.workload, args.seed), indent=1))
 
 

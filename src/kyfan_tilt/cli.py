@@ -4,8 +4,8 @@ oracle cross-checks), and deterministic JSON report emission.
 
 Exit codes: 0 Stable / membership, 1 Unstable / non-membership, 2
 Inconclusive, 3 input or precondition error.  Reports are byte-identical
-for identical inputs, flags, and seeds (timings are omitted unless
-requested, since they are not reproducible).
+for identical inputs, flags, and seeds at a fixed BLAS thread count
+(timings are omitted unless requested, since they are not reproducible).
 """
 from __future__ import annotations
 
@@ -67,7 +67,7 @@ def _require(d, key, where):
 
 
 def _as_int(v, where, lo=None, hi=None):
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+    if type(v) is not int and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
         raise SchemaError(f"{where}: expected an integer, got {v!r}")
     v = int(v)
     if lo is not None and v < lo:
@@ -84,13 +84,14 @@ def _rotation_samples(v, where, nm):
 
 
 def _as_real(v, where, positive=False):
-    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
-        raise SchemaError(f"{where}: expected a number, got {v!r}")
-    try:
-        v = float(v)
-    except OverflowError:
-        raise SchemaError(f"{where}: must be finite, got an integer beyond the float range") from None
-    if not math.isfinite(v):
+    if type(v) is not float:
+        if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+            raise SchemaError(f"{where}: expected a number, got {v!r}")
+        try:
+            v = float(v)
+        except OverflowError:
+            raise SchemaError(f"{where}: must be finite, got an integer beyond the float range") from None
+    if not v - v == 0.0:  # inf - inf and nan - nan are nan
         raise SchemaError(f"{where}: must be finite, got {v}")
     if positive and v <= 0:
         raise SchemaError(f"{where}: must be positive, got {v}")
@@ -348,7 +349,7 @@ def run_analyze(
 
     report = {
         "problem": _problem_echo(spec),
-        "tolerances": {name: getattr(tols, name) for name in TOLERANCE_NAMES},
+        "tolerances": dict(vars(tols)),
         "certificate": _cert_summary(cert),
         "index_sets": _index_sets(cert),
         "upsilon": {

@@ -25,6 +25,7 @@ numpy values are Python values and non-finite floats are those strings.
 """
 from __future__ import annotations
 
+import math
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -73,8 +74,9 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
         if key not in obj:
             raise SchemaError(f"{where}.{key}: missing")
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    if any(isinstance(v, bool) or not isinstance(v, int) or v < 0 for v in (rows, cols)):
-        raise SchemaError(f"{where}.rows/cols: must be nonnegative integers")
+    for v in (rows, cols):
+        if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)) or v < 0:
+            raise SchemaError(f"{where}.rows/cols: must be nonnegative integers")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise SchemaError(
             f"{where}.data: expected {rows * cols} numbers, got "
@@ -84,7 +86,8 @@ def matrix_from_json(obj, where: str = "matrix") -> np.ndarray:
         flat = np.fromiter(data, dtype=float, count=len(data))
     except (TypeError, ValueError, OverflowError):
         flat = None
-    if flat is None or not np.all(np.isfinite(flat)):
+    # a finite sum has finite terms; an overflowing one is rechecked below
+    if flat is None or not math.isfinite(np.add.reduce(flat)):
         # Entry by entry, for the message: fromiter turns None into nan and
         # reports nested lists and strings in its own words.
         try:
@@ -106,7 +109,7 @@ _NONFINITE = {float("inf"): '"+inf"', float("-inf"): '"-inf"'}
 
 def _float(v, nl):
     if v - v == 0.0:
-        return float.__repr__(v)
+        return f"{v!r}"
     return _NONFINITE.get(v, '"nan"')
 
 
@@ -115,7 +118,7 @@ def _str(v, nl):
 
 
 def _int(v, nl):
-    return int.__repr__(v)
+    return f"{v!r}"
 
 
 def _bool(v, nl):
@@ -130,16 +133,25 @@ def _seq(items, nl):
     if not items:
         return "[]"
     inner = nl + "  "
+    sep = "," + inner
+    if type(items[0]) is float:
+        # one pass: float.__repr__ takes only floats, and only inf and nan
+        # texts have an "n"; any other list takes the per-item writers
+        try:
+            text = sep.join(map(float.__repr__, items))
+        except TypeError:
+            pass
+        else:
+            if "n" not in text:
+                return "[" + inner + text + nl + "]"
     get = _WRITERS.get
-    return "[" + inner + ("," + inner).join(
-        [get(type(v), _other)(v, inner) for v in items]
-    ) + nl + "]"
+    return "[" + inner + sep.join([get(type(v), _other)(v, inner) for v in items]) + nl + "]"
 
 
 def _dict(x, nl):
     if not x:
         return "{}"
-    if any(type(k) is not str for k in x):
+    if set(map(type, x)) != {str}:
         x = {str(k): v for k, v in x.items()}
     inner = nl + "  "
     get = _WRITERS.get

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .spectral import skew, sym
+from .spectral import fro_norm, skew, sym
 from .subgrad import INTERIOR_GROUP, SubgradCertificate
 
 __all__ = [
@@ -143,7 +143,7 @@ def critical_cone_membership(
     tols.cone * (1 + ||G||_F).
     """
     G = np.asarray(G, dtype=float)
-    tol = tols.cone * (1.0 + float(np.linalg.norm(G)))
+    tol = tols.cone * (1.0 + fro_norm(G))
     pair = cert.pair
     H = pair.U.T @ G @ pair.V
     case = fine_case(cert)
@@ -154,16 +154,16 @@ def critical_cone_membership(
     if case == INTERIOR_GROUP:
         S = sym(H[np.ix_(beta, beta)])
         res["cross"] = float(
-            np.linalg.norm(S[np.ix_(i1, ip)])
-            + np.linalg.norm(S[np.ix_(i1, i0)])
-            + np.linalg.norm(S[np.ix_(ip, i0)])
+            fro_norm(S[np.ix_(i1, ip)])
+            + fro_norm(S[np.ix_(i1, i0)])
+            + fro_norm(S[np.ix_(ip, i0)])
         )
     else:
         # zero-group cases: constraints act on whole rows [H_bb, H_bc]
         S = np.hstack([H[np.ix_(beta, beta)], H[beta, pair.n :]])
         ic = list(range(len(beta), S.shape[1]))
         S1 = S[np.ix_(i1, i1)]
-        res["beta1_sym"] = float(np.linalg.norm(skew(S1))) if S1.size else 0.0
+        res["beta1_sym"] = fro_norm(skew(S1)) if S1.size else 0.0
         free = [(i1, i1)]
         if case == ZERO_GROUP_TIGHT:
             free += [(ip, ip), (i0, i0), (i0, ic)]
@@ -171,7 +171,7 @@ def critical_cone_membership(
         for rows, cols in free:
             if rows and cols:
                 mask[np.ix_(rows, cols)] = False
-        res["off_pattern"] = float(np.linalg.norm(S[mask])) if S.size else 0.0
+        res["off_pattern"] = fro_norm(S[mask]) if S.size else 0.0
         if case == ZERO_GROUP_STRICT:
             res["beta1_psd"] = max(0.0, -_lam_min(S1))
             member = all(v <= tol for v in res.values())
@@ -182,7 +182,7 @@ def critical_cone_membership(
     )
     if varpi is not None:
         Spp = S[np.ix_(ip, ip)]
-        res["scalar_block"] = float(np.linalg.norm(Spp - varpi * np.eye(len(ip))))
+        res["scalar_block"] = fro_norm(Spp - varpi * np.eye(len(ip)))
         sandwich_ok = lower - tol <= varpi <= upper + tol
     else:
         res["scalar_block"] = 0.0
@@ -327,7 +327,7 @@ def d2_zero_set_membership(
     Residuals are compared with the cone tolerance.
     """
     G = np.asarray(G, dtype=float)
-    tol = tols.cone * (1.0 + float(np.linalg.norm(G)))
+    tol = tols.cone * (1.0 + fro_norm(G))
     cone = critical_cone_membership(cert, G, tols=tols)
     if not cone.member:
         return False
@@ -338,15 +338,15 @@ def d2_zero_set_membership(
         r_off = 0.0
         if len(A) and len(rest):
             r_off = float(
-                np.linalg.norm(H1[np.ix_(A, rest)]) + np.linalg.norm(H1[np.ix_(rest, A)])
+                fro_norm(H1[np.ix_(A, rest)]) + fro_norm(H1[np.ix_(rest, A)])
             )
-        r_c = float(np.linalg.norm(Hc[A, :])) if len(A) and Hc.size else 0.0
-        r_skew = float(np.linalg.norm(skew(H1[np.ix_(A, A)]))) if len(A) else 0.0
+        r_c = fro_norm(Hc[A, :]) if len(A) and Hc.size else 0.0
+        r_skew = fro_norm(skew(H1[np.ix_(A, A)])) if len(A) else 0.0
         ab1 = np.concatenate([cert.alpha, cert.beta1]).astype(int)
         r_plus = 0.0
         if len(ab1) and len(cert.beta_plus):
             Ssym = sym(H1)
-            r_plus = float(np.linalg.norm(Ssym[np.ix_(ab1, cert.beta_plus)]))
+            r_plus = fro_norm(Ssym[np.ix_(ab1, cert.beta_plus)])
         return max(r_off, r_c, r_skew, r_plus) <= tol
     # zero-group cases
     alpha = cert.alpha
@@ -355,8 +355,8 @@ def d2_zero_set_membership(
     r_off = 0.0
     if len(alpha) and len(bad):
         r_off = float(
-            np.linalg.norm(H1[np.ix_(alpha, bad)]) + np.linalg.norm(H1[np.ix_(bad, alpha)])
+            fro_norm(H1[np.ix_(alpha, bad)]) + fro_norm(H1[np.ix_(bad, alpha)])
         )
-    r_c = float(np.linalg.norm(Hc[alpha, :])) if len(alpha) and Hc.size else 0.0
-    r_skew = float(np.linalg.norm(skew(H1[np.ix_(ab1, ab1)]))) if len(ab1) else 0.0
+    r_c = fro_norm(Hc[alpha, :]) if len(alpha) and Hc.size else 0.0
+    r_skew = fro_norm(skew(H1[np.ix_(ab1, ab1)])) if len(ab1) else 0.0
     return max(r_off, r_c, r_skew) <= tol

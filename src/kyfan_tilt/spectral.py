@@ -8,6 +8,8 @@ square blocks.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 
 import numpy as np
 
@@ -20,18 +22,25 @@ __all__ = [
     "group_singular",
     "sym",
     "skew",
+    "fro_norm",
 ]
 
 
 def sym(A):
     """Symmetric part (A + A^T)/2 for square A, or for each matrix of a
     stack of them (transposing the last two axes)."""
-    return 0.5 * (A + np.swapaxes(A, -1, -2))
+    return 0.5 * (A + A.swapaxes(-1, -2))
 
 
 def skew(A):
     """Skew part (A - A^T)/2 for square A."""
     return 0.5 * (A - A.T)
+
+
+def fro_norm(A) -> float:
+    """||A||_F of a float array as np.linalg.norm rounds it (sqrt of a dot)."""
+    a = A.ravel(order="K")
+    return math.sqrt(a.dot(a))
 
 
 # ---------------------------------------------------------------------------
@@ -68,23 +77,26 @@ class SvdPair:
 
 
 def _signs(A):
-    """+1 or -1 per column of A: the sign of its largest-magnitude entry
-    (first index wins ties; +1 for a zero)."""
-    picked = A[np.abs(A).argmax(axis=0), np.arange(A.shape[1])]
-    return np.where(picked < 0, -1.0, 1.0)
+    """A list of +1.0 or -1.0 per column of A: the sign of its largest-magnitude
+    entry (first index wins ties, as max keeps the first; +1 for a zero)."""
+    return [-1.0 if v < 0 else 1.0 for v in map(functools.partial(max, key=abs), A.T.tolist())]
 
 
 def _fix_signs(U, V):
-    """Flip matched column pairs, in place, so each U column has its
-    largest-magnitude entry positive; the trailing V columns have no U
+    """Flip matched column pairs, in place (when any flips), so each U column
+    has its largest-magnitude entry positive; the trailing V columns have no U
     partner and follow the rule themselves."""
     n = U.shape[1]
     s = _signs(U)
-    U *= s
-    V[:, :n] *= s
+    if -1.0 in s:
+        s = np.array(s)
+        U *= s
+        V[:, :n] *= s
     if len(V) > n:
         T = V[:, n:]
-        T *= _signs(T)
+        t = _signs(T)
+        if -1.0 in t:
+            T *= np.array(t)
 
 
 def svd_ordered(X: np.ndarray) -> SvdPair:
@@ -136,14 +148,6 @@ class SingularGrouping:
             return np.concatenate(self.groups)
         return np.array([], dtype=int)
 
-    def at(self, kappa: int) -> "SingularGrouping":
-        """The same partition with kappa located in it (r and kappa set)."""
-        n = sum(len(g) for g in self.groups) + len(self.b)
-        if not (1 <= kappa <= n):
-            raise ValueError(f"kappa must be in [1, {n}], got {kappa}")
-        return SingularGrouping(nu=self.nu, groups=self.groups, b=self.b, c=self.c,
-                                s=self.s, r=_group_of(self.groups, kappa), kappa=kappa)
-
 
 def _group_of(groups, kappa: int) -> int:
     """1-based index of the group holding position kappa (1-based);
@@ -176,7 +180,7 @@ def group_singular(pair: SvdPair, kappa: int,
     # the trailing run is the zero block iff everything in it is ~0
     zero = sigma[runs[-1][0]] <= group_tol
     b = np.arange(*runs.pop()) if zero else np.array([], dtype=int)
-    nu = np.array([float(pair.sigma[lo:hi].sum()) / (hi - lo) for lo, hi in runs])
+    nu = np.array([float(np.add.reduce(pair.sigma[lo:hi])) / (hi - lo) for lo, hi in runs])
     groups = [np.arange(lo, hi) for lo, hi in runs]
     return SingularGrouping(nu=nu, groups=groups, b=b, c=np.arange(n, m), s=len(groups),
                             r=_group_of(groups, kappa), kappa=kappa)

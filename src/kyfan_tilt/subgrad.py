@@ -16,11 +16,13 @@ value groups of X:
 from __future__ import annotations
 
 import dataclasses
+import math
+from operator import sub
 
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .spectral import SingularGrouping, SvdPair, group_singular, svd_ordered
+from .spectral import SingularGrouping, SvdPair, fro_norm, group_singular, svd_ordered
 
 __all__ = [
     "SubgradCertificate",
@@ -97,7 +99,7 @@ def simultaneous_svd(X: np.ndarray, Gamma: np.ndarray, tols: Tolerances = DEFAUL
     diagonal must be globally nonincreasing.
     """
     X, Gamma, gtol = _operands(X, Gamma, tols)
-    return _simultaneous_pair(X, Gamma, gtol, tols)[0]
+    return _simultaneous_pair(X, Gamma, 1, gtol, tols)[0]
 
 
 def _operands(X, Gamma, tols: Tolerances):
@@ -107,114 +109,112 @@ def _operands(X, Gamma, tols: Tolerances):
     Gamma = np.asarray(Gamma, dtype=float)
     if X.shape != Gamma.shape:
         raise ValueError("X and Gamma must have equal shapes")
-    return X, Gamma, tols.subdiff * max(1.0, float(np.linalg.norm(Gamma)))
+    return X, Gamma, tols.subdiff * max(1.0, fro_norm(Gamma))
 
 
-def _simultaneous_pair(X, Gamma, gtol: float, tols: Tolerances):
+def _simultaneous_pair(X, Gamma, kappa: int, gtol: float, tols: Tolerances):
     """simultaneous_svd's (pair or None), with the grouping of X's singular
-    values that built it (located at kappa = 1)."""
+    values that built it, located at kappa."""
     pair = svd_ordered(X)
     n, m = pair.n, pair.m
-    grouping = group_singular(pair, kappa=1, tols=tols)
+    grouping = group_singular(pair, kappa, tols=tols)
     U = pair.U.copy()
     V = pair.V.copy()
     K = U.T @ Gamma @ V  # n x m
-    d = np.full(n, np.nan)
-    # positive groups (runs of consecutive indices): common rotation, block
-    # must be symmetric PSD.  A 1 x 1 block is its own eigenvalue, with
-    # eigenvector 1.  The column blocks are rotated in Fortran order, the
-    # layout in which BLAS has always rounded these products
+    d = np.empty(n)  # every position is set below, by its group or the zero block
+    # positive groups (runs of consecutive indices from 0): common rotation,
+    # block must be symmetric PSD.  A 1 x 1 block is its own eigenvalue,
+    # with eigenvector 1.  The column blocks are rotated in Fortran order,
+    # the layout in which BLAS has always rounded these products
+    hi = 0
     for g in grouping.groups:
-        g = slice(g[0], g[-1] + 1)
-        B = K[g, g]
-        if B.shape == (1, 1):
+        lo, hi = hi, hi + len(g)
+        B = K[lo:hi, lo:hi]
+        if hi - lo == 1:
             w = B[0]
         else:
-            if np.linalg.norm(B - B.T) > gtol:
+            if fro_norm(B - B.T) > gtol:
                 return None, grouping
             w, R = np.linalg.eigh(0.5 * (B + B.T))
             w = w[::-1]
             R = R[:, ::-1]
-            U[:, g] = np.asfortranarray(U[:, g]) @ R
-            V[:, g] = np.asfortranarray(V[:, g]) @ R
+            U[:, lo:hi] = np.asfortranarray(U[:, lo:hi]) @ R
+            V[:, lo:hi] = np.asfortranarray(V[:, lo:hi]) @ R
         if w[-1] < -gtol:
             return None, grouping
-        d[g] = w
+        d[lo:hi] = w
     np.maximum(d, 0.0, out=d)  # the groups' eigenvalues clipped at 0
     # zero block of X (the trailing rows b): independent rotations over rows
     # b and columns b + c, the trailing columns
-    b = grouping.b
-    if len(b):
-        b, cols = slice(b[0], n), slice(b[0], m)
+    if len(grouping.b):
+        b, cols = slice(hi, n), slice(hi, m)
         L, s, Rt = np.linalg.svd(K[b, cols], full_matrices=True)
         U[:, b] = np.asfortranarray(U[:, b]) @ L
         V[:, cols] = np.asfortranarray(V[:, cols]) @ Rt.T
-        d[b] = s[: n - b.start]
+        d[b] = s[: n - hi]
     # all coupling blocks must vanish (recheck on the rotated pair): K2 - D
     # with D = [Diag(d) 0], formed in place
     K2 = U.T @ Gamma @ V
     K2.flat[:: m + 1] -= d
-    if np.linalg.norm(K2) > 10 * gtol * max(1.0, np.sqrt(n)):
+    if fro_norm(K2) > 10 * gtol * max(1.0, math.sqrt(n)):
         return None, grouping
-    # global ordering across groups
+    # global ordering across groups: no value rises above its predecessor
     d = d.tolist()
-    if any(y - x > gtol for x, y in zip(d, d[1:])):
+    if n > 1 and max(map(sub, d[1:], d)) > gtol:
         return None, grouping
     out = SvdPair(U=U, V=V, sigma=pair.sigma)
-    if np.linalg.norm(out.reconstruct() - X) > tols.subdiff * max(1.0, np.linalg.norm(X)) * 10:
+    if fro_norm(out.reconstruct() - X) > tols.subdiff * max(1.0, fro_norm(X)) * 10:
         return None, grouping
     return out, grouping
 
 
 def _classify_beta(vals, beta, sigma_class):
-    """Split beta by vals[i] (vals: a list of floats) into beta1 (= 1),
-    beta_plus (in (0, 1)) and beta0 (= 0) at the classification tolerance,
-    with a warning for each value within 10x of a boundary."""
+    """Split beta by vals[i] (vals: a list of floats, clamped in place to 1
+    or 0 there) into index lists beta1 (= 1), beta_plus (in (0, 1)) and beta0
+    (= 0) at the classification tolerance, with a warning for each value
+    within 10x of a boundary."""
     beta1, beta_plus, beta0, warn = [], [], [], []
     for i in beta:
         v = vals[i]
         if v >= 1 - sigma_class:
             beta1.append(i)
+            vals[i] = 1.0
         elif v <= sigma_class:
             beta0.append(i)
+            vals[i] = 0.0
         else:
             beta_plus.append(i)
         if sigma_class < abs(v) <= 10 * sigma_class or sigma_class < abs(v - 1) <= 10 * sigma_class:
             warn.append(
                 f"sigma_{i}(Gamma)={v:.3e} is within 10x of the {0 if abs(v) < 0.5 else 1} boundary"
             )
-    return (
-        np.array(beta1, dtype=int),
-        np.array(beta_plus, dtype=int),
-        np.array(beta0, dtype=int),
-        warn,
-    )
+    return beta1, beta_plus, beta0, warn
 
 
 def _zeta_groups(vals, beta1, beta_plus, sigma_class):
     """Distinct nonzero subgradient values on beta, descending, with their
     index groups (beta1 first when present, clamped to exactly 1).  Interior
-    values chain transitively at the classification tolerance."""
-    zeta, beta_js = [], []
-    if len(beta1):
+    values chain transitively at the classification tolerance (vals: a list)."""
+    zeta, groups = [], []
+    if beta1:
         zeta.append(1.0)
-        beta_js.append(np.asarray(beta1, dtype=int))
-    rest = [(float(vals[i]), int(i)) for i in beta_plus]
-    rest.sort(key=lambda t: (-t[0], t[1]))
+        groups.append(beta1)
     n_fixed = len(zeta)  # interior values never join the clamped 1-group
     prev = None
-    for v, i in rest:
+    # descending value, ties in index order (the sort is stable)
+    for i in sorted(beta_plus, key=vals.__getitem__, reverse=True):
+        v = vals[i]
         if prev is not None and abs(v - prev) <= sigma_class:
-            beta_js[-1] = np.append(beta_js[-1], i)
+            groups[-1].append(i)
         else:
             zeta.append(v)
-            beta_js.append(np.array([i], dtype=int))
+            groups.append([i])
         prev = v
     # representative = mean over the group (except the clamped 1-group),
     # rounded as np.mean rounds it
     for j in range(n_fixed, len(zeta)):
-        zeta[j] = float(vals[beta_js[j]].sum()) / len(beta_js[j])
-    return np.array(zeta), beta_js
+        zeta[j] = float(np.add.reduce(np.array([vals[i] for i in groups[j]]))) / len(groups[j])
+    return np.array(zeta), [np.array(g, dtype=int) for g in groups]
 
 
 def subdiff_membership(
@@ -235,15 +235,14 @@ def subdiff_membership(
         return ok, cert
 
     X, Gamma, gtol = _operands(X, Gamma, tols)
-    pair, grouping = _simultaneous_pair(X, Gamma, gtol, tols)
+    # pair has X's singular values, so their partition is the one that built it
+    pair, grouping = _simultaneous_pair(X, Gamma, kappa, gtol, tols)
     if pair is None:
         return out(False, None, "no simultaneous ordered SVD pair exists")
-    # pair has X's singular values, so their partition is the one that
-    # built it; only kappa moves
-    grouping = grouping.at(kappa)
     U, V = pair.U, pair.V
-    vals = np.array([float(U[:, i] @ Gamma @ V[:, i]) for i in range(pair.n)])
     r, s, n = grouping.r, grouping.s, pair.n
+    # U[:, i] @ Gamma @ V[:, i] stacked: the same gemv and dot per slice
+    vals = (U.T[:, None, :] @ Gamma @ V.T[:n, :, None]).ravel().tolist()
     sum_tol = tols.sum_rel * kappa
     # the index sets are runs of consecutive positions: alpha = [0, lo),
     # beta = [lo, hi), gamma = [hi, n)
@@ -256,29 +255,29 @@ def subdiff_membership(
     alpha, beta, gamma_idx = np.arange(lo), np.arange(lo, hi), np.arange(hi, n)
     kappa0 = lo
     tol = max(gtol, tols.sigma_class)
-    if np.any(np.abs(vals[:lo] - 1.0) > tol):
+    # |v - 1| > tol for some v iff it holds at the largest or the smallest
+    head, crit, tail = vals[:lo], vals[lo:hi], vals[hi:]
+    if head and (max(head) - 1.0 > tol or 1.0 - min(head) > tol):
         return out(False, None, "a leading subgradient singular value differs from 1")
-    vals_beta = vals[lo:hi]
-    if hi > lo and (vals_beta.min() < -tol or vals_beta.max() > 1 + tol):
+    if crit and (min(crit) < -tol or max(crit) > 1 + tol):
         return out(False, None, "a critical-block subgradient singular value leaves [0, 1]")
-    if hi < n and np.abs(vals[hi:]).max() > tol:
+    if tail and max(map(abs, tail)) > tol:
         return out(False, None, "a trailing subgradient singular value is nonzero")
-    beta_sum = float(vals_beta.sum())
+    beta_sum = float(np.add.reduce(np.array(crit)))
     if case == INTERIOR_GROUP:
         if abs(beta_sum - (kappa - kappa0)) > sum_tol:
             return out(False, None, "critical-block singular values do not sum to kappa - kappa0")
     else:
         if beta_sum > (kappa - kappa0) + sum_tol:
             return out(False, None, "critical-block singular values exceed kappa - kappa0")
-    vals[:lo] = 1.0
-    vals[hi:] = 0.0
-    beta1, beta_plus, beta0, warn = _classify_beta(vals.tolist(), range(lo, hi), tols.sigma_class)
-    vals[beta1] = 1.0
-    vals[beta0] = 0.0
+    beta1, beta_plus, beta0, warn = _classify_beta(vals, range(lo, hi), tols.sigma_class)
     zeta, beta_js = _zeta_groups(vals, beta1, beta_plus, tols.sigma_class)
+    vals[:lo] = [1.0] * lo
+    vals[hi:] = [0.0] * (n - hi)
+    vals = np.array(vals)
     # the critical block's values after the clamps to 1 and 0 above
     tight = case == INTERIOR_GROUP or (
-        abs(float(vals[lo:hi].sum()) - (kappa - kappa0)) <= tols.sum_rel * max(1, kappa)
+        abs(float(np.add.reduce(vals[lo:hi])) - (kappa - kappa0)) <= tols.sum_rel * max(1, kappa)
     )
     cert = SubgradCertificate(
         case=case,
@@ -288,9 +287,9 @@ def subdiff_membership(
         alpha=alpha,
         beta=beta,
         gamma=gamma_idx,
-        beta1=beta1,
-        beta_plus=beta_plus,
-        beta0=beta0,
+        beta1=np.array(beta1, dtype=int),
+        beta_plus=np.array(beta_plus, dtype=int),
+        beta0=np.array(beta0, dtype=int),
         zeta=zeta,
         beta_js=beta_js,
         pair=pair,

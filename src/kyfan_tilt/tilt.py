@@ -47,7 +47,7 @@ import numpy as np
 from .config import DEFAULT_TOLS, Tolerances
 from .io import unvec, vec
 from .secder import ZERO_GROUP_STRICT, ZERO_GROUP_TIGHT, fine_case, sandwich
-from .spectral import SvdPair, sym
+from .spectral import SvdPair, fro_norm, sym
 from .subgrad import INTERIOR_GROUP, SubgradCertificate, subdiff_membership
 
 __all__ = [
@@ -104,18 +104,18 @@ class QuadraticTheta:
     def hessian(self):
         return np.asarray(self.Q, dtype=float)
 
-    def check_hessian(self, nm: int, tols: Tolerances):
-        """Q must be symmetric PSD nm x nm.  One pass over square tiles sums
-        ||Q - Q^T||_F and writes S = sym(Q) + psd_rel * max(1, ||Q||_F) * I
-        as its lower block columns only, for K = ceil(nm / _TILE) blocks of
-        even width.  PSD is their block Cholesky factorization in place
-        (_block_cholesky_ok), so besides Q about nm^2 / 2 + nm * _TILE / 2
-        floats are held.  The eigenvalues are computed only on failure, for
+    def check_hessian(self, nm: int, tols: Tolerances, bound: float):
+        """Q must be symmetric PSD nm x nm (bound: hessian_bound()).  One pass
+        over square tiles sums ||Q - Q^T||_F and writes S = sym(Q) + psd_rel *
+        max(1, ||Q||_F) * I as its lower block columns only, for K = ceil(nm /
+        _TILE) blocks of even width.  PSD is their block Cholesky factorization
+        in place (_block_cholesky_ok), so besides Q about nm^2 / 2 + nm * _TILE
+        / 2 floats are held.  The eigenvalues are computed only on failure, for
         the lambda_min of the message, after the columns are dropped."""
         Q = self.hessian()
         if Q.shape != (nm, nm):
             raise ValueError(f"Hessian must be {nm} x {nm}, got {Q.shape}")
-        hscale = max(1.0, self.hessian_bound())
+        hscale = max(1.0, bound)
         shift = tols.psd_rel * hscale
         K = -(-nm // _TILE)
         e = [k * nm // K for k in range(K + 1)]
@@ -144,7 +144,7 @@ class QuadraticTheta:
 
     def hessian_bound(self) -> float:
         """||Q||_F, an upper bound on lambda_max(Q)."""
-        return float(np.linalg.norm(self.Q))
+        return fro_norm(self.hessian())
 
     def restricted_hessian(self, hull: HullBlocks):
         """sym(B^T Q B), a band of Q's rows at a time: the rows of matrix
@@ -179,7 +179,7 @@ class LeastSquaresTheta:
     def hessian(self):
         return self.A.T @ self.A
 
-    def check_hessian(self, nm: int, tols: Tolerances):
+    def check_hessian(self, nm: int, tols: Tolerances, bound: float):
         """A^T A is symmetric PSD by construction; only the shape of A is
         checked."""
         if self.A.ndim != 2 or self.A.shape[1] != nm:
@@ -187,7 +187,7 @@ class LeastSquaresTheta:
 
     def hessian_bound(self) -> float:
         """||A||_F^2, an upper bound on lambda_max(A^T A) = ||A||_2^2."""
-        return float(np.linalg.norm(self.A)) ** 2
+        return fro_norm(np.asarray(self.A, dtype=float)) ** 2
 
     def restricted_hessian(self, hull: HullBlocks):
         """B^T A^T A B, as the sum of (A_k B)^T (A_k B) over bands A_k of
@@ -259,7 +259,7 @@ def stationarity_gap(X, Gamma, kappa, tols: Tolerances = DEFAULT_TOLS) -> float:
         target[beta] = clipped
     off = K.copy()
     off[np.arange(pair.n), np.arange(pair.n)] = 0.0
-    return float(np.sqrt(np.linalg.norm(off) ** 2 + np.linalg.norm(h - target) ** 2))
+    return math.sqrt(fro_norm(off) ** 2 + fro_norm(h - target) ** 2)
 
 
 @dataclasses.dataclass
@@ -291,6 +291,11 @@ class ProblemSpec:
     def gamma_bar(self) -> np.ndarray:
         return -self.nu * self.grad_theta(self.Xbar)
 
+    @functools.cached_property
+    def hessian_bound(self) -> float:
+        """theta.hessian_bound(), once per spec: for the PSD check and the cutoff."""
+        return self.theta.hessian_bound()
+
     def validate(self, tols: Tolerances = DEFAULT_TOLS) -> SubgradCertificate:
         """Check shapes, PSD Hessian, and stationarity; return the
         subgradient certificate for (Xbar, Gamma_bar)."""
@@ -302,7 +307,7 @@ class ProblemSpec:
             raise ValueError(f"nu must be positive, got {self.nu}")
         if not (1 <= self.kappa <= n):
             raise ValueError(f"kappa must be in [1, {n}], got {self.kappa}")
-        self.theta.check_hessian(n * m, tols)
+        self.theta.check_hessian(n * m, tols, self.hessian_bound)
         Gamma = self.gamma_bar()
         ok, cert, why = subdiff_membership(
             X, Gamma, self.kappa, tols=tols, with_diagnostics=True
@@ -443,7 +448,7 @@ class HullBlocks:
         if len(bp):
             D[bp, bp] -= D[bp, bp].mean()
         D[self.rows[:, None], self.cols] = 0.0
-        return float(np.linalg.norm(D))
+        return fro_norm(D)
 
 
 @dataclasses.dataclass
@@ -621,10 +626,11 @@ _SUB_FLOATS = 1 << 16
 _TILE = 256
 # inverse iteration for a lone kernel vector of the restricted Hessian
 # (_lone_kernel_vector): the smallest relative eigenvalue gap it takes, its
-# shift below lambda_min as a share of the gap, and the seed of its start
+# shift below lambda_min as a share of the gap, its start's seed, its steps
 _INVIT_GAP_REL = 1e-6
 _INVIT_SHIFT_REL = 1e-8
 _INVIT_SEED = 0
+_INVIT_STEPS = 4
 # up to this side the lone kernel vector comes from eigh instead: there the
 # LAPACK call costs less than the Python steps of inverse iteration (eigh
 # 31 against 34 us at side 16, 37 against 36 us at side 17, timeit minima
@@ -686,15 +692,18 @@ def _lone_kernel_vector(R, lam):
     eigenvalue lam[0] (lam: R's eigenvalues, ascending), as a (d, 1) array,
     or None where the shortcut does not apply.
 
-    With a clear gap, lam[1] - lam[0] > _INVIT_GAP_REL * max|lam|, it takes
-    two steps of inverse iteration y <- (R - sigma I)^-1 y, by the inverse
-    of the Cholesky factor, from a fixed Gaussian start, with sigma =
-    lam[0] - max(_INVIT_SHIFT_REL * gap, 4 d eps max|lam|): each step
-    shrinks every other eigencomponent by (lam[0] - sigma) / (lam[j] -
-    sigma) <= max(_INVIT_SHIFT_REL, 4 d eps / _INVIT_GAP_REL).  The vector is
-    kept only if ||R y - lam[0] y|| <= d eps max|lam|.  None on a narrow gap
-    or a failed factorization or residual check.  R's diagonal is shifted in
-    place and restored.  Meant for d > _EIGH_MAX_SIDE (d >= 2)."""
+    With a clear gap, lam[1] - lam[0] > _INVIT_GAP_REL * max|lam|, it runs
+    inverse iteration y <- (R - sigma I)^-1 y, by the inverse of the
+    Cholesky factor, from a fixed Gaussian start, with sigma = lam[0] -
+    max(_INVIT_SHIFT_REL * gap, 4 d eps max|lam|): each step shrinks every
+    other eigencomponent by (lam[0] - sigma) / (lam[j] - sigma) <=
+    max(_INVIT_SHIFT_REL, 4 d eps / _INVIT_GAP_REL).  After step 2 and each
+    later one (a start with a small kernel part needs more, up to
+    _INVIT_STEPS), y is kept once ||R y - lam[0] y|| <= d eps (max|lam| +
+    ||R||_F): d eps ||R||_F bounds the rounding of the residual itself, as
+    |fl(R y) - R y| <= gamma_d |R| |y| entrywise, gamma_d < d eps.  None on a
+    narrow gap, a failed factorization or a residual above the bound.  R's
+    diagonal is shifted in place and restored.  For d > _EIGH_MAX_SIDE."""
     d = len(R)
     eps = np.finfo(float).eps
     scale = max(abs(lam[0]), abs(lam[-1]))
@@ -711,12 +720,12 @@ def _lone_kernel_vector(R, lam):
     finally:
         R.flat[:: d + 1] = diag
     y = _invit_start(d)
-    for _ in range(2):
+    for step in range(_INVIT_STEPS):
         y = Li.T @ (Li @ y)
-        y /= np.linalg.norm(y)
-    if not np.linalg.norm(R @ y - lam[0] * y) <= d * eps * scale:
-        return None
-    return y[:, None]
+        y /= fro_norm(y)
+        if step and fro_norm(R @ y - lam[0] * y) <= d * eps * (scale + fro_norm(R)):
+            return y[:, None]
+    return None
 
 
 def _restricted_kernel(R, cutoff: float):
@@ -865,7 +874,7 @@ def _search_witness(ups, N, rng, tols: Tolerances):
     diagnostics = {"starts_used": ran, "margin_evals": int(evals[:ran].sum()), "best_margin": margin}
     if margin >= -tols.margin:
         W = unvec(N @ best_c[i], n, m)
-        W /= np.linalg.norm(W)
+        W /= fro_norm(W)
         return W, diagnostics
     return None, diagnostics
 
@@ -889,7 +898,7 @@ def tilt_check(
     if ups is None:
         ups = build_upsilon(spec, tols=tols)
     theta = spec.theta
-    cutoff = max(tols.kernel_rel * theta.hessian_bound(), tols.kernel_floor)
+    cutoff = max(tols.kernel_rel * spec.hessian_bound, tols.kernel_floor)
     N, lam_min = _kernel_in_hull(theta, ups.hull, cutoff)
     base_cert = {
         "hull_dim": ups.hull.dim,
@@ -906,7 +915,7 @@ def tilt_check(
 
     def unstable(W, round_):
         res = upsilon_residuals(ups, W)
-        kres = float(np.linalg.norm(theta.hessian_times(vec(W))))
+        kres = fro_norm(theta.hessian_times(vec(W)))
         return TiltVerdict(
             UNSTABLE,
             {**base_cert, "witness_residuals": res, "kernel_residual": kres, "variant": round_},
@@ -919,9 +928,9 @@ def tilt_check(
         # kernel step returns
         w = (N * N[int(np.argmax((N * N).sum(axis=1)))]).sum(axis=1)
         W = unvec(w, spec.n, spec.m)
-        W /= np.linalg.norm(W)
+        W /= fro_norm(W)
         return unstable(W, 0)
-    rng_rot = np.random.default_rng(options.seed)
+    rng_rot = np.random.default_rng(options.seed) if options.rotation_samples else None
     rng = np.random.default_rng(options.seed + 1)
     rounds = 1 + options.rotation_samples
     best, best_round = -math.inf, 0

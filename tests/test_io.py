@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -159,9 +159,21 @@ _arrays = arrays(
     st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
     array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=3),
 )
+# lists that start with a plain float, as report lists of floats do: long
+# ones with the non-finite values and -0.0 among them, and ones that mix in
+# numpy floats, ints and bools further on
+_plain_floats = st.floats(allow_nan=False, allow_infinity=False)
+_float_lists = st.lists(_plain_floats | st.sampled_from([0.0, -0.0]), min_size=1, max_size=40)
+_nonfinite_lists = st.tuples(_float_lists, st.lists(_floats, min_size=1, max_size=20)).map(
+    lambda t: t[0] + t[1]
+)
+_mixed_lists = st.tuples(
+    _plain_floats,
+    st.lists(_plain_floats | _floats.map(np.float64) | st.integers() | st.booleans(), max_size=12),
+).map(lambda t: [t[0], *t[1]])
 _keys = _texts | st.integers(min_value=-5, max_value=12)
 _values = st.recursive(
-    _scalars | _arrays,
+    _scalars | _arrays | _float_lists | _nonfinite_lists | _mixed_lists,
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
@@ -173,6 +185,13 @@ _values = st.recursive(
 
 @settings(max_examples=300, deadline=None)
 @given(_values)
+# each branch of the list writer: the one-pass text of plain finite floats,
+# and the per-item writers after an infinite or nan value, a value of
+# another type, or a first value that is not a plain float
+@example([0.5, -0.0, 1e300, 5e-324])
+@example({"k": (0.5, math.inf, 2.0), "j": [-math.inf, 0.5], "i": [0.5, math.nan]})
+@example([0.5, np.float64(0.25), np.float64(-0.0), [0.5, np.float64(math.nan)]])
+@example([[0.5, 2, -3], [0.5, True], [0.5, "n", None, [1.5]], [np.float64(0.5), 1.5], [1, 0.5]])
 def test_canonical_dumps_matches_the_json_module(obj):
     assert canonical_dumps(obj) == _reference_dumps(obj)
 

@@ -6,9 +6,11 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from kyfan_tilt.cli import run_analyze
@@ -54,11 +56,16 @@ def test_make_demo_problems_gives_the_committed_verdicts(tmp_path):
 
 def test_report_digests_on_degenerate():
     # every operation of the degenerate workload at seed 1 with its exit code
-    # and report digest, the same in two runs
+    # and report digest, the same in two runs; standard error names the BLAS
+    # thread count and the numpy version the digests were taken with
     runs = []
     for _ in range(2):
         proc = run_script("report_digests.py", "--workload", "degenerate", "--seed", "1")
         assert proc.returncode == 0, proc.stderr
+        lines = [ln for ln in proc.stderr.splitlines() if ln.startswith("blas_threads=")]
+        assert len(lines) == 1, proc.stderr
+        found = re.fullmatch(r"blas_threads=(\d+|None) numpy=(\S+)", lines[0])
+        assert found and found.group(2) == np.__version__, lines[0]
         runs.append(json.loads(proc.stdout))
     assert runs[0] == runs[1]
     assert len(runs[0]) == 51

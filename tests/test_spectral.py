@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from kyfan_tilt.spectral import group_singular, svd_ordered
+from kyfan_tilt.spectral import fro_norm, group_singular, svd_ordered
 from reference import bmap, build_frame
 
 seeds = st.integers(0, 2**31 - 1)
@@ -110,3 +111,39 @@ def test_frame_square_zero_matrix():
     assert np.allclose(frame.eigenvalues, 0.0)
     assert np.linalg.norm(frame.P.T @ frame.P - np.eye(6)) <= 1e-10
 
+
+
+def _laid_out(A, layout):
+    """A copy of A's values in the given memory layout."""
+    if layout == "F":
+        return np.asfortranarray(A)
+    if layout == "strided":
+        # every other element of a larger array, along every axis
+        big = np.zeros(tuple(2 * k + 1 for k in A.shape))
+        view = (slice(1, None, 2),) * A.ndim
+        big[view] = A
+        return big[view]
+    if layout == "reversed":
+        return A[(slice(None, None, -1),) * A.ndim]
+    return np.ascontiguousarray(A)
+
+
+_shapes = array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=16)
+# Gaussian values of one scale, where the order of the sum shows in the last
+# bit, at scales from subnormal squares to overflowing ones; and Hypothesis's
+# own edge values
+_norm_arrays = st.tuples(_shapes, seeds, st.sampled_from([-320.0, -160.0, 0.0, 100.0, 160.0])).map(
+    lambda t: np.random.default_rng(t[1]).standard_normal(t[0]) * 10.0 ** t[2]
+) | arrays(np.float64, _shapes, elements=st.floats(allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_norm_arrays, st.sampled_from(["C", "F", "strided", "reversed"]))
+def test_fro_norm_equals_numpy_norm_bitwise(A, layout):
+    # C-ordered, Fortran-ordered, strided and reversed float arrays, 1-D and
+    # 2-D, empty ones among them
+    A = _laid_out(A, layout)
+    with np.errstate(over="ignore"):  # both overflow to inf alike
+        got, want = fro_norm(A), np.linalg.norm(A)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == want.tobytes()

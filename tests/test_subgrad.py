@@ -98,6 +98,13 @@ def test_membership_true_on_constructed_members(seed, case):
     assert all(np.array_equal(a, b) for a, b in zip(got.groups, fresh.groups))
     for name in ("b", "c"):
         assert np.array_equal(getattr(got, name), getattr(fresh, name)), name
+    # the subgradient's values on the pair, taken as one stacked product:
+    # on beta_plus each is U[:, i] @ Gamma @ V[:, i] alone, bit for bit, and
+    # every other one is clamped to 0 or 1
+    U, V = cert.pair.U, cert.pair.V
+    alone = [float(U[:, i] @ Gamma @ V[:, i]) for i in range(cert.pair.n)]
+    for i, v in enumerate(cert.sigma_gamma_vals.tolist()):
+        assert v == alone[i] if i in cert.beta_plus else v in (0.0, 1.0), i
     assert (got.s, got.r, got.kappa) == (fresh.s, fresh.r, fresh.kappa)
 
 

@@ -617,6 +617,20 @@ def test_kernel_step_on_both_sides_of_the_eigh_side(monkeypatch):
             assert np.linalg.norm(R @ y - lam_min * y) <= d * eps * scale, (d, gap)
 
 
+def test_lone_kernel_vector_keeps_clean_kernels():
+    # planted exact one-dimensional kernels with gap 1, 300 per side: inverse
+    # iteration keeps every vector (its bound covers the rounding of the
+    # residual itself, and a start with a small kernel component takes more
+    # steps), and each spans eigh's line
+    rng = np.random.default_rng(0)
+    for d in (17, 30, 120):
+        for _ in range(300):
+            R = _planted_psd(rng, d, 1, 1.0)
+            y = tilt._lone_kernel_vector(R, np.linalg.eigvalsh(R))
+            assert y is not None, d
+            assert abs(y[:, 0] @ np.linalg.eigh(R)[1][:, 0]) >= 1 - 1e-12, d
+
+
 def test_verdict_unstable_inexact_case_needs_search():
     W = np.zeros((6, 6))
     W[1, 1] = 1.0
@@ -1030,12 +1044,31 @@ def test_one_hessian_factorization_per_analysis(monkeypatch, name):
     assert _GramCounting.grams == 0
 
 
+@pytest.mark.parametrize("name", sorted(FACTOR_CASES))
+def test_one_hessian_bound_per_analysis(monkeypatch, name):
+    # ||Q||_F (||A||_F^2 for least squares) scales both the PSD check and
+    # the kernel cutoff; an analysis computes it once, for either theta
+    calls = []
+    for cls in (QuadraticTheta, LeastSquaresTheta):
+        def counted(self, _orig=cls.hessian_bound):
+            calls.append(type(self))
+            return _orig(self)
+
+        monkeypatch.setattr(cls, "hessian_bound", counted)
+    problem = FACTOR_CASES[name]()
+    report, code = cli.run_analyze(problem)
+    assert code in (0, 1, 2)
+    want = QuadraticTheta if problem["theta"]["type"] == "quadratic" else LeastSquaresTheta
+    assert calls == [want]
+
+
 # ---------------------------------------------------------------- the PSD and symmetry check
 
 
 def _check_outcome(Q):
     try:
-        QuadraticTheta(Q, np.zeros(len(Q))).check_hessian(len(Q), DEFAULT_TOLS)
+        theta = QuadraticTheta(Q, np.zeros(len(Q)))
+        theta.check_hessian(len(Q), DEFAULT_TOLS, theta.hessian_bound())
     except ValueError as exc:
         return str(exc)
     return None
@@ -1111,7 +1144,7 @@ def test_psd_check_memory_stays_within_budget():
     W = np.linalg.qr(rng.standard_normal((nm, nm // 8)))[0]
     Q = np.eye(nm) - W @ W.T
     theta = QuadraticTheta(Q, np.zeros(nm))
-    peak = _traced_peak(lambda: theta.check_hessian(nm, DEFAULT_TOLS))
+    peak = _traced_peak(lambda: theta.check_hessian(nm, DEFAULT_TOLS, theta.hessian_bound()))
     assert peak <= 1.25 * nm * nm * 8, peak / (nm * nm * 8)
     # the exit-3 path: curvature below -1 along a unit v on the last 200
     # coordinates is met only in the last diagonal block; the columns are
@@ -1123,12 +1156,12 @@ def test_psd_check_memory_stays_within_budget():
     v /= np.linalg.norm(v)
     bad = QuadraticTheta(Q - 2.0 * np.outer(v, v), np.zeros(nm))
     with pytest.raises(ValueError, match=r"must be PSD at Xbar \(lambda_min = -1"):
-        bad.check_hessian(nm, DEFAULT_TOLS)
+        bad.check_hessian(nm, DEFAULT_TOLS, bad.hessian_bound())
     reference = nm * nm * 8 + _traced_peak(lambda: np.linalg.eigvalsh(0.5 * (bad.Q + bad.Q.T)))
 
     def failing():
         with pytest.raises(ValueError):
-            bad.check_hessian(nm, DEFAULT_TOLS)
+            bad.check_hessian(nm, DEFAULT_TOLS, bad.hessian_bound())
 
     peak = _traced_peak(failing)
     assert peak <= 1.25 * nm * nm * 8, peak / (nm * nm * 8)
