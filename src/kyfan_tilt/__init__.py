@@ -13,7 +13,7 @@ from .config import DEFAULT_TOLS, Tolerances
 from .io import SchemaError, canonical_dumps, matrix_from_json, matrix_to_json, unvec, vec
 from .oracle import (
     SolverError,
-    d2_quotient_oracle,
+    d2_envelope_oracle,
     kyfan_matrix_prox,
     kyfan_vector_prox,
     tilt_probe,

@@ -21,9 +21,9 @@ import numpy as np
 from .config import DEFAULT_TOLS, Tolerances
 from .instances import random_incone_direction
 from .io import SchemaError, canonical_dumps, matrix_from_json, matrix_to_json
-from .oracle import SolverError, d2_quotient_oracle, kyfan_matrix_prox, probe_csv, tilt_probe
+from .oracle import SolverError, d2_envelope_oracle, kyfan_matrix_prox, probe_csv, tilt_probe
 from .secder import d2_psi_explicit
-from .subgrad import psi_value, subdiff_membership
+from .subgrad import subdiff_membership
 from .tilt import (
     INCONCLUSIVE,
     STABLE,
@@ -278,27 +278,20 @@ def _error_report(kind, message, **extra):
     return {"error": {"kind": kind, "message": message, **extra}}
 
 
-def _quotient_check(X, Gamma, W, kappa, closed, scale=1.0):
-    """Quotient oracle for d2 Psi_kappa(X | Gamma)(scale * W), W a unit
-    direction (the oracle's ball and tau grid assume one): scale**2 times
-    its value at W, d2 being 2-homogeneous.  Returns (value, divergent,
-    gap) with gap the relative gap to the closed-form value `closed` when
-    both are finite, +inf when exactly one is, 0.0 when both are +inf.
-    psi_value and kyfan_matrix_prox take the oracle's stacks as they are.
-    Glue only: the oracle shares no code with the closed forms."""
-    q = d2_quotient_oracle(
-        lambda Y: psi_value(Y, kappa),
-        X,
-        Gamma,
-        W,
-        prox_fn=lambda Y, t: kyfan_matrix_prox(Y, t, kappa),
+def _quotient_check(X, Gamma, W, kappa, closed):
+    """Envelope oracle for d2 Psi_kappa(X | Gamma)(W), at any W.
+    Returns (value, divergent, gap) with gap the relative gap to the
+    closed-form value `closed` when both are finite, +inf when exactly one
+    is, 0.0 when both are +inf.  kyfan_matrix_prox takes the oracle's stack
+    as it is.  Glue only: the oracle shares no code with the closed forms."""
+    value, divergent = d2_envelope_oracle(
+        X, Gamma, W, prox_fn=lambda Y, t: kyfan_matrix_prox(Y, t, kappa)
     )
-    value = q.value * scale**2
     if math.isfinite(value) and closed.is_finite:
         gap = abs(value - closed.value) / (1 + abs(closed.value))
     else:
         gap = 0.0 if value == closed.value else math.inf
-    return value, q.divergent, gap
+    return value, divergent, gap
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +386,7 @@ def run_analyze(
             W = random_incone_direction(rng, cert)
             norm = np.linalg.norm(W)
             if norm > 0:
-                W = W / norm  # the oracle's ball and tau grid assume a unit direction
+                W = W / norm  # the report checks a unit direction
             Gamma = spec.gamma_bar()
             closed = d2_psi_explicit(cert, W, tols=tols)
             value, divergent, rel = _quotient_check(spec.Xbar, Gamma, W, spec.kappa, closed)
@@ -457,13 +450,10 @@ def run_d2(problem: dict, G, gamma=None, cross_check=False, tol_overrides=None):
     v = d2_psi_explicit(cert, G, tols=tols)
     report = {"value": v.value, "reason": v.reason, "terms": v.terms}
     if cross_check:
-        norm = float(np.linalg.norm(G))
-        if norm == 0:
+        if np.linalg.norm(G) == 0:
             value = divergent = gap = None  # the zero direction checks nothing
         else:
-            value, divergent, gap = _quotient_check(
-                spec.Xbar, Gamma, G / norm, spec.kappa, v, scale=norm
-            )
+            value, divergent, gap = _quotient_check(spec.Xbar, Gamma, G, spec.kappa, v)
         report["cross_check"] = {
             "oracle": value,
             "oracle_divergent": divergent,
@@ -558,7 +548,7 @@ def analyze(ctx, problem_file, out, seed, rotation_samples, cross_check, probe, 
 @click.argument("problem_file", type=str)
 @click.argument("g_file", type=str)
 @click.option("--gamma", "gamma_file", type=str, default=None, help="matrix file overriding Gamma")
-@click.option("--cross-check", is_flag=True, help="attach the quotient oracle's value and its gap")
+@click.option("--cross-check", is_flag=True, help="attach the envelope oracle's value and its gap")
 @click.option("--out", type=str, default=None)
 @click.pass_context
 def d2(ctx, problem_file, g_file, gamma_file, cross_check, out):

@@ -1,10 +1,10 @@
 """Brute-force validators, independent of the closed-form routes.
 
-Three tools: a shrinking-ball difference-quotient oracle for second
-subderivatives, an exact Ky-Fan proximal map (the vector prox from the
-breakpoints of its dual projection, transferred through the SVD), and a
-proximal-gradient tilt probe that solves perturbed problems and estimates
-the solution-map modulus.
+Three tools: a Moreau-envelope oracle for second subderivatives, which reads
+d2 from differences of the proximal map alone, an exact Ky-Fan proximal map
+(the vector prox from the breakpoints of its dual projection, transferred
+through the SVD), and a proximal-gradient tilt probe that solves perturbed
+problems and estimates the solution-map modulus.
 
 Everything here is solver-based on purpose: the library's closed forms are
 validated against these, never the other way round.
@@ -17,8 +17,8 @@ import math
 import numpy as np
 
 __all__ = [
-    "QuotientResult",
-    "d2_quotient_oracle",
+    "prox_differences",
+    "d2_envelope_oracle",
     "kyfan_vector_prox",
     "kyfan_matrix_prox",
     "SolverError",
@@ -29,32 +29,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# epi-quotient oracle
+# Moreau-envelope oracle
 # ---------------------------------------------------------------------------
-
-
-# the quotient oracle's strictly decreasing tau grid; the candidate ball
-# around the base direction has radius _BALL_FACTOR * tau, and
-# _DESCENT_STEPS caps each tau's Davis-Yin descent, which stops earlier at
-# its fixed point.  The oracles read their constants at call time
-_TAU_GRID = tuple(np.geomspace(1e-1, 1e-5, 9))
-_BALL_FACTOR = 2.0
-_DESCENT_STEPS = 200
-
-
-@dataclasses.dataclass
-class QuotientResult:
-    value: float
-    per_tau: list
-    divergent: bool
-
-
-def _norms(D):
-    """Frobenius norm of each matrix of the stack D (k, n, m), rounded as
-    np.linalg.norm rounds one matrix: the square root of a dot of the
-    raveled matrix."""
-    k = len(D)
-    return np.sqrt((D.reshape(k, 1, -1) @ D.reshape(k, -1, 1))[:, 0, 0])
 
 
 def _inner(A, B):
@@ -64,101 +40,72 @@ def _inner(A, B):
     return np.sum(P.reshape(len(P), -1), axis=-1)
 
 
-# stop rule of the quotient oracle's descent (see d2_quotient_oracle); the
-# residual of the tau = 1e-5 ball (radius 2e-10) bottoms out at a few eps*||x||
-_STOP_REL = 1e-6
-_STOP_ULPS = 16.0
-_EPS = float(np.finfo(float).eps)
+def prox_differences(Y, lam, D, *, prox_fn):
+    """prox_fn(Y_i + D_i, lam_i) - prox_fn(Y_i, lam_i) for each row i of the
+    stacks Y and D (k, n, m), with steps lam (k,): one prox_fn call on 2k
+    rows."""
+    k = len(D)
+    P = prox_fn(np.concatenate((Y, Y + D)), np.concatenate((lam, lam)))
+    return P[k:] - P[:k]
 
 
-def _proj_ball(Y, centre, radius):
-    """Projection of each matrix of the stack Y onto the ball of its radius
-    (scalar or one per matrix) around centre."""
-    D = Y - centre
-    nd = _norms(D)
-    out = nd > radius
-    scale = radius / np.where(out, nd, radius)
-    return np.where(out[:, None, None], centre + D * scale[:, None, None], Y)
+def d2_envelope_oracle(x, v, w, *, prox_fn):
+    """Second subderivative d2 Psi(x | v)(w) of a convex Psi, read from the
+    gradient of its Moreau envelope; returns (value, divergent).
 
+    With P the prox of lam*Psi, the envelope's gradient is (Y - P(Y))/lam,
+    and at Y = x + lam*v
 
-def d2_quotient_oracle(value_fn, x, v, w, *, prox_fn) -> QuotientResult:
-    """Shrinking-ball second-order difference quotient of a convex value_fn.
+        h(lam) = <t*w - (P(Y + t*w) - P(Y)), w> / (lam * t)
 
-    For each tau the quotient
+    is its difference quotient along w, which rises to d2 Psi(x | v)(w) as
+    lam and t/lam fall to 0 (Rockafellar & Wets, Variational Analysis,
+    ch. 13; Poliquin & Rockafellar 1996).  It is read at the four steps
+    lam_k = 1e-2 * g * 10**(-k/2), with t_k = 0.1 * lam_k / ||w||, where g
+    is the smallest of x's positive singular values and positive gaps
+    between them (ties below 1e-10 * max(1, s_1)), so that Y keeps x's
+    singular structure.  The value is the Richardson extrapolation to
+    lam = 0 of the first two h(lam_k), h being affine in lam to first
+    order: the rounding error of h grows like 1/lam**2, so the largest
+    steps read d2 best.
 
-        2 * (value_fn(x + tau*w') - value_fn(x) - tau*<v, w'>) / tau**2
+    Outside the domain of d2, lam*h(lam) tends to the squared distance of
+    w to it; inside it falls like lam.  The smallest steps tell the two
+    apart best: the reading is divergent (value +inf) when lam*h,
+    extrapolated to lam = 0 from the last two steps, keeps more than a
+    quarter of its last value, and that value stands above its rounding
+    floor 1e3 * eps * (1 + s_1) * ||w|| / t.
 
-    is minimized over w' in the ball of radius _BALL_FACTOR*tau around w,
-    and the two smallest taus are Richardson-extrapolated.  The shrinking
-    ball is what makes the minimum track the second subderivative instead
-    of collapsing to the global minimizer of the tilted function.
-
-    The per-tau subproblem is the convex program
-
-        min value_fn(Y) - <v, Y>   over  Y in ball(x + tau*w, _BALL_FACTOR*tau**2),
-
-    solved by three-operator (Davis-Yin) splitting from the ball centre,
-    with step _BALL_FACTOR*tau (the radius over tau) and prox_fn(Y, t) ~
-    prox of t*value_fn.  In the coordinates w' = (Y - x)/tau the quotient
-    has O(1) slope and the ball radius _BALL_FACTOR*tau, so that step is a
-    fixed fraction of the ball at every tau.  A tau's descent stops at its
-    fixed point, once the residual ||Yf - Yg|| is at or below
-    max(1e-6 * radius, 16 * eps * ||centre||) (the second term is the
-    rounding floor of the small balls), or after _DESCENT_STEPS steps.  The
-    centre and every iterate are scored through value_fn alone, so a bad
-    prox can only weaken the minimum, never fake agreement.  Nothing is
-    sampled: the result is a function of the inputs.
-
-    Both callables take stacks: value_fn(Y) maps Y of shape (k, n, m) to
-    its k values, and prox_fn(Y, t) maps Y with steps t of shape (k,) to
-    the k proximal points.  The taus run in lockstep, one stack row each:
-    value_fn scores x alone, then the centres, then every Davis-Yin step
-    makes one ball projection, one prox_fn call and one value_fn call
-    over the taus still descending.  A tau leaves the stack when it stops,
-    so each row's result is the one its tau gives alone.
+    prox_fn(Y, t) maps a stack Y (k, n, m) with steps t (k,) to the k
+    proximal points.  It is the only callable, called once on 8 rows, and
+    nothing is sampled.  h is 2-homogeneous in w, since t scales with
+    1/||w||; w = 0 reads (0.0, False).
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
-    h0 = float(np.asarray(value_fn(x[None]), dtype=float)[0])
-    tau = np.array(_TAU_GRID, dtype=float)
-    # squared one scalar at a time: np.float64 ** 2 and the array square
-    # round differently on some values
-    tau2 = np.array([t**2 for t in _TAU_GRID], dtype=float)
-    T = tau[:, None, None]
+    nw = float(np.linalg.norm(w))
+    if nw == 0:
+        return 0.0, False
+    s = np.linalg.svd(x, compute_uv=False)
+    s1 = float(s[0])
+    scales = np.concatenate((s, -np.diff(s)))
+    scales = scales[scales > 1e-10 * max(1.0, s1)]
+    g = float(scales.min()) if scales.size else 1.0
+    lam = 1e-2 * g * 10.0 ** (-np.arange(4) / 2)
+    t = 0.1 * lam / nw
+    T = t[:, None, None]
+    dP = prox_differences(x + lam[:, None, None] * v, lam, T * w, prox_fn=prox_fn)
+    h = _inner(T * w - dP, w) / (lam * t)
 
-    def quotient(rows, wp):
-        lin = _inner(v, wp)
-        val = np.asarray(value_fn(x + T[rows] * wp), dtype=float)
-        return 2.0 * (val - h0 - tau[rows] * lin) / tau2[rows]
+    def at_zero(y, k):  # the line through rows k and k + 1 of (lam, y), read at lam = 0
+        return (lam[k] * y[k + 1] - lam[k + 1] * y[k]) / (lam[k] - lam[k + 1])
 
-    center = x + T * w
-    step = _BALL_FACTOR * tau
-    radius = tau * step
-    stop = np.maximum(_STOP_REL * radius, _STOP_ULPS * _EPS * _norms(center))
-    live = np.arange(len(tau))
-    best = quotient(live, np.broadcast_to(w, center.shape))
-    Z = center
-    for _ in range(_DESCENT_STEPS):
-        Yg = _proj_ball(Z, center[live], radius[live])
-        Yf = prox_fn(2.0 * Yg - Z + step[live, None, None] * v, step[live])
-        Z = Z + Yf - Yg
-        q = quotient(live, (Yg - x) / T[live])
-        best[live] = np.where(q < best[live], q, best[live])
-        going = _norms(Yf - Yg) > stop[live]
-        if not going.all():
-            live, Z = live[going], Z[going]
-            if not live.size:
-                break
-    per_tau = [(float(t), float(q)) for t, q in zip(tau, best)]
-
-    qs = [q for _, q in per_tau]
-    (t2, q2), (t1, q1) = per_tau[-2], per_tau[-1]
-    extrapolated = (t2 * q1 - t1 * q2) / (t2 - t1)
-    tail_increasing = len(qs) >= 3 and qs[-1] > qs[-2] > qs[-3]
-    divergent = tail_increasing and qs[-1] > 50.0 * (1.0 + abs(qs[0]))
-    value = math.inf if divergent else float(extrapolated)
-    return QuotientResult(value=value, per_tau=per_tau, divergent=bool(divergent))
+    a = lam * h
+    floor = 1e3 * np.finfo(float).eps * (1.0 + s1) * nw / t[-1]
+    if at_zero(a, 2) > 0.25 * a[-1] and a[-1] > floor:
+        return math.inf, True
+    return float(at_zero(h, 0)), False
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +213,24 @@ _STOP_TOL = 1e-10
 _DIRECTIONS = 3
 _TILT_MAGNITUDES = (1e-4, 1e-3, 1e-2)
 _LIPSCHITZ_THRESHOLD = 100.0
+
+
+def _norms(D):
+    """Frobenius norm of each matrix of the stack D (k, n, m), rounded as
+    np.linalg.norm rounds one matrix: the square root of a dot of the
+    raveled matrix."""
+    k = len(D)
+    return np.sqrt((D.reshape(k, 1, -1) @ D.reshape(k, -1, 1))[:, 0, 0])
+
+
+def _proj_ball(Y, centre, radius):
+    """Projection of each matrix of the stack Y onto the ball of its radius
+    (scalar or one per matrix) around centre."""
+    D = Y - centre
+    nd = _norms(D)
+    out = nd > radius
+    scale = radius / np.where(out, nd, radius)
+    return np.where(out[:, None, None], centre + D * scale[:, None, None], Y)
 
 
 def _hessian_lmax(spec) -> float:

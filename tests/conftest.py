@@ -26,6 +26,12 @@ from kyfan_tilt.spectral import SvdPair
 from kyfan_tilt.subgrad import INTERIOR_GROUP
 from kyfan_tilt.tilt import ProblemSpec, QuadraticTheta
 
+try:  # the optional QP cross-check of oracle_vector_prox_qp
+    import cvxpy as cp
+except ImportError:
+    cp = None
+QP_CHECK_ACTIVE = cp is not None
+
 
 # ---------------------------------------------------------------------------
 # value oracles
@@ -90,9 +96,7 @@ def oracle_vector_prox_qp(x, t, kappa):
     enumeration, checked against cvxpy's QP solution when cvxpy is
     installed."""
     ref = oracle_vector_prox_enum(x, t, kappa)
-    try:
-        import cvxpy as cp
-    except ImportError:
+    if not QP_CHECK_ACTIVE:
         return ref
     x = np.asarray(x, dtype=float)
     p = cp.Variable(len(x))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    QP_CHECK_ACTIVE,
     dense_hull_basis,
     make_quadratic_spec,
     oracle_vector_prox_qp,
@@ -30,14 +31,14 @@ from kyfan_tilt.instances import (
     random_orthogonal,
 )
 from kyfan_tilt.io import canonical_dumps, matrix_to_json, unvec, vec
-from kyfan_tilt.oracle import d2_quotient_oracle, kyfan_matrix_prox, kyfan_vector_prox, tilt_probe
+from kyfan_tilt.oracle import d2_envelope_oracle, kyfan_matrix_prox, kyfan_vector_prox, tilt_probe
 from kyfan_tilt.secder import (
     critical_cone_membership,
     d2_psi_explicit,
     d2_zero_set_membership,
 )
 from kyfan_tilt.spectral import group_singular, svd_ordered
-from kyfan_tilt.subgrad import psi_value, subdiff_membership
+from kyfan_tilt.subgrad import subdiff_membership
 from kyfan_tilt.tilt import TiltOptions, build_upsilon, tilt_check
 from reference import bmap, build_frame, d2_nuclear, d2_psi_general, d2_spectral
 
@@ -210,18 +211,24 @@ def test_acceptance_05_zero_set(capsys):
 
 
 def _quotient(X, Gamma, W, kappa):
-    return d2_quotient_oracle(
-        lambda Y, k=kappa: psi_value(Y, k),
-        X,
-        Gamma,
-        W,
-        prox_fn=lambda Y, t, k=kappa: kyfan_matrix_prox(Y, t, k),
-    )
+    return d2_envelope_oracle(X, Gamma, W, prox_fn=lambda Y, t: kyfan_matrix_prox(Y, t, kappa))
+
+
+def _near_degenerate(rng, gap, frames):
+    """X = U diag(3, gap, 0) V^T, Gamma = U diag(1, 1, 0) V^T, kappa = 2 and
+    the direction U (E23 + E32)/sqrt(2) V^T, whose d2 is 1/gap, for each of
+    `frames` random orthogonal U, V (the identity when frames is 0)."""
+    E = np.zeros((3, 3))
+    E[1, 2] = E[2, 1] = 1.0 / np.sqrt(2.0)
+    pairs = [(random_orthogonal(rng, 3), random_orthogonal(rng, 3)) for _ in range(frames)]
+    for U, V in pairs or [(np.eye(3), np.eye(3))]:
+        yield U @ np.diag([3.0, gap, 0.0]) @ V.T, U @ np.diag([1.0, 1.0, 0.0]) @ V.T, U @ E @ V.T
 
 
 def test_acceptance_06_quotient_oracle(capsys):
-    """The quotient oracle agrees with the shipped closed form in the cone
-    and reads divergent at unit directions outside it."""
+    """The envelope oracle agrees with the shipped closed form in the cone,
+    on well-separated instances and across singular-value gaps down to
+    1e-6, and reads divergent at unit directions outside the cone."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(606)
     worst, done = 0.0, 0
@@ -235,10 +242,21 @@ def test_acceptance_06_quotient_oracle(capsys):
             continue
         W = W / nw
         closed = d2_psi_explicit(cert, W)
-        res = _quotient(X, Gamma, W, kappa)
-        assert not res.divergent, done
-        worst = max(worst, rel_gap(closed.value, res.value))
+        value, divergent = _quotient(X, Gamma, W, kappa)
+        assert not divergent, done
+        worst = max(worst, rel_gap(closed.value, value))
         done += 1
+    rng = np.random.default_rng(607)
+    worst_gap, near = 0.0, 0
+    for gap in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        for X, Gamma, W in [*_near_degenerate(rng, gap, 0), *_near_degenerate(rng, gap, 20)]:
+            ok, cert = subdiff_membership(X, Gamma, 2)
+            assert ok, gap
+            closed = d2_psi_explicit(cert, W)
+            value, divergent = _quotient(X, Gamma, W, 2)
+            assert not divergent, gap
+            worst_gap = max(worst_gap, rel_gap(closed.value, value))
+            near += 1
     rng = np.random.default_rng(612)
     outside, divergent = 0, 0
     while outside < 30:
@@ -249,13 +267,14 @@ def test_acceptance_06_quotient_oracle(capsys):
         W = W / np.linalg.norm(W)
         if d2_psi_explicit(cert, W).is_finite:
             continue
-        divergent += int(_quotient(X, Gamma, W, kappa).divergent)
+        divergent += int(_quotient(X, Gamma, W, kappa)[1])
         outside += 1
     dt = time.perf_counter() - t0
-    ok = worst <= 1e-2 and divergent == outside and dt < 300.0
+    ok = worst <= 1e-2 and worst_gap <= 1e-2 and divergent == outside and dt < 300.0
     emit(
         capsys, 6, "quotient-oracle-agreement", ok,
-        f"n=100 max_rel={worst:.2e} outside={outside} divergent={divergent} time={dt:.1f}s",
+        f"n=100 max_rel={worst:.2e} near_degenerate={near} max_rel={worst_gap:.2e} "
+        f"outside={outside} divergent={divergent} time={dt:.2f}s",
     )
 
 
@@ -318,10 +337,20 @@ def test_acceptance_08_prox_correctness(capsys):
         mine = kyfan_vector_prox(x, t, kappa)
         ref = oracle_vector_prox_qp(x, t, kappa)
         worst_vec = max(worst_vec, float(np.max(np.abs(mine - ref))))
-    ok = matrix_fail == 0 and worst_vec <= 1e-6
+    # the envelope oracle's small steps: error relative to the step
+    worst_small = 0.0
+    for t in (1e-2, 1e-4, 1e-6, 1e-8):
+        for _ in range(200):
+            d = int(rng.integers(2, 7))
+            kappa = int(rng.integers(1, d + 1))
+            x = rng.standard_normal(d) * rng.uniform(0.5, 4.0)
+            err = np.max(np.abs(kyfan_vector_prox(x, t, kappa) - oracle_vector_prox_qp(x, t, kappa)))
+            worst_small = max(worst_small, float(err) / t)
+    ok = matrix_fail == 0 and worst_vec <= 1e-6 and worst_small <= 1e-6
     emit(
         capsys, 8, "prox-correctness", ok,
-        f"matrix_fail={matrix_fail}/200 vector_max_err={worst_vec:.2e}",
+        f"matrix_fail={matrix_fail}/200 vector_max_err={worst_vec:.2e} "
+        f"small_step_max_err/t={worst_small:.2e} qp={'active' if QP_CHECK_ACTIVE else 'inactive'}",
     )
 
 

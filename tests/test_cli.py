@@ -148,8 +148,7 @@ def test_analyze_cross_check_attaches_quotient(tmp_path, capsys):
 
 @pytest.mark.parametrize("seed", [20, 33])
 def test_analyze_cross_check_uses_unit_direction(tmp_path, capsys, seed):
-    # on these instances the raw in-cone direction (norm 4-5) put the quotient
-    # oracle off by 0.12; the oracle's ball and tau grid assume a unit direction
+    # analyze reports the in-cone draw at unit norm (raw, it has norm 4-5)
     X, Gamma, kappa, _ = random_membership_instance(np.random.default_rng(seed), well_separated=True)
     pf = write_json(tmp_path, "p.json", problem_dict(X, Gamma, kappa))
     code, cap = run(capsys, "analyze", pf, "--cross-check")
@@ -201,8 +200,8 @@ def test_d2_frozen_value(tmp_path, capsys):
 
 
 def test_d2_cross_check_scales_a_long_direction(tmp_path, capsys):
-    # the oracle's ball and tau grid assume a unit direction: taken along
-    # G = 4 W/||W|| itself, its quotient misses the closed form 14.62 by half
+    # G = 4 W/||W||: the oracle's difference t scales with 1/||G||, so a
+    # long direction reads as well as a unit one (the closed form is 14.62)
     rng = np.random.default_rng(0)
     X, Gamma, kappa, _ = random_membership_instance(rng, n=3, case=ZERO_STRICT, well_separated=True)
     ok, cert = subdiff_membership(X, Gamma, kappa)
@@ -240,20 +239,46 @@ def test_d2_outside_cone_reports_infinity(tmp_path, capsys):
     assert cc == {"oracle": "+inf", "oracle_divergent": True, "oracle_rel_gap": 0.0}
 
 
-def test_d2_cross_check_one_sided_divergence_is_an_infinite_gap(tmp_path, capsys):
-    # a finite closed form (1e4) across a 1e-4 singular-value gap: the gap
-    # is +inf exactly when the oracle diverges, whatever the oracle reads
-    X = np.diag([3.0, 1e-4, 0.0])
+def small_gap_files(tmp_path, gap):
+    """X = diag(3, gap, 0), Gamma = diag(1, 1, 0), kappa = 2 and the
+    coupling direction (E23 + E32)/sqrt(2), whose d2 is 1/gap."""
+    X = np.diag([3.0, gap, 0.0])
     pf = write_json(tmp_path, "p.json", problem_dict(X, np.diag([1.0, 1.0, 0.0]), 2))
     G = np.zeros((3, 3))
     G[1, 2] = G[2, 1] = 1.0 / np.sqrt(2.0)
-    gf = write_json(tmp_path, "g.json", matrix_to_json(G))
+    return pf, write_json(tmp_path, "g.json", matrix_to_json(G))
+
+
+def test_d2_cross_check_one_sided_divergence_is_an_infinite_gap(tmp_path, capsys, monkeypatch):
+    # a finite closed form (1e4) across a 1e-4 singular-value gap: the
+    # oracle reads it finite and close; an oracle reading +inf there would
+    # make the gap +inf
+    pf, gf = small_gap_files(tmp_path, 1e-4)
     code, cap = run(capsys, "d2", pf, gf, "--cross-check")
     assert code == 0
     report = json.loads(cap.out)
     assert report["value"] == pytest.approx(1e4, rel=1e-9)
     cc = report["cross_check"]
-    assert (cc["oracle_rel_gap"] == "+inf") == cc["oracle_divergent"]
+    assert cc["oracle_divergent"] is False
+    assert cc["oracle_rel_gap"] <= 1e-2
+    monkeypatch.setattr(cli, "d2_envelope_oracle", lambda *a, **k: (float("inf"), True))
+    code, cap = run(capsys, "d2", pf, gf, "--cross-check")
+    cc = json.loads(cap.out)["cross_check"]
+    assert cc == {"oracle": "+inf", "oracle_divergent": True, "oracle_rel_gap": "+inf"}
+
+
+@pytest.mark.parametrize("gap", [1e-2, 1e-6])
+def test_d2_cross_check_reads_small_gaps(tmp_path, capsys, gap):
+    # the steps of the envelope oracle stay below the smallest gap, so any
+    # gap reads finite (1e-4 is the test above)
+    pf, gf = small_gap_files(tmp_path, gap)
+    code, cap = run(capsys, "d2", pf, gf, "--cross-check")
+    assert code == 0
+    report = json.loads(cap.out)
+    assert report["value"] == pytest.approx(1.0 / gap, rel=1e-9)
+    cc = report["cross_check"]
+    assert cc["oracle_divergent"] is False
+    assert cc["oracle_rel_gap"] <= 1e-2
 
 
 def test_d2_rejects_non_subgradient_gamma(tmp_path, capsys):

@@ -1,5 +1,7 @@
-"""Numerical oracles: prox maps, difference-quotient probe, tilt solver."""
+"""Numerical oracles: prox maps, envelope quotient for d2, tilt solver."""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -15,9 +17,6 @@ from conftest import (
 )
 from kyfan_tilt import oracle
 from kyfan_tilt.instances import (
-    INTERIOR,
-    ZERO_STRICT,
-    ZERO_TIGHT,
     random_incone_direction,
     random_membership_instance,
     random_orthogonal,
@@ -27,13 +26,15 @@ from kyfan_tilt.oracle import (
     _hessian_lmax,
     _proj_capped_l1,
     _solve_tilted,
-    d2_quotient_oracle,
+    d2_envelope_oracle,
     kyfan_matrix_prox,
     kyfan_vector_prox,
     probe_csv,
+    prox_differences,
     tilt_probe,
 )
-from kyfan_tilt.subgrad import psi_value, subdiff_membership
+from kyfan_tilt.secder import critical_cone_membership
+from kyfan_tilt.subgrad import subdiff_membership
 
 seeds = st.integers(0, 2**31 - 1)
 
@@ -231,32 +232,32 @@ def test_matrix_prox_large_step_kills_small_matrix():
     assert np.allclose(kyfan_matrix_prox(Y, 1.0, 3), 0.0, atol=1e-12)
 
 
-# ---------------------------------------------------------------- difference quotient
+# ---------------------------------------------------------------- envelope quotient
+
+
+def envelope(X, Gamma, W, kappa):
+    return d2_envelope_oracle(X, Gamma, W, prox_fn=lambda Y, t: kyfan_matrix_prox(Y, t, kappa))
 
 
 def test_quotient_oracle_quadratic_landscape():
-    # ||Y||^2 from x = 0 along a unit w: the quotient is 2||w'||^2, whose
-    # minimum over the ball of radius 2 tau around w is 2(1 - 2 tau)^2.  The
-    # tau-scaled step reaches it at every tau within a few steps; a step
-    # equal to the radius leaves the small-tau rows near their centres
-    x = np.zeros((2, 3))
-    w = np.zeros((2, 3))
-    w[0, 1] = 1.0
-    rows = []
+    # Psi = ||Y||^2 has prox Y / (1 + 2 lam) and d2 Psi(x | 2x)(w) = 2||w||^2;
+    # the quotient is 2||w||^2 / (1 + 2 lam) at every lam, so the
+    # extrapolation leaves an error of 8 lam_0 lam_1 ||w||^2, here 1.0e-6
+    # relative.  One prox call on 8 rows
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((2, 3))
+    w = rng.standard_normal((2, 3))
+    calls = []
 
-    def value_fn(Y):
-        rows.append(len(Y))
-        return np.sum(Y * Y, axis=(1, 2))
+    def prox_fn(Y, t):
+        calls.append(len(Y))
+        return Y / (1.0 + 2.0 * t[:, None, None])
 
-    res = d2_quotient_oracle(
-        value_fn, x, 2.0 * x, w, prox_fn=lambda Y, t: Y / (1.0 + 2.0 * t[:, None, None])
-    )
-    assert not res.divergent
-    assert abs(res.value - 2.0) < 1e-3 * 2.0
-    for tau, q in res.per_tau:
-        exact = 2.0 * (1.0 - 2.0 * tau) ** 2
-        assert abs(q - exact) <= 1e-12 * exact, (tau, q, exact)
-    assert len(rows) <= 30
+    value, divergent = d2_envelope_oracle(x, 2.0 * x, w, prox_fn=prox_fn)
+    exact = 2.0 * float(np.sum(w * w))
+    assert not divergent
+    assert abs(value - exact) <= 1e-5 * exact
+    assert calls == [8]
 
 
 def frozen_spectral_problem():
@@ -267,126 +268,95 @@ def frozen_spectral_problem():
 
 def test_quotient_oracle_matches_frozen_spectral_value():
     X, Gamma, W = frozen_spectral_problem()
-    res = d2_quotient_oracle(
-        lambda Y: psi_value(Y, 1),
-        X,
-        Gamma,
-        W,
-        prox_fn=lambda Y, t: kyfan_matrix_prox(Y, t, 1),
-    )
-    assert not res.divergent
-    assert abs(res.value - 1.0) < 1e-2  # 2.0 scaled by ||W||^2 = 1/2
+    value, divergent = envelope(X, Gamma, W, 1)
+    assert not divergent
+    assert abs(value - 1.0) < 1e-4  # 2.0 scaled by ||W||^2 = 1/2
 
 
 def test_quotient_oracle_flags_divergence_outside_cone():
     # repeated top group split by Gamma; coupling direction exits the cone,
-    # so the quotient grows like 2/tau
+    # so lam * h levels off at the squared distance to it
     X = np.diag([2.0, 2.0])
     Gamma = np.diag([1.0, 0.0])
     W = np.array([[0.0, 1.0], [1.0, 0.0]])
-    res = d2_quotient_oracle(
-        lambda Y: psi_value(Y, 1), X, Gamma, W, prox_fn=lambda Y, t: kyfan_matrix_prox(Y, t, 1)
-    )
-    assert res.divergent
-    assert res.value > 1e3
+    assert envelope(X, Gamma, W, 1) == (math.inf, True)
 
 
 def test_quotient_oracle_draws_no_random_numbers(monkeypatch):
     def no_rng(*args, **kwargs):
-        raise AssertionError("the quotient oracle drew a random generator")
+        raise AssertionError("the envelope oracle drew a random generator")
 
     monkeypatch.setattr(np.random, "default_rng", no_rng)
     X, Gamma, W = frozen_spectral_problem()
-    res = d2_quotient_oracle(
-        lambda Y: psi_value(Y, 1), X, Gamma, W, prox_fn=lambda Y, t: kyfan_matrix_prox(Y, t, 1)
-    )
-    assert abs(res.value - 1.0) < 1e-2
+    value, _ = envelope(X, Gamma, W, 1)
+    assert abs(value - 1.0) < 1e-4
 
 
-def test_quotient_oracle_value_calls_are_one_per_iterate(monkeypatch):
-    # value_fn(x) once, then the centres, then one call per Davis-Yin step
-    # carrying one row per tau still descending; a tau that stops never
-    # comes back, and _DESCENT_STEPS caps the steps
-    monkeypatch.setattr(oracle, "_TAU_GRID", (1e-1, 1e-2, 1e-3))
-    monkeypatch.setattr(oracle, "_DESCENT_STEPS", 7)
-    rows = []
-
-    def value_fn(Y):
-        rows.append(len(Y))
-        return psi_value(Y, 1)
-
-    X, Gamma, W = frozen_spectral_problem()
-    d2_quotient_oracle(value_fn, X, Gamma, W, prox_fn=lambda Y, t: kyfan_matrix_prox(Y, t, 1))
-    assert rows[:2] == [1, 3]
-    assert 2 < len(rows) <= 2 + 7
-    steps = rows[1:]
-    assert all(0 < b <= a for a, b in zip(steps, steps[1:])), rows
+def test_envelope_oracle_is_exactly_2_homogeneous():
+    # t scales with 1/||w||, so a power-of-two scale of w moves no rounding:
+    # d2 at 4w is 16 times d2 at w bit for bit, and w = 0 reads 0
+    rng = np.random.default_rng(5)
+    X, Gamma, kappa, _ = random_membership_instance(rng, well_separated=True)
+    ok, cert = subdiff_membership(X, Gamma, kappa)
+    assert ok
+    W = random_incone_direction(rng, cert)
+    value, divergent = envelope(X, Gamma, W, kappa)
+    assert not divergent
+    assert envelope(X, Gamma, 4.0 * W, kappa) == (16.0 * value, False)
+    assert envelope(X, Gamma, np.zeros_like(W), kappa) == (0.0, False)
 
 
-def test_quotient_oracle_rows_stop_before_the_cap(monkeypatch):
-    # every tau row stops at its fixed point before the 200-step default
-    # cap: a 10,000-step cap gives the same per_tau bit for bit, on the
-    # instance family of acceptance criterion 06
-    rng = np.random.default_rng(606)
-    cases = [INTERIOR, ZERO_STRICT, ZERO_TIGHT]
-    done = 0
-    while done < 30:
-        X, Gamma, kappa, _ = random_membership_instance(
-            rng, case=cases[done % 3], well_separated=True
-        )
+def test_prox_differences_match_separate_prox_calls():
+    rng = np.random.default_rng(6)
+    Y = rng.standard_normal((3, 2, 4))
+    D = 1e-3 * rng.standard_normal((3, 2, 4))
+    lam = np.array([0.5, 0.1, 0.02])
+    got = prox_differences(Y, lam, D, prox_fn=lambda Z, t: kyfan_matrix_prox(Z, t, 2))
+    for i in range(3):
+        want = kyfan_matrix_prox(Y[i] + D[i], lam[i], 2) - kyfan_matrix_prox(Y[i], lam[i], 2)
+        assert np.allclose(got[i], want, rtol=0, atol=1e-14)
+
+
+# about one out-of-cone draw in a thousand has a smaller cone residual, and
+# may read finite: its lam * h levels off only at steps far below the
+# oracle's, which are bound to the smallest gap
+_OUTSIDE_RESOLUTION = 1e-2
+
+
+def _cone_residual(cone):
+    """The largest residual of the critical-cone test, the violation of its
+    sandwich lower <= varpi <= upper included."""
+    res = cone.residuals
+    worst = max([v for k, v in res.items() if k not in ("lower", "upper")], default=0.0)
+    lower, upper = res["lower"], res["upper"]
+    hi, lo = (upper, lower) if cone.varpi is None else (cone.varpi, cone.varpi)
+    return max(worst, lower - hi, lo - upper, 0.0)
+
+
+def test_envelope_oracle_flags_out_of_cone_draws(capsys):
+    rng = np.random.default_rng(36)
+    outside, divergent, unresolved = 0, 0, 0
+    while outside < 600:
+        X, Gamma, kappa, _ = random_membership_instance(rng)
         ok, cert = subdiff_membership(X, Gamma, kappa)
         assert ok
-        W = random_incone_direction(rng, cert)
-        nw = np.linalg.norm(W)
-        if nw < 1e-9:
+        W = rng.standard_normal(X.shape)
+        W /= np.linalg.norm(W)
+        cone = critical_cone_membership(cert, W)
+        if cone.member:
             continue
-        W = W / nw
-
-        def per_tau(k=kappa):
-            return d2_quotient_oracle(
-                lambda Y: psi_value(Y, k),
-                X,
-                Gamma,
-                W,
-                prox_fn=lambda Y, t: kyfan_matrix_prox(Y, t, k),
-            ).per_tau
-
-        capped = per_tau()
-        with monkeypatch.context() as m:
-            m.setattr(oracle, "_DESCENT_STEPS", 10_000)
-            assert capped == per_tau(), done
-        done += 1
-
-
-def test_quotient_lockstep_matches_sub_grid_runs(monkeypatch):
-    # each tau's row of the lockstep descent is independent of the others:
-    # the 9-tau per_tau equals the entries of 2-tau runs, bit for bit
-    rng = np.random.default_rng(3)
-    X = np.diag([3.0, 2.0, 2.0]) + 0.1 * rng.standard_normal((3, 3))
-    Gamma = np.diag([1.0, 0.5, 0.5])
-    W = rng.standard_normal((3, 3))
-    W /= np.linalg.norm(W)
-    monkeypatch.setattr(oracle, "_DESCENT_STEPS", 40)
-    taus = oracle._TAU_GRID
-
-    def run(grid):
-        monkeypatch.setattr(oracle, "_TAU_GRID", grid)
-        return d2_quotient_oracle(
-            lambda Y: psi_value(Y, 2),
-            X,
-            Gamma,
-            W,
-            prox_fn=lambda Y, t: kyfan_matrix_prox(Y, t, 2),
-        ).per_tau
-
-    full = run(taus)
-    assert len(full) == 9
-    for i in range(0, 9, 2):
-        pair = (taus[i], taus[i + 1]) if i + 1 < 9 else (taus[i - 1], taus[i])
-        sub = dict(run(pair))
-        for tau, q in full:
-            if tau in sub:
-                assert sub[tau] == q, (tau, sub[tau], q)
+        outside += 1
+        if _cone_residual(cone) < _OUTSIDE_RESOLUTION:
+            unresolved += 1
+            continue
+        divergent += int(envelope(X, Gamma, W, kappa)[1])
+    with capsys.disabled():
+        print(
+            f"envelope oracle: {divergent}/{outside - unresolved} out-of-cone draws divergent, "
+            f"{unresolved} below cone residual {_OUTSIDE_RESOLUTION:g}"
+        )
+    assert divergent == outside - unresolved
+    assert unresolved <= 6
 
 
 # ---------------------------------------------------------------- tilt solver + probe

@@ -16,14 +16,14 @@ from kyfan_tilt.instances import (
     random_incone_direction,
     random_membership_instance,
 )
-from kyfan_tilt.oracle import d2_quotient_oracle, kyfan_matrix_prox
+from kyfan_tilt.oracle import d2_envelope_oracle, kyfan_matrix_prox
 from kyfan_tilt.secder import (
     IN_CONE,
     critical_cone_membership,
     d2_psi_explicit,
     d2_zero_set_membership,
 )
-from kyfan_tilt.subgrad import psi_value, subdiff_membership
+from kyfan_tilt.subgrad import subdiff_membership
 from reference import d2_nuclear, d2_psi_general, d2_spectral
 
 seeds = st.integers(0, 2**31 - 1)
@@ -208,7 +208,7 @@ def test_zero_set_contains_inactive_block_direction():
     assert d2_zero_set_membership(cert, np.diag([0.0, 1.0, -1.0]))
 
 
-# ---------------------------------------------------------------- quotient oracle spot check
+# ---------------------------------------------------------------- envelope oracle spot check
 
 
 def test_quotient_oracle_agrees_on_separated_instance():
@@ -220,12 +220,8 @@ def test_quotient_oracle_agrees_on_separated_instance():
     W = W / np.linalg.norm(W)
     closed = d2_psi_general(X, Gamma, W, kappa, cert=cert)
     assert closed.is_finite
-    res = d2_quotient_oracle(
-        lambda Y: psi_value(Y, kappa),
-        X,
-        Gamma,
-        W,
-        prox_fn=lambda Y, t, k=kappa: kyfan_matrix_prox(Y, t, k),
+    value, divergent = d2_envelope_oracle(
+        X, Gamma, W, prox_fn=lambda Y, t, k=kappa: kyfan_matrix_prox(Y, t, k)
     )
-    assert not res.divergent
-    assert abs(res.value - closed.value) <= 1e-2 * (1.0 + abs(closed.value))
+    assert not divergent
+    assert abs(value - closed.value) <= 1e-2 * (1.0 + abs(closed.value))
