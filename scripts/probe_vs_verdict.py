@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Check the analytic tilt verdict against the numerical tilt probe.
+"""Check the analytic tilt verdict against the prox-Jacobian tilt probe.
 
 For a batch of random stationary quadratic instances (plus two engineered
-ones), run tilt_check and then tilt_probe on the same problem and tabulate
-agreement.  Inconclusive verdicts are reported separately: the probe gives
-a best guess there, not a contradiction.
+ones), run tilt_check and then tilt_probe, steered as `analyze --probe`
+steers it, on the same problem and tabulate agreement with the probe's
+mu_min.  Inconclusive verdicts are reported separately: the probe gives a
+reading there, not a contradiction.
 """
 import argparse
 import os
@@ -15,6 +16,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from kyfan_tilt.cli import _probe_steer  # noqa: E402
 from kyfan_tilt.io import vec, unvec  # noqa: E402
 from kyfan_tilt.subgrad import subdiff_membership  # noqa: E402
 from kyfan_tilt.tilt import ProblemSpec, QuadraticTheta, tilt_check  # noqa: E402
@@ -91,19 +93,18 @@ def main():
     t0 = time.time()
     for name, spec in specs:
         verdict = tilt_check(spec)
-        probe = tilt_probe(spec, args.seed)
-        ratio = probe.data["max_displacement_ratio"]
+        probe = tilt_probe(spec, _probe_steer(spec.validate()), args.seed)
         mark = ""
         if verdict.status == "Inconclusive":
             abstain += 1
             mark = "  (verdict abstains)"
-        elif verdict.status == probe.consistent_with:
+        elif verdict.status == probe["consistent_with"]:
             agree += 1
         else:
             disagree += 1
             mark = "  <-- DISAGREE"
-        print(f"  {name:<10} verdict={verdict.status:<12} probe={probe.consistent_with:<9}"
-              f" max_ratio={ratio:9.3e}{mark}")
+        print(f"  {name:<10} verdict={verdict.status:<12} probe={probe['consistent_with']:<9}"
+              f" mu={probe['mu_min']:10.3e}{mark}")
     dt = time.time() - t0
     print("-" * 76)
     print(f"agree={agree}  disagree={disagree}  abstain={abstain}  ({dt:.1f}s)")

@@ -12,7 +12,6 @@ cross-validated by independent brute-force oracles.
 from .config import DEFAULT_TOLS, Tolerances
 from .io import SchemaError, canonical_dumps, matrix_from_json, matrix_to_json, unvec, vec
 from .oracle import (
-    SolverError,
     d2_envelope_oracle,
     kyfan_matrix_prox,
     kyfan_vector_prox,

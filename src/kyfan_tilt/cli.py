@@ -21,9 +21,9 @@ import numpy as np
 from .config import DEFAULT_TOLS, Tolerances
 from .instances import random_incone_direction
 from .io import SchemaError, canonical_dumps, matrix_from_json, matrix_to_json
-from .oracle import SolverError, d2_envelope_oracle, kyfan_matrix_prox, probe_csv, tilt_probe
+from .oracle import d2_envelope_oracle, kyfan_matrix_prox, tilt_probe
 from .secder import d2_psi_explicit
-from .subgrad import subdiff_membership
+from .subgrad import INTERIOR_GROUP, subdiff_membership
 from .tilt import (
     INCONCLUSIVE,
     STABLE,
@@ -278,6 +278,21 @@ def _error_report(kind, message, **extra):
     return {"error": {"kind": kind, "message": message, **extra}}
 
 
+def _probe_steer(cert):
+    """The tilt probe's steering pattern U diag(s) V^T, s = +1 on beta1 and -1
+    on beta0 (interior case), 2, 1 and 1/2 on beta1, beta_plus and beta0
+    (tight case), +1 on beta1 (strict case): data, not the certificate."""
+    n = cert.pair.n
+    s = np.zeros(n)
+    if cert.case == INTERIOR_GROUP:
+        s[cert.beta1], s[cert.beta0] = 1.0, -1.0
+    elif cert.tight:
+        s[cert.beta1], s[cert.beta_plus], s[cert.beta0] = 2.0, 1.0, 0.5
+    else:
+        s[cert.beta1] = 1.0
+    return (cert.pair.U * s) @ cert.pair.V[:, :n].T
+
+
 def _quotient_check(X, Gamma, W, kappa, closed):
     """Envelope oracle for d2 Psi_kappa(X | Gamma)(W), at any W.
     Returns (value, divergent, gap) with gap the relative gap to the
@@ -403,20 +418,14 @@ def run_analyze(
         if probe:
             t0 = time.perf_counter()
             try:
-                pres = tilt_probe(spec, seed)
-            except SolverError as e:
+                pres = tilt_probe(spec, _probe_steer(cert), seed)
+            except ValueError as e:
                 oracle_section["probe"] = {"error": str(e)}
             else:
                 agr = None
                 if verdict.status in (STABLE, UNSTABLE):
-                    agr = bool(pres.consistent_with == verdict.status)
-                oracle_section["probe"] = {
-                    "consistent_with": pres.consistent_with,
-                    "max_displacement_ratio": pres.data["max_displacement_ratio"],
-                    "lipschitz_threshold": pres.data["lipschitz_threshold"],
-                    "agrees_with_verdict": agr,
-                    "rows": pres.data["rows"],
-                }
+                    agr = bool(pres["consistent_with"] == verdict.status)
+                oracle_section["probe"] = {**pres, "agrees_with_verdict": agr}
             stamps["probe_s"] = time.perf_counter() - t0
         report["oracle"] = oracle_section
 
@@ -513,7 +522,7 @@ def _guarded(fn):
 @click.option("--seed", type=int, default=None, help="override options.seed")
 @click.option("--rotation-samples", type=int, default=None, help="re-rotations of degenerate blocks")
 @click.option("--cross-check", is_flag=True, help="attach oracle cross-checks")
-@click.option("--probe", is_flag=True, help="attach the empirical tilt probe (CSV next to --out)")
+@click.option("--probe", is_flag=True, help="attach the prox-Jacobian tilt probe")
 @click.option("--d2-samples", type=int, default=0, help="evaluate d2 on sampled directions")
 @click.option("--timings", is_flag=True, help="attach wall-clock timings (breaks byte-identity)")
 @click.pass_context
@@ -534,11 +543,6 @@ def analyze(ctx, problem_file, out, seed, rotation_samples, cross_check, probe, 
             tol_overrides=overrides,
         )
         _emit(report, out)
-        if probe and out and "error" not in report:
-            section = report["oracle"]["probe"]
-            if section.get("rows"):
-                with open(out + ".probe.csv", "w") as fh:
-                    fh.write(probe_csv(section["rows"]))
         return code
 
     return _guarded(body)

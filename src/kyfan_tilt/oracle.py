@@ -3,15 +3,16 @@
 Three tools: a Moreau-envelope oracle for second subderivatives, which reads
 d2 from differences of the proximal map alone, an exact Ky-Fan proximal map
 (the vector prox from the breakpoints of its dual projection, transferred
-through the SVD), and a proximal-gradient tilt probe that solves perturbed
-problems and estimates the solution-map modulus.
+through the SVD), and a tilt probe that reads the second-order form of the
+problem from the prox map's Jacobian at a steered graph point and at a few
+uniform ones.
 
-Everything here is solver-based on purpose: the library's closed forms are
-validated against these, never the other way round.
+Everything here is built on the prox map alone on purpose, and imports no
+other module of the package: the library's closed forms are validated
+against these, never the other way round.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -21,10 +22,7 @@ __all__ = [
     "d2_envelope_oracle",
     "kyfan_vector_prox",
     "kyfan_matrix_prox",
-    "SolverError",
-    "ProbeResult",
     "tilt_probe",
-    "probe_csv",
 ]
 
 
@@ -38,6 +36,17 @@ def _inner(A, B):
     one matrix (pairwise, over the raveled matrix)."""
     P = A * B
     return np.sum(P.reshape(len(P), -1), axis=-1)
+
+
+def _spectral_scale(x):
+    """(s_1, g) of the matrix x: its largest singular value, and the
+    smallest of its positive singular values and positive gaps between them
+    (ties below 1e-10 * max(1, s_1)), 1.0 when there is none."""
+    s = np.linalg.svd(x, compute_uv=False)
+    s1 = float(s[0])
+    scales = np.concatenate((s, -np.diff(s)))
+    scales = scales[scales > 1e-10 * max(1.0, s1)]
+    return s1, (float(scales.min()) if scales.size else 1.0)
 
 
 def prox_differences(Y, lam, D, *, prox_fn):
@@ -61,13 +70,11 @@ def d2_envelope_oracle(x, v, w, *, prox_fn):
     is its difference quotient along w, which rises to d2 Psi(x | v)(w) as
     lam and t/lam fall to 0 (Rockafellar & Wets, Variational Analysis,
     ch. 13; Poliquin & Rockafellar 1996).  It is read at the four steps
-    lam_k = 1e-2 * g * 10**(-k/2), with t_k = 0.1 * lam_k / ||w||, where g
-    is the smallest of x's positive singular values and positive gaps
-    between them (ties below 1e-10 * max(1, s_1)), so that Y keeps x's
-    singular structure.  The value is the Richardson extrapolation to
-    lam = 0 of the first two h(lam_k), h being affine in lam to first
-    order: the rounding error of h grows like 1/lam**2, so the largest
-    steps read d2 best.
+    lam_k = 1e-2 * g * 10**(-k/2), with t_k = 0.1 * lam_k / ||w|| and
+    (s_1, g) = _spectral_scale(x), so that Y keeps x's singular structure.
+    The value is the Richardson extrapolation to lam = 0 of the first two
+    h(lam_k), h being affine in lam to first order: the rounding error of h
+    grows like 1/lam**2, so the largest steps read d2 best.
 
     Outside the domain of d2, lam*h(lam) tends to the squared distance of
     w to it; inside it falls like lam.  The smallest steps tell the two
@@ -87,11 +94,7 @@ def d2_envelope_oracle(x, v, w, *, prox_fn):
     nw = float(np.linalg.norm(w))
     if nw == 0:
         return 0.0, False
-    s = np.linalg.svd(x, compute_uv=False)
-    s1 = float(s[0])
-    scales = np.concatenate((s, -np.diff(s)))
-    scales = scales[scales > 1e-10 * max(1.0, s1)]
-    g = float(scales.min()) if scales.size else 1.0
+    s1, g = _spectral_scale(x)
     lam = 1e-2 * g * 10.0 ** (-np.arange(4) / 2)
     t = 0.1 * lam / nw
     T = t[:, None, None]
@@ -194,189 +197,86 @@ def kyfan_matrix_prox(X, t, kappa: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# tilted solves and the empirical probe
+# the steered prox-Jacobian probe
 # ---------------------------------------------------------------------------
 
-
-class SolverError(RuntimeError):
-    pass
-
-
-# the probe's tilted solves: FISTA iterates stay in the _DELTA-ball around
-# Xbar and stop at a fixed-point residual of _STOP_TOL * (1 + ||Xbar||), or
-# fail after _MAX_ITERS iterations.  The probe tilts along _DIRECTIONS
-# antipodal pairs of unit directions at each of _TILT_MAGNITUDES; a
-# displacement ratio above _LIPSCHITZ_THRESHOLD reads as Unstable
-_DELTA = 1.0
-_MAX_ITERS = 5000
-_STOP_TOL = 1e-10
-_DIRECTIONS = 3
-_TILT_MAGNITUDES = (1e-4, 1e-3, 1e-2)
-_LIPSCHITZ_THRESHOLD = 100.0
+# floats in one chunk of the probe's stacked prox calls, two n x m per difference
+_STACK_FLOATS = 1 << 20
+# uniform (Minty) points read besides the steered one
+_MINTY_POINTS = 3
+# Jacobian eigenvalues at or below this are normal directions (infinite curvature)
+_JACOBIAN_CUT = 1e-6
 
 
-def _norms(D):
-    """Frobenius norm of each matrix of the stack D (k, n, m), rounded as
-    np.linalg.norm rounds one matrix: the square root of a dot of the
-    raveled matrix."""
-    k = len(D)
-    return np.sqrt((D.reshape(k, 1, -1) @ D.reshape(k, -1, 1))[:, 0, 0])
+def tilt_probe(spec, steer, seed=0) -> dict:
+    """Second-order test of tilt stability from prox differences alone:
+    {"consistent_with": "Stable" or "Unstable", "mu_min", "mu_cut",
+    "epsilon", "prox_residual", "rows"}, one row per reading.
 
+    Tilt stability is positive definiteness of <nu*H W, W> + d2 Psi at the
+    graph points near (Xbar, Gamma_bar) (Poliquin & Rockafellar 1998).  At
+    a graph point Y = X + Gamma the prox P of Psi_kappa (step 1) has
+    P(Y) = X, and an eigenpair (j, E) of its symmetrized Jacobian with j > 0
+    carries the curvature (1 - j) / j of Psi.  A reading at Y is
+    mu = lambda_min(E^T nu*H E + diag((1 - j) / j)) over the eigenpairs with
+    j > _JACOBIAN_CUT (+inf when none), the Jacobian being the central
+    difference of P with step h, one column per coordinate.
 
-def _proj_ball(Y, centre, radius):
-    """Projection of each matrix of the stack Y onto the ball of its radius
-    (scalar or one per matrix) around centre."""
-    D = Y - centre
-    nd = _norms(D)
-    out = nd > radius
-    scale = radius / np.where(out, nd, radius)
-    return np.where(out[:, None, None], centre + D * scale[:, None, None], Y)
-
-
-def _hessian_lmax(spec) -> float:
-    """lambda_max of the symmetrized Hessian of theta (0 when nm = 0)."""
-    H = spec.hessian()
-    return float(np.linalg.eigvalsh(0.5 * (H + H.T))[-1]) if H.size else 0.0
-
-
-def _solve_tilted(spec, V, lmax: float):
-    """FISTA with function restarts on nu*theta(X) - <V_r,X> + Psi_kappa(X)
-    for each tilt V_r of the stack V (k, n, m), iterates projected into the
-    _DELTA-ball around Xbar; lmax is _hessian_lmax(spec), passed in so that
-    a probe computes it once.
-
-    The solves advance in lockstep, one stack row each, with momentum,
-    restarts and the fixed-point stop kept per row; a row leaves the stack
-    when it stops.  Returns the points and their prox-gradient residuals,
-    one per tilt.  SolverError names the first tilt, in stack order, that
-    exhausts _MAX_ITERS."""
-    from .subgrad import psi_value
-
-    Xbar = np.asarray(spec.Xbar, dtype=float)
-    V = np.asarray(V, dtype=float)
-    nu, kappa = spec.nu, spec.kappa
-    step = 1.0 / max(nu * lmax, 1e-12)
-
-    # Restarts only compare objective differences, so theta is reconstructed
-    # up to a constant by the quadratic identity theta(X) = 0.5<grad(X)+grad(0), X> + const.
-    g0 = spec.grad_theta(np.zeros_like(Xbar))
-
-    def composite(X, V):
-        quad = 0.5 * _inner(spec.grad_theta(X) + g0, X)
-        return nu * quad - _inner(V, X) + psi_value(X, kappa)
-
-    def T(X, V):
-        G = nu * spec.grad_theta(X) - V
-        return _proj_ball(kyfan_matrix_prox(X - step * G, step, kappa), Xbar, _DELTA)
-
-    k = len(V)
-    X_out, res_out = np.empty_like(V), np.empty(k)
-    live = np.arange(k)
-    X = np.broadcast_to(Xbar, V.shape).copy()
-    Z = X.copy()
-    tk = np.ones(k)
-    f_prev = composite(X, V)
-    res = np.full(k, math.inf)
-    tol = _STOP_TOL * (1.0 + float(np.linalg.norm(Xbar)))
-    for _ in range(_MAX_ITERS):
-        Xn = T(Z, V)
-        res = _norms(Xn - Z) / step
-        fn = composite(Xn, V)
-        r = fn > f_prev + 1e-15 * (1 + np.abs(f_prev))
-        if r.any():
-            # function restart: drop momentum
-            Z[r] = X[r]
-            tk[r] = 1.0
-            Xn[r] = T(Z[r], V[r])
-            fn[r] = composite(Xn[r], V[r])
-            res[r] = _norms(Xn[r] - Z[r]) / step
-        tn = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
-        Z = Xn + ((tk - 1.0) / tn)[:, None, None] * (Xn - X)
-        X, tk, f_prev = Xn, tn, fn
-        fixed_res = _norms(X - T(X, V)) / step
-        done = fixed_res <= tol
-        if done.any():
-            X_out[live[done]], res_out[live[done]] = X[done], fixed_res[done]
-            keep = ~done
-            live, X, Z, V, tk, f_prev, res = (a[keep] for a in (live, X, Z, V, tk, f_prev, res))
-            if not live.size:
-                return X_out, res_out
-    raise SolverError(
-        f"proximal gradient did not reach stop_tol={_STOP_TOL:.1e} in "
-        f"{_MAX_ITERS} iterations (residual {float(res[0]):.3e})"
-    )
-
-
-@dataclasses.dataclass
-class ProbeResult:
-    consistent_with: str
-    data: dict
-
-
-def tilt_probe(spec, seed=0) -> ProbeResult:
-    """Empirical single-valued-Lipschitz probe of the local solution map.
-
-    Solves the untilted problem and a grid of tilted ones (antipodal
-    direction pairs x magnitudes), then reports the max pairwise ratio of
-    solution displacement to tilt displacement.  Ratio below
-    _LIPSCHITZ_THRESHOLD is consistent with Stable, above with Unstable.
-    Sampling +/-D together matters: a solution that slides only one way
-    along a flat direction is missed when every tilt happens to point away
-    from it.  seed draws the directions.
+    The readings are taken at Y' = X' + Gamma_bar, X' = Xbar + eps * steer,
+    off the kink of P at Xbar + Gamma_bar, and at _MINTY_POINTS points
+    Xbar + Gamma_bar + eps * R / ||R||, R from default_rng(seed), with
+    eps = 1e-4 * g (the envelope oracle's scale of Xbar) and h = 1e-3 * eps.
+    steer (U diag(s) V^T on the certificate's pair, data from the caller)
+    must keep Gamma_bar a subgradient at X': ValueError when P(Y') misses X'
+    by more than h.  The prox rows go through prox_differences in chunks of
+    _STACK_FLOATS floats.  The probe reads Unstable when min mu <= mu_cut =
+    100 * eps_mach * (1 + ||Y'||) / h * max(1, nu * ||H||_F), the rounding
+    of a prox value over h, times nu * ||H||; Stable otherwise.
     """
-    rng = np.random.default_rng(seed)
-    n, m = spec.Xbar.shape
-    dirs = []
-    for _ in range(_DIRECTIONS):
-        D = rng.standard_normal((n, m))
-        D /= np.linalg.norm(D)
-        dirs.extend([D, -D])
-    tilts = [("untilted", np.zeros((n, m)))]
-    for di, D in enumerate(dirs):
-        for mi, mag in enumerate(_TILT_MAGNITUDES):
-            tilts.append((f"d{di}_m{mi}", mag * D))
-    Vs = np.stack([V for _, V in tilts])
-    Xs, res = _solve_tilted(spec, Vs, _hessian_lmax(spec))
-    solves = [(tid, V, X, r) for (tid, V), X, r in zip(tilts, Xs, res)]
+    Xbar = np.asarray(spec.Xbar, dtype=float)
+    n, m = Xbar.shape
+    nm, kappa = n * m, spec.kappa
+    Gamma, nuH = spec.gamma_bar(), spec.nu * np.asarray(spec.hessian(), dtype=float)
+    eps = 1e-4 * _spectral_scale(Xbar)[1]
+    h = 1e-3 * eps
+    Xs = Xbar + eps * np.asarray(steer, dtype=float)
+    residual = float(np.linalg.norm(kyfan_matrix_prox(Xs + Gamma, 1.0, kappa) - Xs))
+    if not residual <= h:
+        raise ValueError(f"steered point off the graph: prox residual {residual:.3e} > h = {h:.3e}")
+    R = np.random.default_rng(seed).standard_normal((_MINTY_POINTS, n, m))
+    R *= eps / np.linalg.norm(R.reshape(_MINTY_POINTS, -1), axis=1)[:, None, None]
+    points = np.concatenate(((Xs + Gamma)[None], Xbar + Gamma + R))
+
+    # row i of the stack differences P across point i // nm along coordinate i % nm
+    total, step = len(points) * nm, max(1, _STACK_FLOATS // (2 * nm))
+    dP = np.empty((total, nm))
+    for lo in range(0, total, step):
+        i = np.arange(lo, min(lo + step, total))
+        D = np.zeros((len(i), n, m))
+        D.reshape(len(i), nm)[np.arange(len(i)), i % nm] = 2.0 * h
+        dP[i] = prox_differences(
+            points[i // nm] - 0.5 * D, np.ones(len(i)), D,
+            prox_fn=lambda Y, t: kyfan_matrix_prox(Y, t, kappa),
+        ).reshape(len(i), nm)
+    J = dP.reshape(len(points), nm, nm) / (2.0 * h)
+    # sym J is PSD up to rounding: its singular triplets with u.v > 0 are its eigenpairs
+    # (with two BLAS threads on a busy host, eigh of this stack took 45-90 ms, svd 0.7 ms)
+    E, j, Vt = np.linalg.svd(0.5 * (J + J.transpose(0, 2, 1)))
+    j *= np.sign(np.einsum("rik,rki->rk", E, Vt))
     rows = []
-    for tilt_id, V, X, res in solves:
-        rows.append(
-            {
-                "tilt_id": tilt_id,
-                "V_norm": float(np.linalg.norm(V)),
-                "solution_displacement": float(np.linalg.norm(X - spec.Xbar)),
-                "residual": float(res),
-            }
-        )
-    max_ratio = 0.0
-    worst_pair = None
-    for i in range(len(solves)):
-        for j in range(i + 1, len(solves)):
-            dv = float(np.linalg.norm(solves[i][1] - solves[j][1]))
-            if dv <= 0:
-                continue
-            dx = float(np.linalg.norm(solves[i][2] - solves[j][2]))
-            if dx / dv > max_ratio:
-                max_ratio = dx / dv
-                worst_pair = (solves[i][0], solves[j][0])
-    verdict = "Stable" if max_ratio <= _LIPSCHITZ_THRESHOLD else "Unstable"
-    return ProbeResult(
-        consistent_with=verdict,
-        data={
-            "max_displacement_ratio": max_ratio,
-            "worst_pair": worst_pair,
-            "lipschitz_threshold": _LIPSCHITZ_THRESHOLD,
-            "rows": rows,
-        },
-    )
-
-
-def probe_csv(rows) -> str:
-    """The probe's rows (ProbeResult.data["rows"]) as CSV text."""
-    lines = ["tilt_id,V_norm,solution_displacement,residual"]
-    for row in rows:
-        lines.append(
-            f"{row['tilt_id']},{row['V_norm']:.17g},"
-            f"{row['solution_displacement']:.17g},{row['residual']:.17g}"
-        )
-    return "\n".join(lines) + "\n"
+    for name, jr, Er in zip(["steered"] + [f"minty{k}" for k in range(_MINTY_POINTS)], j, E):
+        keep = jr > _JACOBIAN_CUT
+        M = Er[:, keep].T @ nuH @ Er[:, keep] + np.diag((1.0 - jr[keep]) / jr[keep])
+        mu = float(np.linalg.eigvalsh(M)[0]) if keep.any() else math.inf
+        rows.append({"point": name, "mu": mu, "rank": int(keep.sum())})
+    mu_min = min(row["mu"] for row in rows)
+    scale = (1.0 + float(np.linalg.norm(points[0]))) * max(1.0, float(np.linalg.norm(nuH)))
+    mu_cut = 100.0 * np.finfo(float).eps * scale / h
+    return {
+        "consistent_with": "Unstable" if mu_min <= mu_cut else "Stable",
+        "mu_min": mu_min,
+        "mu_cut": mu_cut,
+        "epsilon": eps,
+        "prox_residual": residual,
+        "rows": rows,
+    }

@@ -285,11 +285,8 @@ class ProblemSpec:
     def hessian(self) -> np.ndarray:
         return self.theta.hessian()
 
-    def grad_theta(self, X) -> np.ndarray:
-        return self.theta.grad(np.asarray(X, dtype=float))
-
     def gamma_bar(self) -> np.ndarray:
-        return -self.nu * self.grad_theta(self.Xbar)
+        return -self.nu * self.theta.grad(np.asarray(self.Xbar, dtype=float))
 
     @functools.cached_property
     def hessian_bound(self) -> float:

@@ -6,10 +6,11 @@ appear in any pytest run; the assert after the print keeps the gate honest.
 from __future__ import annotations
 
 import dataclasses
+import json
+import pathlib
 import time
 
 import numpy as np
-import pytest
 
 from conftest import (
     QP_CHECK_ACTIVE,
@@ -21,7 +22,7 @@ from conftest import (
     tilt_family,
 )
 from kyfan_tilt import tilt
-from kyfan_tilt.cli import run_analyze
+from kyfan_tilt.cli import _probe_steer, problem_from_dict, run_analyze
 from kyfan_tilt.instances import (
     INTERIOR,
     ZERO_STRICT,
@@ -43,6 +44,7 @@ from kyfan_tilt.tilt import TiltOptions, build_upsilon, tilt_check
 from reference import bmap, build_frame, d2_nuclear, d2_psi_general, d2_spectral
 
 CASES = [INTERIOR, ZERO_STRICT, ZERO_TIGHT]
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def emit(capsys, num, name, ok, detail):
@@ -357,26 +359,39 @@ def test_acceptance_08_prox_correctness(capsys):
 # ---------------------------------------------------------------- 9
 
 
-@pytest.mark.slow
+# the demos' (verdict, probe reading): inconclusive_split's Inconclusive is
+# Unstable at a nearby graph point, where the probe reads it
+DEMO_READINGS = {
+    "stable_quadratic": ("Stable", "Stable"),
+    "unstable_slide": ("Unstable", "Unstable"),
+    "inconclusive_split": ("Inconclusive", "Unstable"),
+    "stable_least_squares": ("Stable", "Stable"),
+}
+
+
 def test_acceptance_09_verdict_vs_probe(capsys):
     t0 = time.perf_counter()
     fam = tilt_family()
     assert len(fam) == 20
+    cases = [(label, spec, (expected, expected)) for label, spec, expected in fam]
+    for name, readings in DEMO_READINGS.items():
+        spec, _, _ = problem_from_dict(json.loads((ROOT / "demo" / f"{name}.json").read_text()))
+        cases.append((name, spec, readings))
     mism, worst_res = [], 0.0
-    for label, spec, expected in fam:
+    for label, spec, expected in cases:
         verdict = tilt_check(spec, options=TiltOptions(seed=5))
-        probe = tilt_probe(spec, seed=11)
-        if verdict.status != expected or probe.consistent_with != expected:
-            mism.append((label, expected, verdict.status, probe.consistent_with))
+        probe = tilt_probe(spec, _probe_steer(spec.validate()), seed=11)
+        if (verdict.status, probe["consistent_with"]) != expected:
+            mism.append((label, expected, verdict.status, probe["consistent_with"]))
         if verdict.status == "Unstable":
             res = verdict.certificate["witness_residuals"]
             total = res["off_hull"] + max(0.0, -res["margin"]) + verdict.certificate["kernel_residual"]
             worst_res = max(worst_res, total)
     dt = time.perf_counter() - t0
-    ok = not mism and worst_res <= 1e-8 and dt < 600.0
+    ok = not mism and worst_res <= 1e-8 and dt < 2.0
     emit(
         capsys, 9, "verdict-vs-probe", ok,
-        f"n=20 mismatches={mism or 0} witness_res={worst_res:.2e} time={dt:.1f}s",
+        f"n={len(cases)} mismatches={mism or 0} witness_res={worst_res:.2e} time={dt:.2f}s",
     )
 
 

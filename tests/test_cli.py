@@ -125,15 +125,43 @@ def test_analyze_timings_flag_attaches_clock(tmp_path, capsys):
     assert "timings" in json.loads(cap.out)
 
 
-def test_analyze_probe_writes_csv(tmp_path, capsys):
+def test_analyze_probe_attaches_the_probe_section(tmp_path, capsys):
     pf = write_json(tmp_path, "p.json", problem_dict(X3, G3, 2))
     out = str(tmp_path / "r.json")
     code, _ = run(capsys, "analyze", pf, "--probe", "--out", out)
     assert code == 0
-    csv = pathlib.Path(out + ".probe.csv").read_text()
-    assert csv.startswith("tilt_id,V_norm,solution_displacement,residual")
-    report = json.loads(pathlib.Path(out).read_text())
-    assert report["oracle"]["probe"]["agrees_with_verdict"] is True
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.json", "r.json"]
+    section = json.loads(pathlib.Path(out).read_text())["oracle"]["probe"]
+    assert section["consistent_with"] == "Stable"
+    assert section["agrees_with_verdict"] is True
+    assert section["mu_min"] > section["mu_cut"]
+    assert len(section["rows"]) == 4
+
+
+def split_plane_problem():
+    """inconclusive_split's X and Gamma with the kernel spanned by an
+    off-diagonal pair of the beta1 block and one of the beta0 block."""
+    X = np.diag([3.0, 2.0, 2.0, 2.0, 2.0, 1.0])
+    G = np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+    W1, W2 = np.zeros((6, 6)), np.zeros((6, 6))
+    W1[1, 2] = W1[2, 1] = W2[3, 4] = W2[4, 3] = 1 / np.sqrt(2)
+    Q = np.eye(36) - np.outer(vec(W1), vec(W1)) - np.outer(vec(W2), vec(W2))
+    return problem_dict(X, G, 3, Q=Q)
+
+
+@pytest.mark.parametrize("problem", [inconclusive_problem, split_plane_problem])
+def test_probe_reads_unstable_where_the_verdict_is_inconclusive(problem):
+    # at the steered graph point near Xbar the second-order form has a null
+    # direction: the evidence that these two Inconclusive are Unstable
+    report, code = cli.run_analyze(problem(), probe=True)
+    assert code == 2
+    assert report["verdict"]["status"] == "Inconclusive"
+    section = report["oracle"]["probe"]
+    assert section["consistent_with"] == "Unstable"
+    assert section["agrees_with_verdict"] is None
+    steered = section["rows"][0]
+    assert steered["point"] == "steered"
+    assert steered["mu"] <= section["mu_cut"]
 
 
 def test_analyze_cross_check_attaches_quotient(tmp_path, capsys):

@@ -3,7 +3,8 @@
 The verdict route (`secder`, `tilt`) and the oracle route (`oracle`) check
 each other only while neither imports the other, and the test-side
 reference forms check the closed form only while they stay clear of the
-oracle too.
+oracle too.  The oracle imports no other module of the package at all: what
+it needs of the certificate (the probe's steering pattern) it gets as data.
 """
 from __future__ import annotations
 
@@ -36,9 +37,12 @@ def test_imported_modules_resolves_relative_and_absolute_forms(tmp_path):
 
 
 def test_closed_forms_and_oracles_share_no_code():
-    crossings = []
+    crossings = sorted(
+        f"oracle -> {name}"
+        for name in imported_modules(PACKAGE / "oracle.py")
+        if name.split(".")[0] == "kyfan_tilt"
+    )
     for src, banned in (
-        ("oracle", ("secder", "tilt")),
         ("secder", ("oracle",)),
         ("tilt", ("oracle",)),
     ):

@@ -1,4 +1,4 @@
-"""Numerical oracles: prox maps, envelope quotient for d2, tilt solver."""
+"""Numerical oracles: prox maps, envelope quotient for d2, tilt probe."""
 from __future__ import annotations
 
 import math
@@ -21,20 +21,18 @@ from kyfan_tilt.instances import (
     random_membership_instance,
     random_orthogonal,
 )
+from kyfan_tilt.cli import _probe_steer
 from kyfan_tilt.oracle import (
-    SolverError,
-    _hessian_lmax,
     _proj_capped_l1,
-    _solve_tilted,
     d2_envelope_oracle,
     kyfan_matrix_prox,
     kyfan_vector_prox,
-    probe_csv,
     prox_differences,
     tilt_probe,
 )
 from kyfan_tilt.secder import critical_cone_membership
 from kyfan_tilt.subgrad import subdiff_membership
+from kyfan_tilt.tilt import tilt_check
 
 seeds = st.integers(0, 2**31 - 1)
 
@@ -359,7 +357,7 @@ def test_envelope_oracle_flags_out_of_cone_draws(capsys):
     assert unresolved <= 6
 
 
-# ---------------------------------------------------------------- tilt solver + probe
+# ---------------------------------------------------------------- steered prox-Jacobian probe
 
 
 def stable_spec():
@@ -376,90 +374,94 @@ def sliding_spec():
     return make_quadratic_spec(X, Gamma, 2, projector_complement(W))
 
 
-def solve_untilted(spec):
-    """The probe's untilted solve on its own."""
-    X, _ = _solve_tilted(spec, np.zeros((1,) + spec.Xbar.shape), _hessian_lmax(spec))
-    return X[0]
-
-
-def test_solve_tilted_untilted_recovers_stationary_point():
-    spec = stable_spec()
-    X = solve_untilted(spec)
-    assert np.max(np.abs(X - spec.Xbar)) < 1e-7
-
-
-def test_probe_raises_without_budget(monkeypatch):
-    # ill-conditioned curvature: two iterations cannot reach the fixed point
-    X = np.diag([3.0, 2.0, 1.0])
-    Gamma = np.diag([1.0, 1.0, 0.0])
-    Q = np.diag(np.linspace(0.05, 1.0, 9))
-    spec = make_quadratic_spec(X, Gamma, 2, Q)
-    monkeypatch.setattr(oracle, "_MAX_ITERS", 2)
-    with pytest.raises(SolverError):
-        tilt_probe(spec)
+def probe(spec, seed=0):
+    """The probe as `analyze --probe` runs it, steered by the certificate."""
+    return tilt_probe(spec, _probe_steer(spec.validate()), seed)
 
 
 def test_probe_classifies_stable_and_unstable():
-    stable = tilt_probe(stable_spec(), seed=0)
-    assert stable.consistent_with == "Stable"
-    assert stable.data["max_displacement_ratio"] < 10.0
-    sliding = tilt_probe(sliding_spec(), seed=0)
-    assert sliding.consistent_with == "Unstable"
-    assert sliding.data["lipschitz_threshold"] == oracle._LIPSCHITZ_THRESHOLD
-    assert sliding.data["max_displacement_ratio"] > oracle._LIPSCHITZ_THRESHOLD
+    stable = probe(stable_spec())
+    assert stable["consistent_with"] == "Stable"
+    assert stable["mu_min"] == pytest.approx(1.0, abs=1e-6)  # Q = I, and Psi adds curvature >= 0
+    sliding = probe(sliding_spec())
+    assert sliding["consistent_with"] == "Unstable"
+    assert abs(sliding["mu_min"]) <= sliding["mu_cut"]
+    assert [row["point"] for row in sliding["rows"]] == ["steered", "minty0", "minty1", "minty2"]
 
 
-def test_probe_takes_one_hessian_eigenvalue_solve(monkeypatch):
-    calls = []
-    orig = np.linalg.eigvalsh
-
-    def counted(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return orig(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    spec = stable_spec()
-    result = tilt_probe(spec, seed=0)
-    assert calls == [(9, 9)]
-    assert len(result.data["rows"]) == 19
-    # the untilted solve alone computes its own step, the same one
-    X = solve_untilted(spec)
-    assert result.data["rows"][0]["solution_displacement"] == float(np.linalg.norm(X - spec.Xbar))
+def test_probe_readings_do_not_depend_on_the_chunk_size(monkeypatch):
+    # each prox row is computed as it is alone, so chunks of two central
+    # differences give the one-chunk readings bit for bit
+    whole = probe(sliding_spec(), seed=3)
+    monkeypatch.setattr(oracle, "_STACK_FLOATS", 4 * 9)
+    assert probe(sliding_spec(), seed=3) == whole
 
 
-def test_probe_rows_match_single_magnitude_probes(monkeypatch):
-    # each solve of the lockstep stack is independent of the others: a
-    # probe's rows equal the rows of the probes with one magnitude each
-    spec = stable_spec()
-    magnitudes = oracle._TILT_MAGNITUDES
-    assert magnitudes == (1e-4, 1e-3, 1e-2)
-    full = {row["tilt_id"]: row for row in tilt_probe(spec, seed=4).data["rows"]}
-    for mi, mag in enumerate(magnitudes):
-        monkeypatch.setattr(oracle, "_TILT_MAGNITUDES", (mag,))
-        single = tilt_probe(spec, seed=4).data["rows"]
-        assert single[0] == full["untilted"]
-        for row in single[1:]:
-            di = row["tilt_id"].split("_")[0]
-            assert row == {**full[f"{di}_m{mi}"], "tilt_id": row["tilt_id"]}
+@pytest.mark.parametrize("t, expected", [(1e-5, "Stable"), (1e-8, "Unstable"), (0.0, "Unstable")])
+def test_probe_mu_cut_flips_between_a_small_curvature_and_none(t, expected):
+    # unstable_slide's X and Gamma with Q_t = I - (1 - t) e e^T, e = vec E_22:
+    # the reading tracks t to rounding, and mu_cut (3.8e-6 here) falls
+    # between 1e-5 and 0; at 1e-8 the verdict's cutoff (2.8e-9) still
+    # reads Stable, below mu_cut
+    X, Gamma = np.diag([3.0, 2.0, 1.0]), np.diag([1.0, 1.0, 0.0])
+    e = np.zeros(9)
+    e[4] = 1.0
+    spec = make_quadratic_spec(X, Gamma, 2, np.eye(9) - (1 - t) * np.outer(e, e))
+    got = probe(spec)
+    assert got["consistent_with"] == expected
+    assert got["mu_min"] == pytest.approx(t, abs=1e-8)
+    assert tilt_check(spec).status == ("Unstable" if t == 0 else "Stable")
 
 
-def test_probe_raises_for_the_first_solve_in_order(monkeypatch):
-    # the untilted solve comes first: its error is the probe's
-    X = np.diag([3.0, 2.0, 1.0])
-    Gamma = np.diag([1.0, 1.0, 0.0])
-    spec = make_quadratic_spec(X, Gamma, 2, np.diag(np.linspace(0.05, 1.0, 9)))
-    spec.Xbar = spec.Xbar + 1e-3  # start off the minimizer so no solve stops at once
-    monkeypatch.setattr(oracle, "_MAX_ITERS", 3)
-    with pytest.raises(SolverError) as alone:
-        solve_untilted(spec)
-    with pytest.raises(SolverError) as probe:
-        tilt_probe(spec, seed=0)
-    assert str(probe.value) == str(alone.value)
+def test_probe_rejects_a_sign_flipped_steer():
+    # inconclusive_split's X and Gamma: X's group at 2 holds beta1 = {1, 2}
+    # and beta0 = {3, 4}.  The flipped pattern lifts beta0 above beta1,
+    # where Gamma_bar is no subgradient, so X' is no prox fixed point
+    X = np.diag([3.0, 2.0, 2.0, 2.0, 2.0, 1.0])
+    Gamma = np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+    spec = make_quadratic_spec(X, Gamma, 3, np.eye(36))
+    steer = _probe_steer(spec.validate())
+    assert tilt_probe(spec, steer)["prox_residual"] <= 1e-14
+    with pytest.raises(ValueError, match="off the graph"):
+        tilt_probe(spec, -steer)
 
 
-def test_probe_csv_layout():
-    out = probe_csv(tilt_probe(stable_spec(), seed=1).data["rows"])
-    lines = out.strip().split("\n")
-    assert lines[0] == "tilt_id,V_norm,solution_displacement,residual"
-    assert len(lines) > 3
-    assert all(len(l.split(",")) == 4 for l in lines[1:])
+def set_element(cert):
+    """A certified set element, built as perfbench's decisive_direction
+    builds it: the first beta1 diagonal, else the normalized beta_plus
+    diagonal, in pair coordinates.  The strict cone pins the beta_plus
+    diagonal, so off the tight case that one is no set element; None when
+    there is none."""
+    n, m = cert.pair.n, cert.pair.m
+    H = np.zeros((n, m))
+    if len(cert.beta1):
+        H[cert.beta1[0], cert.beta1[0]] = 1.0
+    elif len(cert.beta_plus) and cert.tight:
+        H[cert.beta_plus, cert.beta_plus] = 1.0 / np.sqrt(len(cert.beta_plus))
+    else:
+        return None
+    return cert.pair.U @ H @ cert.pair.V.T
+
+
+def test_probe_agrees_with_planted_kernels(capsys):
+    # Q = I - w w^T: w a set element is Unstable, w generic is Stable, and
+    # both the probe and the verdict must say so, in all three cases
+    rng = np.random.default_rng(37)
+    cases = ("interior", "zero_strict", "zero_tight")
+    draws, disagree = 0, []
+    while draws < 360:
+        X, Gamma, kappa, _ = random_membership_instance(rng, case=cases[draws % 3])
+        ok, cert = subdiff_membership(X, Gamma, kappa)
+        assert ok
+        W, expected = (set_element(cert), "Unstable") if draws % 2 == 0 else (
+            rng.standard_normal(X.shape), "Stable")
+        if W is None:
+            continue
+        spec = make_quadratic_spec(X, Gamma, kappa, projector_complement(W))
+        got = probe(spec, seed=draws)
+        if got["consistent_with"] != expected or tilt_check(spec).status != expected:
+            disagree.append((draws, expected, got["mu_min"], got["mu_cut"]))
+        draws += 1
+    with capsys.disabled():
+        print(f"tilt probe: {len(disagree)} disagreements in {draws} planted-kernel draws")
+    assert disagree == []
